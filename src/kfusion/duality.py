@@ -21,6 +21,7 @@ from kfusion.frames import (
     FusionSystem,
     KFrame,
     Subspace,
+    frame_analysis,
     frame_operator,
     is_minimal,
     orthogonal_complement,
@@ -40,6 +41,7 @@ from kfusion.numerics import (
     as_matrix,
     numerical_rank,
     pinv,
+    r_factor,
     spectral_norm,
 )
 
@@ -123,9 +125,10 @@ def inverse_on_image(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) ->
 
     The frame operator maps range(K) bijectively onto its image; the
     pseudo-inverse of the operator restricted there (zero elsewhere) is the
-    pseudo-inverse of ``S_W @ P`` with P the range projector of K.
+    pseudo-inverse of ``S_W @ P`` with P the range projector of K. The
+    matrix is a copy of the one cached in the shared analysis of (W, K, tol).
     """
-    return pinv(frame_operator(w) @ range_projector(as_matrix(k), tol), tol)
+    return frame_analysis(w, k, tol).inverse_on_image.copy()
 
 
 def phi_operator(
@@ -135,7 +138,7 @@ def phi_operator(
     if len(v) != len(w):
         raise ValueError("systems must have the same member count")
     k = as_matrix(k)
-    carrier = inverse_on_image(w, k, tol).T @ k
+    carrier = frame_analysis(w, k, tol).inverse_on_image.T @ k
     blocks = tuple(
         w_sub.basis.T @ carrier @ v_sub.basis
         for (w_sub, _), (v_sub, _) in zip(w.members, v.members)
@@ -168,8 +171,13 @@ def is_qk_dual(
         details report the optimal bounds of V against the adjoint of K
         together with the two lower-bound inequalities those must satisfy.
     """
-    k = as_matrix(k)
     q = as_matrix(q)
+    return _qk_certificate(w, v, q, k, lambda: spectral_norm(q), tol)
+
+
+def _qk_certificate(w, v, q, k, q_norm, tol) -> DualCertificate:
+    """``is_qk_dual`` with the norm of Q supplied by a callable, called only on a pass."""
+    k = as_matrix(k)
     t_w = synthesis(w)
     t_v = synthesis(v)
     if q.shape != (t_v.shape[1], t_w.shape[1]):
@@ -186,7 +194,7 @@ def is_qk_dual(
     adjoint_cert = verify_k_fusion(v, k.T, tol)
     cert.details["adjoint_frame"] = adjoint_cert
     base = verify_k_fusion(w, k, tol)
-    q_norm = spectral_norm(q)
+    q_norm = q_norm()
     if adjoint_cert.passed and base.passed and q_norm > 0.0:
         inv_qn = q_norm**-2
         c_floor = inv_qn / base.bounds.upper if base.bounds.upper > 0.0 else np.inf
@@ -215,19 +223,21 @@ def qk_dual_from_x(
     Returns (dual system, Q, certificate).
     """
     k = as_matrix(k)
-    t_w = synthesis(w)
+    base = frame_analysis(w, k, tol)
     x_mat = as_matrix(x.x)
-    if spectral_norm(t_w @ x_mat - k) > tol.eq_rel * (1.0 + spectral_norm(k)):
+    if spectral_norm(synthesis(w) @ x_mat - k) > tol.eq_rel * (1.0 + base.k_norm):
         raise ValueError("x does not solve the synthesis equation for K")
     members = tuple(
         (subspace_from_columns(x_mat[sl, :].T, tol), weight)
         for (_, weight), sl in zip(w.members, w.block_slices())
     )
     dual = FusionSystem(w.ambient_dim, members)
-    gamma = x_mat @ pinv(synthesis(dual).T, tol)
-    q = gamma.T
-    cert = is_qk_dual(w, dual, q, k, tol)
-    cert.operator_q = q
+    # pinv(T_V*) = U Sigma^-1 V* from the analysis the adjoint certificate reads
+    f = frame_analysis(dual, k.T, tol).factors
+    scaled = f.u / f.singular_values
+    q = (x_mat @ scaled @ f.v.T).T
+    # ||Q|| = ||X U Sigma^-1||, and the R-factor of X has the norms of X
+    cert = _qk_certificate(w, dual, q, k, lambda: spectral_norm(r_factor(x_mat) @ scaled), tol)
     return dual, q, cert
 
 
@@ -237,7 +247,15 @@ def k_dual_reconstruction(
     """Reconstruction operator of a candidate K-dual pair, with its transfer map."""
     k = as_matrix(k)
     phi = phi_operator(w, v, k, tol)
-    recon = range_projector(k, tol) @ synthesis(w) @ phi.matrix() @ synthesis(v).T
+    # T_W @ phi.matrix() @ T_V.T, one diagonal block at a time
+    inner = sum(
+        (
+            (w_weight * w_sub.basis) @ block @ (v_weight * v_sub.basis).T
+            for (w_sub, w_weight), (v_sub, v_weight), block in zip(w.members, v.members, phi.blocks)
+        ),
+        np.zeros((w.ambient_dim, v.ambient_dim)),
+    )
+    recon = frame_analysis(w, k, tol).k_projector @ inner
     return recon, phi
 
 
@@ -272,10 +290,8 @@ def canonical_k_dual(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL):
     the image.
     """
     k = as_matrix(k)
-    base = verify_k_fusion(w, k, tol)
-    if not base.passed:
-        raise ValueError(f"system must be a K-fusion frame: {base.message}")
-    inv_img = inverse_on_image(w, k, tol)
+    analysis = frame_analysis(w, k, tol).require()
+    inv_img = analysis.inverse_on_image
     carrier = k.T @ inv_img
     members = tuple(
         (subspace_from_columns(carrier @ sub.basis, tol), weight)
@@ -283,8 +299,8 @@ def canonical_k_dual(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL):
     )
     dual = FusionSystem(w.ambient_dim, members)
     cert = is_k_dual(w, dual, k, tol)
-    s_w = frame_operator(w)
-    image_proj = range_projector(s_w @ range_projector(k, tol), tol)
+    image = analysis.image_factors
+    image_proj = image.u @ image.u.T
     projected = FusionSystem(
         w.ambient_dim,
         tuple(
@@ -295,10 +311,10 @@ def canonical_k_dual(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL):
     bessel = spectral_norm(frame_operator(dual))
     estimate = (
         spectral_norm(frame_operator(projected))
-        * spectral_norm(k) ** 2
-        * spectral_norm(pinv(k, tol)) ** 2
-        * spectral_norm(s_w) ** 2
-        * spectral_norm(inv_img) ** 2
+        * analysis.k_norm**2
+        * analysis.k_factors.pinv_norm**2
+        * analysis.upper**2
+        * image.pinv_norm**2
     )
     report = {
         "bessel_bound": bessel,

@@ -12,17 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kfusion.frames import BlockVector, FusionSystem, synthesis, verify_k_fusion
+from kfusion.frames import BlockVector, FusionSystem, frame_analysis, synthesis
 from kfusion.numerics import (
     DEFAULT_TOL,
     AgreementError,
     ToleranceProfile,
     as_matrix,
     max_rayleigh,
-    null_basis,
     numerical_rank,
     pinv,
     spectral_norm,
+    svd,
 )
 
 
@@ -88,6 +88,47 @@ def range_included(l1, l2, tol: ToleranceProfile = DEFAULT_TOL):
     return False, l1[:, j]
 
 
+def _solve_from_factors(l1, l2, l1_factors, l2_factors, alpha_inf, tol) -> DouglasSolution:
+    """Minimal-norm solution of ``L2 @ x = L1`` from truncated thin SVDs of both.
+
+    ``x = V Sigma^-1 U* L1`` with (U, Sigma, V) the factors of L2. Because V
+    has orthonormal columns, the norm, rank and kernel of x are those of the
+    small ``Sigma^-1 U* L1``, so no decomposition is made at the size of x.
+    ``alpha_inf``, the pencil constant of (L1 L1*, L2 L2*), comes from an
+    eigendecomposition of L2 L2* and must agree with the SVD route.
+    """
+    coeff = (l2_factors.u.T @ l1) / l2_factors.singular_values[:, None]
+    x = l2_factors.v @ coeff
+    residual = spectral_norm(l2 @ x - l1)
+    if residual > tol.eq_rel * (1.0 + l1_factors.top):
+        raise AgreementError(f"factorization residual {residual} exceeds tolerance")
+    norm_sq = spectral_norm(coeff) ** 2
+    if np.isinf(alpha_inf) or abs(norm_sq - alpha_inf) > tol.eq_rel * max(
+        norm_sq, alpha_inf, 1.0
+    ):
+        raise AgreementError(
+            f"norm-squared {norm_sq} and infimum constant {alpha_inf} disagree"
+        )
+    x_scale = tol.eq_abs * (1.0 + np.sqrt(norm_sq))
+    # x kills the kernel of L1 exactly when coeff vanishes off the row space of L1
+    row = l1_factors.v
+    kernel_contained = row.shape[1] == l1.shape[1] or spectral_norm(
+        coeff - (coeff @ row) @ row.T
+    ) <= x_scale
+    nullspace_match = kernel_contained and numerical_rank(coeff, tol) == row.shape[1]
+    v = l2_factors.v
+    off_range = np.linalg.norm(x - v @ (v.T @ x), axis=0)
+    range_containment = not off_range.size or off_range.max() <= x_scale
+    return DouglasSolution(
+        x=x,
+        norm_sq=norm_sq,
+        alpha_inf=alpha_inf,
+        nullspace_match=bool(nullspace_match),
+        range_containment=bool(range_containment),
+        residual=residual,
+    )
+
+
 def douglas_solve(l1, l2, tol: ToleranceProfile = DEFAULT_TOL) -> DouglasSolution:
     """Canonical minimal-norm solution of ``L2 @ x = L1``.
 
@@ -109,46 +150,27 @@ def douglas_solve(l1, l2, tol: ToleranceProfile = DEFAULT_TOL) -> DouglasSolutio
     Raises
     ------
     ValueError
-        If the range inclusion fails.
+        If the range inclusion fails: some column of L1 lies farther than
+        ``eq_abs * (1 + ||L1||)`` from the range of L2.
     AgreementError
         If the factorization residual exceeds tolerance or the two norm
         computations disagree.
     """
     l1 = as_matrix(l1)
     l2 = as_matrix(l2)
-    included, witness = range_included(l1, l2, tol)
-    if not included:
+    if l1.shape[0] != l2.shape[0]:
+        raise ValueError("L1 and L2 must have the same number of rows")
+    l1_factors = svd(l1).truncated(tol)
+    l2_factors = svd(l2).truncated(tol)
+    u = l2_factors.u
+    outside = np.linalg.norm(l1 - u @ (u.T @ l1), axis=0)
+    if outside.size and outside.max() > tol.eq_abs * (1.0 + l1_factors.top):
+        witness = l1[:, int(np.argmax(outside))]
         raise ValueError(
             f"range of L1 is not contained in range of L2; witness column {witness}"
         )
-    x = pinv(l2, tol) @ l1
-    scale = 1.0 + spectral_norm(l1)
-    residual = spectral_norm(l2 @ x - l1)
-    if residual > tol.eq_rel * scale:
-        raise AgreementError(f"factorization residual {residual} exceeds tolerance")
-    norm_sq = spectral_norm(x) ** 2
     alpha_inf = max_rayleigh(l1 @ l1.T, l2 @ l2.T, tol)
-    if np.isinf(alpha_inf) or abs(norm_sq - alpha_inf) > tol.eq_rel * max(
-        norm_sq, alpha_inf, 1.0
-    ):
-        raise AgreementError(
-            f"norm-squared {norm_sq} and infimum constant {alpha_inf} disagree"
-        )
-    kernel_l1 = null_basis(l1, tol)
-    kernel_contained = (
-        kernel_l1.shape[1] == 0
-        or spectral_norm(x @ kernel_l1) <= tol.eq_abs * (1.0 + spectral_norm(x))
-    )
-    nullspace_match = kernel_contained and numerical_rank(x, tol) == numerical_rank(l1, tol)
-    range_containment, _ = range_included(x, l2.T, tol)
-    return DouglasSolution(
-        x=x,
-        norm_sq=norm_sq,
-        alpha_inf=alpha_inf,
-        nullspace_match=bool(nullspace_match),
-        range_containment=bool(range_containment),
-        residual=residual,
-    )
+    return _solve_from_factors(l1, l2, l1_factors, l2_factors, alpha_inf, tol)
 
 
 def x_w(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> XwSolution:
@@ -156,13 +178,13 @@ def x_w(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> XwSolution:
 
     The reciprocal of its squared norm is the optimal lower frame bound; the
     per-member components give the building blocks for duals and
-    resolutions.
+    resolutions. Built from the shared analysis of (W, K, tol): the factors
+    and the pencil constant that verified the frame condition.
     """
-    k = as_matrix(k)
-    cert = verify_k_fusion(w, k, tol)
-    if not cert.passed:
-        raise ValueError(f"system must be a K-fusion frame: {cert.message}")
-    base = douglas_solve(k, synthesis(w), tol)
+    analysis = frame_analysis(w, k, tol).require()
+    base = _solve_from_factors(
+        analysis.k, synthesis(w), analysis.k_factors, analysis.factors, analysis.pencil_ratio, tol
+    )
     return XwSolution(
         x=base.x,
         norm_sq=base.norm_sq,
@@ -171,5 +193,5 @@ def x_w(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> XwSolution:
         range_containment=base.range_containment,
         residual=base.residual,
         system=w,
-        k=k,
+        k=as_matrix(k),
     )

@@ -9,14 +9,17 @@ range weakening, K-image) each return a new system with its certificate.
 
 from __future__ import annotations
 
+import hashlib
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from kfusion.numerics import (
     DEFAULT_TOL,
     AgreementError,
+    Svd,
     ToleranceProfile,
     as_matrix,
     max_rayleigh,
@@ -25,12 +28,17 @@ from kfusion.numerics import (
     orthonormal_range,
     pinv,
     spectral_norm,
+    svd,
 )
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of R^n stored as an orthonormal column basis."""
+    """Subspace of R^n stored as a read-only orthonormal column basis.
+
+    The basis is copied on construction, so later changes to the caller's
+    array cannot reach the subspace or anything computed from it.
+    """
 
     ambient_dim: int
     basis: np.ndarray
@@ -42,6 +50,8 @@ class Subspace:
         gram = basis.T @ basis
         if not np.allclose(gram, np.eye(basis.shape[1]), atol=DEFAULT_TOL.eq_abs):
             raise ValueError("basis columns must be orthonormal")
+        basis = basis.copy()
+        basis.flags.writeable = False
         object.__setattr__(self, "basis", basis)
 
     @property
@@ -61,19 +71,26 @@ class Subspace:
 
 @dataclass(frozen=True)
 class FusionSystem:
-    """Ordered family of (subspace, positive weight) pairs in one ambient space."""
+    """Ordered family of (subspace, positive weight) pairs in one ambient space.
+
+    Systems are immutable; each one keeps the analysis of the last
+    (K, tolerance) pair it was asked about (see ``frame_analysis``).
+    """
 
     ambient_dim: int
     members: tuple
 
     def __post_init__(self) -> None:
         members = tuple((sub, float(weight)) for sub, weight in self.members)
-        for sub, weight in members:
+        for idx, (sub, weight) in enumerate(members):
             if sub.ambient_dim != self.ambient_dim:
                 raise ValueError("all subspaces must share the ambient dimension")
+            if not np.isfinite(weight):
+                raise ValueError(f"member {idx} has a non-finite weight {weight}")
             if weight <= 0.0:
                 raise ValueError("weights must be strictly positive")
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "_analysis", None)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -280,11 +297,11 @@ def frame_operator(w: FusionSystem) -> np.ndarray:
     return t @ t.T
 
 
-def _worst_column_outside(m: np.ndarray, projector: np.ndarray):
-    resid = m - projector @ m
+def _worst_column_outside(m: np.ndarray, basis: np.ndarray):
+    """Largest column residual of m off the span of an orthonormal basis, with its index."""
     if m.shape[1] == 0:
         return 0.0, None
-    norms = np.linalg.norm(resid, axis=0)
+    norms = np.linalg.norm(m - basis @ (basis.T @ m), axis=0)
     j = int(np.argmax(norms))
     return float(norms[j]), j
 
@@ -293,6 +310,139 @@ def _lower_bounds_agree(a1: float, a2: float, tol: ToleranceProfile) -> bool:
     if np.isinf(a1) or np.isinf(a2):
         return np.isinf(a1) and np.isinf(a2)
     return abs(a1 - a2) <= tol.eq_rel * max(a1, a2, 1.0)
+
+
+def _read_only(m):
+    """``m`` (an array, or the factors of an Svd) made read-only in place."""
+    for a in (m.u, m.singular_values, m.v) if isinstance(m, Svd) else (m,):
+        a.flags.writeable = False
+    return m
+
+
+class FrameAnalysis:
+    """One factorization of (W, K, tol), shared by every question about it.
+
+    The thin SVD of the synthesis matrix T, truncated at the rank cutoff,
+    gives the range of T, the upper bound ``sigma_1**2`` and the
+    pseudo-inverse route to the lower bound, ``1 / ||Sigma^-1 U* K||**2``.
+    The frame operator S = T T* gives the independent pencil route, the
+    largest generalized eigenvalue of (K K*, S) from the eigendecomposition
+    of S. Each ``AgreementError`` compares those two decompositions. The
+    other pieces (the pencil, the SVD of K, the inverse frame operator on
+    the image of range(K)) are computed when first needed. Every piece is a
+    fixed function of (W, K, tol), so answers do not depend on which
+    question came first.
+
+    Obtain it through ``frame_analysis``; the arrays it holds are read-only.
+    T itself is not kept (``synthesis`` rebuilds it cheaply), which keeps
+    the memoised entry small.
+    """
+
+    def __init__(self, w: FusionSystem, k: np.ndarray, tol: ToleranceProfile, key) -> None:
+        # no reference back to w: the system holds its analysis, and a cycle
+        # would keep both alive until the cyclic garbage collector runs
+        self.has_zero_members = any(sub.is_zero for sub, _ in w.members)
+        self.k = _read_only(k.copy())
+        self.tol = tol
+        self.key = key
+        t = synthesis(w)
+        self.s = _read_only(t @ t.T)
+        # thin SVD of T truncated at the rank cutoff
+        self.factors = _read_only(svd(t).truncated(tol))
+        # optimal upper bound: the largest eigenvalue of S
+        self.upper = self.factors.top**2
+
+    @cached_property
+    def pencil_ratio(self) -> float:
+        """Largest generalized eigenvalue of (K K*, S), from the eigendecomposition of S."""
+        return max_rayleigh(self.k @ self.k.T, self.s, self.tol)
+
+    @cached_property
+    def k_norm(self) -> float:
+        return spectral_norm(self.k)
+
+    @cached_property
+    def k_factors(self):
+        """Thin SVD of K truncated at the rank cutoff; ``u`` spans range(K)."""
+        return _read_only(svd(self.k).truncated(self.tol))
+
+    @property
+    def k_projector(self) -> np.ndarray:
+        """Range projector of K, rebuilt from its basis on each use rather than kept."""
+        basis = self.k_factors.u
+        return basis @ basis.T
+
+    @cached_property
+    def image_factors(self):
+        """Truncated SVD of S P with P the range projector of K; ``u`` spans S(range K)."""
+        return _read_only(svd(self.s @ self.k_projector).truncated(self.tol))
+
+    @cached_property
+    def inverse_on_image(self) -> np.ndarray:
+        """Pseudo-inverse of S P: the inverse frame operator on the image of range(K)."""
+        f = self.image_factors
+        return _read_only((f.v / f.singular_values) @ f.u.T)
+
+    @cached_property
+    def _verdict(self) -> tuple:
+        """(lower via pencil, lower via pinv, witness column, message) of the frame condition."""
+        k, tol = self.k, self.tol
+        gap, j = _worst_column_outside(k, self.factors.u)
+        if j is not None and gap > tol.eq_abs * (1.0 + self.k_norm):
+            message = f"range obstruction: column {j} of K leaves the span of the system"
+            return None, None, j, message
+        ratio = self.pencil_ratio
+        if np.isinf(ratio):
+            return None, None, j, "no positive lower bound: the pencil is unbounded"
+        lower_pencil = np.inf if ratio == 0.0 else 1.0 / ratio
+        # ||pinv(T) K|| = ||V Sigma^-1 U* K|| = ||Sigma^-1 U* K||, an r x cols(K) matrix
+        f = self.factors
+        x_norm = spectral_norm((f.u.T @ k) / f.singular_values[:, None])
+        lower_pinv = np.inf if x_norm == 0.0 else x_norm**-2
+        if not _lower_bounds_agree(lower_pencil, lower_pinv, tol):
+            raise AgreementError(
+                f"optimal lower bound mismatch: pencil {lower_pencil} vs pinv {lower_pinv}"
+            )
+        return lower_pencil, lower_pinv, None, ""
+
+    def certificate(self) -> Certificate:
+        """A new certificate of the frame condition; callers may write into its details."""
+        if self.has_zero_members:
+            warnings.warn("zero-dimensional members contribute nothing and are skipped")
+        lower_pencil, lower_pinv, j, message = self._verdict
+        if lower_pencil is None:
+            witness = None if j is None else self.k[:, j].copy()
+            return Certificate(passed=False, witness=witness, message=message)
+        return Certificate(
+            passed=True,
+            bounds=FrameBounds(lower=lower_pencil, upper=self.upper, optimal=True),
+            details={"lower_via_pencil": lower_pencil, "lower_via_pinv": lower_pinv},
+        )
+
+    def require(self) -> "FrameAnalysis":
+        """This analysis, or ValueError when the system is not a K-fusion frame."""
+        cert = self.certificate()
+        if not cert.passed:
+            raise ValueError(f"system must be a K-fusion frame: {cert.message}")
+        return self
+
+
+def frame_analysis(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> FrameAnalysis:
+    """The shared analysis of (W, K, tol), memoised on the system.
+
+    A system keeps a single entry, keyed by the shape and a content digest
+    of K and by the tolerance; asking about another pair replaces it.
+    """
+    k = as_matrix(k)
+    if k.shape[0] != w.ambient_dim:
+        raise ValueError("K must have ambient_dim rows")
+    digest = hashlib.blake2b(np.ascontiguousarray(k).tobytes(), digest_size=16).digest()
+    key = (k.shape, digest, tol)
+    analysis = w._analysis
+    if analysis is None or analysis.key != key:
+        analysis = FrameAnalysis(w, k, tol, key)
+        object.__setattr__(w, "_analysis", analysis)
+    return analysis
 
 
 def verify_k_fusion(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> Certificate:
@@ -310,53 +460,20 @@ def verify_k_fusion(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> 
     Returns
     -------
     Certificate
-        On success, optimal bounds: upper is the frame operator norm, lower
-        is the reciprocal of the largest Rayleigh quotient of K K* against
-        the frame operator, cross-checked against the reciprocal squared
-        norm of ``pinv(T_W) @ K``. On failure, a witness vector in the range
-        of K that leaves the span of the system. The lower bound is
-        ``inf`` when K = 0 (every positive constant works vacuously).
+        A new certificate on every call. On success, optimal bounds: upper
+        is the frame operator norm, lower is the reciprocal of the largest
+        Rayleigh quotient of K K* against the frame operator, cross-checked
+        against the reciprocal squared norm of ``pinv(T_W) @ K``. On
+        failure, a witness vector in the range of K that leaves the span of
+        the system. The lower bound is ``inf`` when K = 0 (every positive
+        constant works vacuously).
 
     Raises
     ------
     AgreementError
         If the two lower-bound computations disagree beyond ``eq_rel``.
     """
-    k = as_matrix(k)
-    if k.shape[0] != w.ambient_dim:
-        raise ValueError("K must have ambient_dim rows")
-    if any(sub.is_zero for sub, _ in w.members):
-        warnings.warn("zero-dimensional members contribute nothing and are skipped")
-    t = synthesis(w)
-    s = t @ t.T
-    upper = spectral_norm(s)
-    gap, j = _worst_column_outside(k, range_projector(t, tol))
-    if j is not None and gap > tol.eq_abs * (1.0 + spectral_norm(k)):
-        return Certificate(
-            passed=False,
-            witness=k[:, j],
-            message=f"range obstruction: column {j} of K leaves the span of the system",
-        )
-    ratio = max_rayleigh(k @ k.T, s, tol)
-    if np.isinf(ratio):
-        _, j = _worst_column_outside(k, range_projector(t, tol))
-        return Certificate(
-            passed=False,
-            witness=None if j is None else k[:, j],
-            message="no positive lower bound: the pencil is unbounded",
-        )
-    lower_pencil = np.inf if ratio == 0.0 else 1.0 / ratio
-    x_norm = spectral_norm(pinv(t, tol) @ k)
-    lower_pinv = np.inf if x_norm == 0.0 else x_norm**-2
-    if not _lower_bounds_agree(lower_pencil, lower_pinv, tol):
-        raise AgreementError(
-            f"optimal lower bound mismatch: pencil {lower_pencil} vs pinv {lower_pinv}"
-        )
-    return Certificate(
-        passed=True,
-        bounds=FrameBounds(lower=lower_pencil, upper=upper, optimal=True),
-        details={"lower_via_pencil": lower_pencil, "lower_via_pinv": lower_pinv},
-    )
+    return frame_analysis(w, k, tol).certificate()
 
 
 def is_minimal(w: FusionSystem, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
@@ -444,15 +561,11 @@ def transform_sinv(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL):
     range of K; this is the matrix realization of inverting the frame
     operator on the image of that range. Certified on the range of K.
     """
-    base = verify_k_fusion(w, k, tol)
-    if not base.passed:
-        raise ValueError(f"system must be a K-fusion frame: {base.message}")
-    k = as_matrix(k)
-    s = frame_operator(w)
-    inv_on_image = pinv(s @ range_projector(k, tol), tol)
+    analysis = frame_analysis(w, k, tol).require()
+    inv_on_image = analysis.inverse_on_image
     members = tuple((map_subspace(inv_on_image, sub, tol), weight) for sub, weight in w.members)
     image = FusionSystem(w.ambient_dim, members)
-    col_space = subspace_from_columns(k, tol)
+    col_space = Subspace(w.ambient_dim, analysis.k_factors.u)
     lower, upper, complete = restricted_bounds(frame_operator(image), col_space, tol)
     cert = Certificate(
         passed=complete,
@@ -496,7 +609,7 @@ def weaken_to_q(w: FusionSystem, k, q, tol: ToleranceProfile = DEFAULT_TOL) -> C
     q = as_matrix(q)
     if k.shape[0] != w.ambient_dim or q.shape[0] != w.ambient_dim:
         raise ValueError("K and Q must have ambient_dim rows")
-    gap, j = _worst_column_outside(q, range_projector(k, tol))
+    gap, j = _worst_column_outside(q, orthonormal_range(k, tol))
     if j is not None and gap > tol.eq_abs * (1.0 + spectral_norm(q)):
         return Certificate(
             passed=False,
@@ -546,9 +659,8 @@ def k_image_frame(
         base = FusionSystem(wrel.ambient_dim, members)
     else:
         base = wrel
-        row_proj = row_space.projector()
         for idx, (sub, _) in enumerate(base.members):
-            gap, j = _worst_column_outside(sub.basis, row_proj)
+            gap, j = _worst_column_outside(sub.basis, row_space.basis)
             if j is not None and gap > tol.eq_abs:
                 raise ValueError(f"member {idx} leaves the row space of K")
     lower, upper, complete = restricted_bounds(frame_operator(base), row_space, tol)

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kfusion.duality import inverse_on_image
 from kfusion.factorization import DouglasSolution, x_w
 from kfusion.frames import (
     BlockVector,
     Certificate,
     FusionSystem,
+    frame_analysis,
     frame_operator,
     range_projector,
     subspace_from_columns,
@@ -119,18 +119,12 @@ def resolution_from_x(
     return Resolution(thetas=thetas, weights=tuple(np.sqrt(w_) for w_ in w.weights))
 
 
-def _require_frame(w: FusionSystem, k: np.ndarray, tol: ToleranceProfile) -> None:
-    cert = verify_k_fusion(w, k, tol)
-    if not cert.passed:
-        raise ValueError(f"system must be a K-fusion frame: {cert.message}")
-
-
 def resolution_b(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> Resolution:
     """Resolution by range-projected members of the adjoint inverse route."""
     k = as_matrix(k)
-    _require_frame(w, k, tol)
-    p_r = range_projector(k, tol)
-    carrier = inverse_on_image(w, k, tol).T @ k
+    analysis = frame_analysis(w, k, tol).require()
+    p_r = analysis.k_projector
+    carrier = analysis.inverse_on_image.T @ k
     thetas = tuple(p_r @ sub.projector() @ carrier for sub, _ in w.members)
     return Resolution(thetas=thetas, weights=w.weights)
 
@@ -138,8 +132,7 @@ def resolution_b(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> Res
 def resolution_c(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> Resolution:
     """Resolution by the inverse frame operator applied after member projections."""
     k = as_matrix(k)
-    _require_frame(w, k, tol)
-    inv_img = inverse_on_image(w, k, tol)
+    inv_img = frame_analysis(w, k, tol).require().inverse_on_image
     thetas = tuple(inv_img @ sub.projector() @ k for sub, _ in w.members)
     return Resolution(thetas=thetas, weights=w.weights)
 
