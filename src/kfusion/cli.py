@@ -2,13 +2,17 @@
 
 Exit codes: 0 the check passed, 1 a certified mathematical failure,
 2 input error, 3 two independent computations disagreed.
+
+Each subcommand that reads an instance file is a function registered with
+``instance_command``, which owns what they share: options, loading,
+tolerance, digest, report and exit code.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -27,12 +31,12 @@ from .frames import (
     verify_k_fusion,
 )
 from .instances import (
-    ProblemInstance,
+    canonical_text,
     document_digest,
     instance_from_document,
-    load_instance,
     parse_number,
     random_instance,
+    read_document,
     save_instance,
 )
 from .numerics import (
@@ -65,19 +69,8 @@ class Report:
 
     command: str
     inputs: str
-    results: dict = field(default_factory=dict)
-    passed: bool = False
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": self.results,
-            "pass": self.passed,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+    results: dict
+    passed: bool
 
 
 def _mat(m) -> list:
@@ -101,21 +94,30 @@ def _emit(report: Report, out_path) -> None:
         click.echo(f"{key}: {json.dumps(report.results[key], sort_keys=True)}")
     click.echo(f"pass: {json.dumps(report.passed)}")
     if out_path:
-        Path(out_path).write_text(report.to_json())
+        document = {
+            "command": report.command,
+            "inputs": report.inputs,
+            "results": report.results,
+            "pass": report.passed,
+        }
+        Path(out_path).write_text(canonical_text(document))
 
 
-def _digest(command: str, instance: ProblemInstance, flags: dict) -> str:
-    return document_digest(
-        {"command": command, "flags": flags, "instance": instance.document}
-    )
+def _digest(command: str, document, flags: dict, tol_flag) -> str:
+    if tol_flag is not None:
+        flags = {**flags, "tol": tol_flag}
+    return document_digest({"command": command, "flags": flags, "instance": document})
 
 
-def _tolerance(instance: ProblemInstance, tol_flag) -> ToleranceProfile:
+def _tolerance(document, tol_flag) -> ToleranceProfile:
+    """The profile from ``--tol`` if given, else from the document's ``options.tolerance``."""
     if tol_flag is not None:
         if tol_flag <= 0.0:
             raise ValueError("tolerance must be positive")
         return ToleranceProfile(eq_abs=tol_flag, eq_rel=10.0 * tol_flag)
-    overrides = instance.options.get("tolerance", {}) if instance else {}
+    # a malformed document or options block is reported when the instance is built
+    options = document.get("options") if isinstance(document, dict) else None
+    overrides = options.get("tolerance", {}) if isinstance(options, dict) else {}
     if not isinstance(overrides, dict):
         raise ValueError("options.tolerance must be an object")
     kwargs = {
@@ -126,42 +128,28 @@ def _tolerance(instance: ProblemInstance, tol_flag) -> ToleranceProfile:
     return ToleranceProfile(**kwargs) if kwargs else DEFAULT_TOL
 
 
-def _finish(report: Report, out_path) -> None:
-    _emit(report, out_path)
-    sys.exit(0 if report.passed else 1)
-
-
-def _run(action) -> None:
+def _run(build, out_path=None) -> None:
+    """Emit the report ``build()`` returns and exit with the code the module docstring lists."""
     try:
-        action()
+        report = build()
     except ValueError as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(2)
     except AgreementError as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(3)
+    _emit(report, out_path)
+    sys.exit(0 if report.passed else 1)
 
 
-def _in_option(fn):
-    return click.option(
-        "--in",
-        "in_path",
-        required=True,
-        type=click.Path(exists=True, dir_okay=False),
-        help="instance file to load",
-    )(fn)
-
-
-def _common_options(fn):
-    fn = click.option("--out", "out_path", default=None, help="write the report as JSON")(fn)
-    fn = click.option(
-        "--tol",
-        "tol_flag",
-        type=float,
-        default=None,
-        help="absolute equality tolerance; the relative tolerance is set to 10x",
-    )(fn)
-    return fn
+_tol_option = click.option(
+    "--tol",
+    "tol_flag",
+    type=float,
+    default=None,
+    help="absolute equality tolerance; the relative tolerance is set to 10x",
+)
+_out_option = click.option("--out", "out_path", default=None, help="write the report as JSON")
 
 
 @click.group()
@@ -169,360 +157,231 @@ def main():
     """Finite-dimensional K-fusion frame computations with certified reports."""
 
 
-@main.command()
-@_in_option
-@_common_options
-@click.option("--system", "system_name", default="W", help="system to verify")
-def verify(in_path, out_path, tol_flag, system_name):
+def instance_command(name: str, *options, system=None):
+    """Register ``compute(instance, tol, **options) -> (flags, results, passed)`` as ``name``.
+
+    Options: ``--in``, ``--tol``, ``--out``, then ``--system`` if ``system`` gives
+    its (default, help), then ``options``. The help text is compute's docstring.
+    """
+    if system is not None:
+        system_option = click.option("--system", "system_name", default=system[0], help=system[1])
+        options = (system_option, *options)
+    in_option = click.option(
+        "--in",
+        "in_path",
+        required=True,
+        type=click.Path(exists=True, dir_okay=False),
+        help="instance file to load",
+    )
+
+    def register(compute):
+        def callback(in_path, tol_flag, out_path, **kwargs):
+            def build() -> Report:
+                document = read_document(in_path)
+                tol = _tolerance(document, tol_flag)
+                instance = instance_from_document(document, tol)
+                flags, results, passed = compute(instance, tol, **kwargs)
+                return Report(name, _digest(name, document, flags, tol_flag), results, passed)
+
+            _run(build, out_path)
+
+        for option in reversed((in_option, _tol_option, _out_option, *options)):
+            callback = option(callback)
+        main.command(name, help=compute.__doc__)(callback)
+        return compute
+
+    return register
+
+
+@instance_command("verify", system=("W", "system to verify"))
+def verify(instance, tol, system_name):
     """Check the K-fusion frame condition for one named system."""
-
-    def action():
-        instance = load_instance(in_path)
-        tol = _tolerance(instance, tol_flag)
-        cert = verify_k_fusion(instance.system(system_name), instance.k_matrix, tol)
-        report = Report(
-            "verify",
-            _digest("verify", instance, {"system": system_name}),
-            {
-                "system": system_name,
-                "bounds": _bounds_dict(cert.bounds),
-                "message": cert.message,
-            },
-            cert.passed,
-        )
-        _finish(report, out_path)
-
-    _run(action)
+    cert = verify_k_fusion(instance.system(system_name), instance.k_matrix, tol)
+    results = {
+        "system": system_name,
+        "bounds": _bounds_dict(cert.bounds),
+        "message": cert.message,
+    }
+    return {"system": system_name}, results, cert.passed
 
 
-@main.command()
-@_in_option
-@_common_options
-@click.option("--system", "system_name", default="W", help="system to bound")
-def bounds(in_path, out_path, tol_flag, system_name):
+@instance_command("bounds", system=("W", "system to bound"))
+def bounds(instance, tol, system_name):
     """Report the optimal frame bounds of one named system."""
-
-    def action():
-        instance = load_instance(in_path)
-        tol = _tolerance(instance, tol_flag)
-        cert = verify_k_fusion(instance.system(system_name), instance.k_matrix, tol)
-        results = {"system": system_name, "bounds": _bounds_dict(cert.bounds)}
-        report = Report(
-            "bounds",
-            _digest("bounds", instance, {"system": system_name}),
-            results,
-            cert.passed,
-        )
-        _finish(report, out_path)
-
-    _run(action)
+    cert = verify_k_fusion(instance.system(system_name), instance.k_matrix, tol)
+    results = {"system": system_name, "bounds": _bounds_dict(cert.bounds)}
+    return {"system": system_name}, results, cert.passed
 
 
-@main.command()
-@_in_option
-@_common_options
-def douglas(in_path, out_path, tol_flag):
+@instance_command("douglas")
+def douglas(instance, tol):
     """Solve the synthesis equation for K and certify the minimal solution."""
-
-    def action():
-        instance = load_instance(in_path)
-        tol = _tolerance(instance, tol_flag)
-        sol = x_w(instance.system("W"), instance.k_matrix, tol)
-        ok = bool(
-            sol.nullspace_match
-            and sol.range_containment
-            and sol.residual <= tol.eq_abs * (1.0 + spectral_norm(instance.k_matrix))
-        )
-        lower = float("inf") if sol.norm_sq == 0.0 else 1.0 / sol.norm_sq
-        report = Report(
-            "douglas",
-            _digest("douglas", instance, {}),
-            {
-                "norm_sq": sol.norm_sq,
-                "alpha_inf": sol.alpha_inf,
-                "lower_bound": lower,
-                "nullspace_match": sol.nullspace_match,
-                "range_containment": sol.range_containment,
-                "residual": sol.residual,
-            },
-            ok,
-        )
-        _finish(report, out_path)
-
-    _run(action)
+    sol = x_w(instance.system("W"), instance.k_matrix, tol)
+    ok = bool(
+        sol.nullspace_match
+        and sol.range_containment
+        and sol.residual <= tol.eq_abs * (1.0 + spectral_norm(instance.k_matrix))
+    )
+    results = {
+        "norm_sq": sol.norm_sq,
+        "alpha_inf": sol.alpha_inf,
+        "lower_bound": float("inf") if sol.norm_sq == 0.0 else 1.0 / sol.norm_sq,
+        "nullspace_match": sol.nullspace_match,
+        "range_containment": sol.range_containment,
+        "residual": sol.residual,
+    }
+    return {}, results, ok
 
 
-@main.command("qk-dual")
-@_in_option
-@_common_options
-def qk_dual(in_path, out_path, tol_flag):
+@instance_command("qk-dual")
+def qk_dual(instance, tol):
     """Build the dual generated by the minimal synthesis solution."""
-
-    def action():
-        instance = load_instance(in_path)
-        tol = _tolerance(instance, tol_flag)
-        w, k = instance.system("W"), instance.k_matrix
-        sol = x_w(w, k, tol)
-        dual, q, cert = qk_dual_from_x(w, k, sol, tol)
-        report = Report(
-            "qk-dual",
-            _digest("qk-dual", instance, {}),
-            {
-                "member_dims": dual.dims(),
-                "q_norm": float(spectral_norm(q)),
-                "residual": float(cert.residual),
-            },
-            cert.passed,
-        )
-        _finish(report, out_path)
-
-    _run(action)
+    w, k = instance.system("W"), instance.k_matrix
+    dual, q, cert = qk_dual_from_x(w, k, x_w(w, k, tol), tol)
+    results = {
+        "member_dims": dual.dims(),
+        "q_norm": float(spectral_norm(q)),
+        "residual": float(cert.residual),
+    }
+    return {}, results, cert.passed
 
 
-@main.command("k-dual")
-@_in_option
-@_common_options
-@click.option("--system", "system_name", default="V", help="candidate dual system")
-def k_dual(in_path, out_path, tol_flag, system_name):
+@instance_command("k-dual", system=("V", "candidate dual system"))
+def k_dual(instance, tol, system_name):
     """Check the reconstruction identity for a named candidate dual."""
-
-    def action():
-        instance = load_instance(in_path)
-        tol = _tolerance(instance, tol_flag)
-        cert = is_k_dual(
-            instance.system("W"), instance.system(system_name), instance.k_matrix, tol
-        )
-        report = Report(
-            "k-dual",
-            _digest("k-dual", instance, {"system": system_name}),
-            {"system": system_name, "residual": float(cert.residual)},
-            cert.passed,
-        )
-        _finish(report, out_path)
-
-    _run(action)
+    cert = is_k_dual(
+        instance.system("W"), instance.system(system_name), instance.k_matrix, tol
+    )
+    results = {"system": system_name, "residual": float(cert.residual)}
+    return {"system": system_name}, results, cert.passed
 
 
-@main.command("canonical-dual")
-@_in_option
-@_common_options
-def canonical_dual(in_path, out_path, tol_flag):
+@instance_command("canonical-dual")
+def canonical_dual(instance, tol):
     """Build the canonical K-dual and report its Bessel bound."""
-
-    def action():
-        instance = load_instance(in_path)
-        tol = _tolerance(instance, tol_flag)
-        dual, cert, info = canonical_k_dual(instance.system("W"), instance.k_matrix, tol)
-        report = Report(
-            "canonical-dual",
-            _digest("canonical-dual", instance, {}),
-            {
-                "member_dims": dual.dims(),
-                "residual": float(cert.residual),
-                "bessel_bound": float(info["bessel_bound"]),
-                "bessel_estimate": float(info["bessel_estimate"]),
-                "within_estimate": bool(info["within_estimate"]),
-            },
-            cert.passed and bool(info["within_estimate"]),
-        )
-        _finish(report, out_path)
-
-    _run(action)
+    dual, cert, info = canonical_k_dual(instance.system("W"), instance.k_matrix, tol)
+    results = {
+        "member_dims": dual.dims(),
+        "residual": float(cert.residual),
+        "bessel_bound": float(info["bessel_bound"]),
+        "bessel_estimate": float(info["bessel_estimate"]),
+        "within_estimate": bool(info["within_estimate"]),
+    }
+    return {}, results, cert.passed and bool(info["within_estimate"])
 
 
-@main.command("enlarge-dual")
-@_in_option
-@_common_options
-def enlarge_dual_cmd(in_path, out_path, tol_flag):
+@instance_command("enlarge-dual")
+def enlarge_dual_cmd(instance, tol):
     """Extend one dual member by the orthogonal summand named in the instance."""
-
-    def action():
-        instance = load_instance(in_path)
-        tol = _tolerance(instance, tol_flag)
-        opts = instance.options.get("enlarge")
-        if not isinstance(opts, dict):
-            raise ValueError("instance option 'enlarge' is required for this command")
-        base = instance.system(opts.get("system", "V"))
-        try:
-            index = int(opts["index"])
-            span = opts["span"]
-        except KeyError as exc:
-            raise ValueError(f"options.enlarge: missing field {exc.args[0]!r}") from exc
-        vectors = [
-            np.array(
-                [
-                    parse_number(x, f"options.enlarge span vector {j}")
-                    for x in vec
-                ]
-            )
-            for j, vec in enumerate(span)
-        ]
-        summand = subspace_from_spanning(vectors, tol)
-        enlarged, cert = enlarge_dual(
-            instance.system("W"), instance.k_matrix, base, index, summand, tol
-        )
-        report = Report(
-            "enlarge-dual",
-            _digest("enlarge-dual", instance, {}),
-            {
-                "base_system": opts.get("system", "V"),
-                "index": index,
-                "member_dims": enlarged.dims(),
-                "residual": float(cert.residual),
-            },
-            cert.passed,
-        )
-        _finish(report, out_path)
-
-    _run(action)
+    opts = instance.options.get("enlarge")
+    if not isinstance(opts, dict):
+        raise ValueError("instance option 'enlarge' is required for this command")
+    base = instance.system(opts.get("system", "V"))
+    try:
+        index = int(opts["index"])
+        span = opts["span"]
+    except KeyError as exc:
+        raise ValueError(f"options.enlarge: missing field {exc.args[0]!r}") from exc
+    vectors = [
+        np.array([parse_number(x, f"options.enlarge span vector {j}") for x in vec])
+        for j, vec in enumerate(span)
+    ]
+    summand = subspace_from_spanning(vectors, tol)
+    enlarged, cert = enlarge_dual(
+        instance.system("W"), instance.k_matrix, base, index, summand, tol
+    )
+    results = {
+        "base_system": opts.get("system", "V"),
+        "index": index,
+        "member_dims": enlarged.dims(),
+        "residual": float(cert.residual),
+    }
+    return {}, results, cert.passed
 
 
-@main.command()
-@_in_option
-@_common_options
-def resolution(in_path, out_path, tol_flag):
+@instance_command("resolution")
+def resolution(instance, tol):
     """Build and verify the three standard operator resolutions of K."""
-
-    def action():
-        instance = load_instance(in_path)
-        tol = _tolerance(instance, tol_flag)
-        w, k = instance.system("W"), instance.k_matrix
-        sol = x_w(w, k, tol)
-        built = {
-            "from_x": resolution_from_x(w, k, sol, tol),
-            "projection": resolution_b(w, k, tol),
-            "inverse": resolution_c(w, k, tol),
+    w, k = instance.system("W"), instance.k_matrix
+    built = {
+        "from_x": resolution_from_x(w, k, x_w(w, k, tol), tol),
+        "projection": resolution_b(w, k, tol),
+        "inverse": resolution_c(w, k, tol),
+    }
+    results, ok = {}, True
+    for name, res in built.items():
+        check = verify_resolution(res, k, tol)
+        ok = ok and check.passed
+        results[name] = {
+            "passed": check.passed,
+            "residual": float(check.residual),
+            "lower": float(check.lower),
+            "upper": float(check.upper),
         }
-        results, ok = {}, True
-        for name, res in built.items():
-            check = verify_resolution(res, k, tol)
-            ok = ok and check.passed
-            results[name] = {
-                "passed": check.passed,
-                "residual": float(check.residual),
-                "lower": float(check.lower),
-                "upper": float(check.upper),
-            }
-        report = Report("resolution", _digest("resolution", instance, {}), results, ok)
-        _finish(report, out_path)
-
-    _run(action)
+    return {}, results, ok
 
 
-@main.command("minimal-norm")
-@_in_option
-@_common_options
-def minimal_norm(in_path, out_path, tol_flag):
+@instance_command("minimal-norm")
+def minimal_norm(instance, tol):
     """Check pointwise norm minimality of the resolution from the minimal solution."""
-
-    def action():
-        instance = load_instance(in_path)
-        tol = _tolerance(instance, tol_flag)
-        w, k = instance.system("W"), instance.k_matrix
-        sol = x_w(w, k, tol)
-        res = resolution_from_x(w, k, sol, tol)
-        outcome = minimal_norm_check(w, k, res, tol)
-        report = Report(
-            "minimal-norm",
-            _digest("minimal-norm", instance, {}),
-            {
-                "plain_margin": [float(x) for x in outcome.plain_margin],
-                "centered_margin": [float(x) for x in outcome.centered_margin],
-                "samples": outcome.samples,
-            },
-            outcome.passed,
-        )
-        _finish(report, out_path)
-
-    _run(action)
+    w, k = instance.system("W"), instance.k_matrix
+    res = resolution_from_x(w, k, x_w(w, k, tol), tol)
+    outcome = minimal_norm_check(w, k, res, tol)
+    results = {
+        "plain_margin": [float(x) for x in outcome.plain_margin],
+        "centered_margin": [float(x) for x in outcome.centered_margin],
+        "samples": outcome.samples,
+    }
+    return {}, results, outcome.passed
 
 
-@main.command()
-@_in_option
-@_common_options
-@click.option("--system", "system_name", default="Z", help="perturbed system")
-@click.option("--seed", "seed", type=int, default=None, help="falsifier sampling seed")
-def perturb(in_path, out_path, tol_flag, system_name, seed):
+@instance_command(
+    "perturb",
+    click.option("--seed", "seed", type=int, default=None, help="falsifier sampling seed"),
+    system=("Z", "perturbed system"),
+)
+def perturb(instance, tol, system_name, seed):
     """Certify or falsify the three-parameter perturbation hypothesis."""
-
-    def action():
-        instance = load_instance(in_path)
-        tol = _tolerance(instance, tol_flag)
-        params = instance.options.get("perturbation")
-        if not isinstance(params, dict):
-            raise ValueError("instance option 'perturbation' is required for this command")
+    params = instance.options.get("perturbation")
+    if not isinstance(params, dict):
+        raise ValueError("instance option 'perturbation' is required for this command")
+    try:
         values = {
             name: parse_number(params[name], f"options.perturbation.{name}")
-            for name in ("lambda1", "lambda2", "epsilon")
-            if name in params
+            for name in ("epsilon", "lambda1", "lambda2")
         }
-        missing = {"lambda1", "lambda2", "epsilon"} - set(values)
-        if missing:
-            raise ValueError(
-                f"options.perturbation: missing field {sorted(missing)[0]!r}"
-            )
-        use_seed = seed if seed is not None else int(instance.options.get("seed", 0))
-        w, z = instance.system("W"), instance.system(system_name)
-        k = instance.k_matrix
-        outcome = certify_perturbation(
-            w,
-            z,
-            k,
-            values["lambda1"],
-            values["lambda2"],
-            values["epsilon"],
-            tol,
-            seed=use_seed,
-        )
-        results = {
-            "system": system_name,
-            "lambda1": values["lambda1"],
-            "lambda2": values["lambda2"],
-            "epsilon": values["epsilon"],
-            "analysis_epsilon": float(analysis_epsilon(w, z, k, tol)),
-            "certified": outcome.certified,
-            "decided_by": outcome.decided_by,
-            "applicable": outcome.applicable,
-            "epsilon_threshold": float(outcome.epsilon_threshold),
-            "predicted_bounds": _bounds_dict(outcome.predicted_bounds),
-            "actual_bounds": _bounds_dict(outcome.actual_bounds),
-            "witness": None
-            if outcome.falsified_witness is None
-            else _vec(outcome.falsified_witness),
-        }
-        report = Report(
-            "perturb",
-            _digest("perturb", instance, {"seed": use_seed, "system": system_name}),
-            results,
-            outcome.certified,
-        )
-        _finish(report, out_path)
-
-    _run(action)
+    except KeyError as exc:
+        raise ValueError(f"options.perturbation: missing field {exc.args[0]!r}") from exc
+    use_seed = seed if seed is not None else int(instance.options.get("seed", 0))
+    w, z, k = instance.system("W"), instance.system(system_name), instance.k_matrix
+    outcome = certify_perturbation(
+        w, z, k, values["lambda1"], values["lambda2"], values["epsilon"], tol, seed=use_seed
+    )
+    results = {
+        "system": system_name,
+        **values,
+        "analysis_epsilon": float(analysis_epsilon(w, z, k, tol)),
+        "certified": outcome.certified,
+        "decided_by": outcome.decided_by,
+        "applicable": outcome.applicable,
+        "epsilon_threshold": float(outcome.epsilon_threshold),
+        "predicted_bounds": _bounds_dict(outcome.predicted_bounds),
+        "actual_bounds": _bounds_dict(outcome.actual_bounds),
+        "witness": None
+        if outcome.falsified_witness is None
+        else _vec(outcome.falsified_witness),
+    }
+    return {"seed": use_seed, "system": system_name}, results, outcome.certified
 
 
-@main.command("approx-dual")
-@_in_option
-@_common_options
-@click.option("--system", "system_name", default="V", help="candidate dual system")
-def approx_dual(in_path, out_path, tol_flag, system_name):
+@instance_command("approx-dual", system=("V", "candidate dual system"))
+def approx_dual(instance, tol, system_name):
     """Measure how far a candidate dual's reconstruction sits from K."""
-
-    def action():
-        instance = load_instance(in_path)
-        tol = _tolerance(instance, tol_flag)
-        cert = approximate_dual_norm(
-            instance.system("Z"), instance.system(system_name), instance.k_matrix, tol
-        )
-        report = Report(
-            "approx-dual",
-            _digest("approx-dual", instance, {"system": system_name}),
-            {"system": system_name, "residual": float(cert.residual)},
-            cert.passed,
-        )
-        _finish(report, out_path)
-
-    _run(action)
+    cert = approximate_dual_norm(
+        instance.system("Z"), instance.system(system_name), instance.k_matrix, tol
+    )
+    results = {"system": system_name, "residual": float(cert.residual)}
+    return {"system": system_name}, results, cert.passed
 
 
 def _bundled_document(name: str) -> dict:
@@ -737,43 +596,29 @@ def _golden_checks(tol: ToleranceProfile) -> list:
 
 
 @main.command()
-@_common_options
-def examples(out_path, tol_flag):
+@_tol_option
+@_out_option
+def examples(tol_flag, out_path):
     """Reproduce every bundled worked example and fail on any mismatch."""
 
-    def action():
-        tol = _tolerance(None, tol_flag)
-        checks = _golden_checks(tol)
+    def build() -> Report:
+        checks = _golden_checks(_tolerance(None, tol_flag))
         failed = [c["name"] for c in checks if not c["ok"]]
-        digest = document_digest(
-            {
-                "command": "examples",
-                "instances": [
-                    _bundled_document("example_r3.json"),
-                    _bundled_document("example_r4.json"),
-                ],
-            }
-        )
-        report = Report(
-            "examples",
-            digest,
-            {"checks": checks, "failed": failed, "total": len(checks)},
-            not failed,
-        )
-        _finish(report, out_path)
+        inputs = {
+            "command": "examples",
+            "instances": [_bundled_document(f"example_r{n}.json") for n in (3, 4)],
+        }
+        if tol_flag is not None:
+            inputs["flags"] = {"tol": tol_flag}
+        results = {"checks": checks, "failed": failed, "total": len(checks)}
+        return Report("examples", document_digest(inputs), results, not failed)
 
-    _run(action)
+    _run(build, out_path)
 
 
 @main.command("random")
 @click.option("--out", "out_path", default=None, help="save the generated instance")
-@click.option(
-    "--tol",
-    "tol_flag",
-    type=float,
-    default=None,
-    help="absolute equality tolerance; the relative tolerance is set to 10x",
-)
+@_tol_option
 @click.option("--seed", type=int, default=0, help="generator seed")
 @click.option("--dim", "ambient_dim", type=int, default=4, help="ambient dimension")
 @click.option("--members", "member_count", type=int, default=3, help="member count")
@@ -781,29 +626,24 @@ def examples(out_path, tol_flag):
 def random_cmd(out_path, tol_flag, seed, ambient_dim, member_count, rank_k):
     """Generate a seeded random instance, verify it, and optionally save it."""
 
-    def action():
+    def build() -> Report:
         instance = random_instance(seed, ambient_dim, member_count, rank_k)
-        tol = _tolerance(instance, tol_flag)
+        tol = _tolerance(instance.document, tol_flag)
         if out_path:
             save_instance(instance, out_path)
         cert = verify_k_fusion(instance.system("W"), instance.k_matrix, tol)
-        report = Report(
-            "random",
-            _digest("random", instance, {"seed": seed}),
-            {
-                "seed": seed,
-                "ambient_dim": ambient_dim,
-                "member_dims": instance.system("W").dims(),
-                "k_rank": int(numerical_rank(instance.k_matrix, tol)),
-                "verified": cert.passed,
-                "bounds": _bounds_dict(cert.bounds),
-            },
-            True,
-        )
-        _emit(report, None)
-        sys.exit(0)
+        results = {
+            "seed": seed,
+            "ambient_dim": ambient_dim,
+            "member_dims": instance.system("W").dims(),
+            "k_rank": int(numerical_rank(instance.k_matrix, tol)),
+            "verified": cert.passed,
+            "bounds": _bounds_dict(cert.bounds),
+        }
+        digest = _digest("random", instance.document, {"seed": seed}, tol_flag)
+        return Report("random", digest, results, True)
 
-    _run(action)
+    _run(build)
 
 
 if __name__ == "__main__":

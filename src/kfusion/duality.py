@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from kfusion.factorization import DouglasSolution, x_w
 from kfusion.frames import (
@@ -46,6 +45,16 @@ from kfusion.numerics import (
 )
 
 
+def _block_diag(blocks) -> np.ndarray:
+    """Block-diagonal matrix of 2-D blocks; a block with no rows or no columns keeps its place."""
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
 @dataclass(frozen=True)
 class PhiOperator:
     """Block-diagonal map from dual-system coefficients to base-system coefficients.
@@ -57,9 +66,7 @@ class PhiOperator:
     blocks: tuple
 
     def matrix(self) -> np.ndarray:
-        if not self.blocks:
-            return np.zeros((0, 0))
-        return scipy.linalg.block_diag(*self.blocks)
+        return _block_diag(self.blocks)
 
     def apply(self, bv: BlockVector) -> BlockVector:
         return BlockVector(tuple(b @ c for b, c in zip(self.blocks, bv.blocks)))
@@ -496,7 +503,7 @@ def component_preserving_duals(
         sub.basis.T @ psi[:, sl]
         for (sub, _), sl in zip(v.members, w.block_slices())
     ]
-    q = scipy.linalg.block_diag(*blocks) if blocks else np.zeros((0, 0))
+    q = _block_diag(blocks)
     cert = is_qk_dual(w, v, q, k, tol)
     cert.details["block_diagonal"] = True
     return v, cert

@@ -12,7 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kfusion.frames import BlockVector, FusionSystem, frame_analysis, synthesis
+from kfusion.frames import (
+    BlockVector,
+    FusionSystem,
+    _worst_column_outside,
+    frame_analysis,
+    synthesis,
+)
 from kfusion.numerics import (
     DEFAULT_TOL,
     AgreementError,
@@ -20,7 +26,7 @@ from kfusion.numerics import (
     as_matrix,
     max_rayleigh,
     numerical_rank,
-    pinv,
+    orthonormal_range,
     spectral_norm,
     svd,
 )
@@ -74,18 +80,25 @@ class XwSolution(DouglasSolution):
 def range_included(l1, l2, tol: ToleranceProfile = DEFAULT_TOL):
     """Whether the column space of L1 lies inside that of L2.
 
-    Returns (included, witness); the witness is a column of L1 outside the
-    range of L2 when inclusion fails, else None.
+    Returns (included, witness). Inclusion fails when some column of L1 lies
+    farther than ``eq_abs * (1 + ||L1||)`` from the range of L2, the rule
+    ``douglas_solve`` applies; the witness is then the farthest column, else
+    None.
     """
     l1 = as_matrix(l1)
     l2 = as_matrix(l2)
     if l1.shape[0] != l2.shape[0]:
         raise ValueError("L1 and L2 must have the same number of rows")
-    if numerical_rank(np.hstack([l2, l1]), tol) == numerical_rank(l2, tol):
-        return True, None
-    resid = l1 - l2 @ (pinv(l2, tol) @ l1)
-    j = int(np.argmax(np.linalg.norm(resid, axis=0)))
-    return False, l1[:, j]
+    witness = _outside_witness(l1, orthonormal_range(l2, tol), spectral_norm(l1), tol)
+    return witness is None, witness
+
+
+def _outside_witness(l1, basis, l1_norm: float, tol: ToleranceProfile):
+    """The column of L1 farthest from span(basis) if beyond ``eq_abs * (1 + ||L1||)``, else None."""
+    gap, j = _worst_column_outside(l1, basis)
+    if j is None or gap <= tol.eq_abs * (1.0 + l1_norm):
+        return None
+    return l1[:, j]
 
 
 def _solve_from_factors(l1, l2, l1_factors, l2_factors, alpha_inf, tol) -> DouglasSolution:
@@ -162,10 +175,8 @@ def douglas_solve(l1, l2, tol: ToleranceProfile = DEFAULT_TOL) -> DouglasSolutio
         raise ValueError("L1 and L2 must have the same number of rows")
     l1_factors = svd(l1).truncated(tol)
     l2_factors = svd(l2).truncated(tol)
-    u = l2_factors.u
-    outside = np.linalg.norm(l1 - u @ (u.T @ l1), axis=0)
-    if outside.size and outside.max() > tol.eq_abs * (1.0 + l1_factors.top):
-        witness = l1[:, int(np.argmax(outside))]
+    witness = _outside_witness(l1, l2_factors.u, l1_factors.top, tol)
+    if witness is not None:
         raise ValueError(
             f"range of L1 is not contained in range of L2; witness column {witness}"
         )

@@ -122,14 +122,18 @@ def instance_from_document(doc, tol: ToleranceProfile = DEFAULT_TOL) -> ProblemI
     return ProblemInstance(ambient_dim, k, systems, options, doc)
 
 
-def load_instance(path, tol: ToleranceProfile = DEFAULT_TOL) -> ProblemInstance:
-    """Load and validate an instance file."""
+def read_document(path):
+    """Parse an instance file's JSON; a syntax error becomes a ValueError."""
     text = Path(path).read_text()
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"parse error in {path} at line {exc.lineno}: {exc.msg}") from exc
-    return instance_from_document(doc, tol)
+
+
+def load_instance(path, tol: ToleranceProfile = DEFAULT_TOL) -> ProblemInstance:
+    """Load and validate an instance file."""
+    return instance_from_document(read_document(path), tol)
 
 
 def canonical_text(doc) -> str:

@@ -293,3 +293,69 @@ def test_module_entry_point_runs_in_subprocess():
     )
     assert proc.returncode == 0
     assert "pass: true" in proc.stdout
+
+
+# ---------------------------------------------------------- the command table
+
+INSTANCE_COMMANDS = [
+    "verify",
+    "bounds",
+    "douglas",
+    "qk-dual",
+    "k-dual",
+    "canonical-dual",
+    "enlarge-dual",
+    "resolution",
+    "minimal-norm",
+    "perturb",
+    "approx-dual",
+]
+
+
+def stdout_lines(output):
+    return dict(line.split(": ", 1) for line in output.splitlines() if ": " in line)
+
+
+@pytest.mark.parametrize("command", INSTANCE_COMMANDS)
+def test_instance_command_stdout_matches_out_file(runner, tmp_path, command):
+    out = tmp_path / "report.json"
+    result = invoke(runner, command, "--in", R3, "--out", str(out))
+    report = report_from(out)
+    lines = stdout_lines(result.output)
+    assert report["command"] == command
+    assert lines["command"] == command
+    assert lines["inputs"] == report["inputs"]
+    assert json.loads(lines["pass"]) is report["pass"]
+    assert result.exit_code == (0 if report["pass"] else 1)
+
+
+def test_instance_tolerance_applies_when_spans_load(runner, tmp_path):
+    # at rank_rel 1e-5 the span {(1,0), (1,1e-7)} is a line, and e2 = range(K) leaves it
+    doc = {
+        "ambient_dim": 2,
+        "k_matrix": {"rows": 2, "cols": 2, "entries": [[0, 0], [0, 1]]},
+        "systems": {"W": {"members": [{"span": [[1, 0], [1, 1e-7]]}]}},
+        "options": {"tolerance": {"rank_rel": 1e-5}},
+    }
+    path = tmp_path / "near_line.json"
+    path.write_text(canonical_text(doc))
+    result = invoke(runner, "verify", "--in", str(path))
+    assert result.exit_code == 1
+    assert "pass: false" in result.output
+
+
+def test_tolerance_flag_enters_the_digest(runner):
+    default = stdout_lines(invoke(runner, "bounds", "--in", R3).output)["inputs"]
+    loose = stdout_lines(invoke(runner, "bounds", "--in", R3, "--tol", "1e-3").output)["inputs"]
+    assert default == "5a9c73efbe74d10ac0d092f891721ccb340a3921b805a30ffe9fb20447147bc0"
+    assert loose != default
+
+
+def test_cli_import_does_not_load_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, kfusion.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"

@@ -4,6 +4,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from kfusion.duality import (
+    _block_diag,
     canonical_k_dual,
     check_sws_range_condition,
     component_preserving_duals,
@@ -54,6 +55,23 @@ def test_phi_operator_blocks_have_member_shapes(r3_system, r3_dual, r3_k):
     assert [b.shape for b in phi.blocks] == list(zip(w_dims, v_dims))
     mat = phi.matrix()
     assert mat.shape == (sum(w_dims), sum(v_dims))
+
+
+def test_block_diag_keeps_empty_blocks_in_place():
+    blocks = [np.array([[1.0], [2.0]]), np.zeros((0, 2)), np.zeros((1, 0)), np.array([[3.0]])]
+    expected = np.zeros((4, 4))
+    expected[0:2, 0] = [1.0, 2.0]
+    expected[3, 3] = 3.0
+    np.testing.assert_array_equal(_block_diag(blocks), expected)
+    assert _block_diag([]).shape == (0, 0)
+
+
+def test_phi_matrix_with_zero_dimensional_member():
+    # S = diag(4, 4, 1), so the plane block is I/4 and the line block is 1
+    w = make_system(3, [[E1, E2], [np.zeros(3)], [E3]], weights=[2.0, 1.0, 1.0])
+    phi = phi_operator(w, w, np.eye(3))
+    assert [b.shape for b in phi.blocks] == [(2, 2), (0, 0), (1, 1)]
+    np.testing.assert_allclose(phi.matrix(), np.diag([0.25, 0.25, 1.0]), atol=1e-12)
 
 
 def test_phi_apply_matches_assembled_matrix(r3_system, r3_dual, r3_k):

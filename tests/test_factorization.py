@@ -30,6 +30,21 @@ def test_range_included_failure_witness():
     assert np.linalg.norm(outside) > 1e-6
 
 
+def test_range_included_and_douglas_solve_share_one_rule():
+    # the column gap 1.5e-9 sits inside eq_abs * (1 + ||L1||) = 2e-9, 3e-9 outside it
+    l2 = np.array([[1.0], [0.0]])
+    inside = np.array([[1.0], [1.5e-9]])
+    included, witness = range_included(inside, l2)
+    assert included and witness is None
+    assert douglas_solve(inside, l2).norm_sq == pytest.approx(1.0, rel=REL_TOLERANCE)
+    outside = np.array([[1.0], [3e-9]])
+    included, witness = range_included(outside, l2)
+    assert not included
+    np.testing.assert_array_equal(witness, outside[:, 0])
+    with pytest.raises(ValueError, match="not contained"):
+        douglas_solve(outside, l2)
+
+
 def test_douglas_solve_identity_case():
     m = np.array([[2.0, 1.0], [0.0, 3.0]])
     sol = douglas_solve(m, m)
