@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -129,9 +130,19 @@ def _tolerance(document, tol_flag) -> ToleranceProfile:
 
 
 def _run(build, out_path=None) -> None:
-    """Emit the report ``build()`` returns and exit with the code the module docstring lists."""
+    """Emit the report ``build()`` returns and exit with the code the module docstring lists.
+
+    Library warnings raised while building print on stderr, once per message,
+    as ``warning: <message>``.
+    """
     try:
-        report = build()
+        # recorded under the active filters, so warnings they ignore stay ignored
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                report = build()
+            finally:
+                for message in dict.fromkeys(str(w.message) for w in caught):
+                    click.echo(f"warning: {message}", err=True)
     except ValueError as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(2)

@@ -315,7 +315,8 @@ def _lower_bounds_agree(a1: float, a2: float, tol: ToleranceProfile) -> bool:
 def _read_only(m):
     """``m`` (an array, or the factors of an Svd) made read-only in place."""
     for a in (m.u, m.singular_values, m.v) if isinstance(m, Svd) else (m,):
-        a.flags.writeable = False
+        if a is not None:
+            a.flags.writeable = False
     return m
 
 
@@ -333,24 +334,49 @@ class FrameAnalysis:
     fixed function of (W, K, tol), so answers do not depend on which
     question came first.
 
-    Obtain it through ``frame_analysis``; the arrays it holds are read-only.
-    T itself is not kept (``synthesis`` rebuilds it cheaply), which keeps
-    the memoised entry small.
+    Obtain it through ``frame_analysis``, or for a system without one member
+    through ``without_block``; the arrays it holds are read-only. T itself
+    is not kept (``synthesis`` rebuilds it cheaply), which keeps the
+    memoised entry small.
     """
 
-    def __init__(self, w: FusionSystem, k: np.ndarray, tol: ToleranceProfile, key) -> None:
-        # no reference back to w: the system holds its analysis, and a cycle
-        # would keep both alive until the cyclic garbage collector runs
-        self.has_zero_members = any(sub.is_zero for sub, _ in w.members)
-        self.k = _read_only(k.copy())
+    def __init__(
+        self,
+        k: np.ndarray,
+        tol: ToleranceProfile,
+        s: np.ndarray,
+        factors: Svd,
+        key=None,
+        has_zero_members: bool = False,
+    ) -> None:
+        """The analysis from a read-only K, the frame operator S and the truncated SVD of T.
+
+        ``factors`` needs only its left factors and singular values for the
+        certificate; ``frame_analysis`` builds the full one from a system.
+        """
+        # no reference back to the system: the system holds its analysis, and
+        # a cycle would keep both alive until the cyclic garbage collector runs
+        self.has_zero_members = has_zero_members
+        self.k = k
         self.tol = tol
         self.key = key
-        t = synthesis(w)
-        self.s = _read_only(t @ t.T)
-        # thin SVD of T truncated at the rank cutoff
-        self.factors = _read_only(svd(t).truncated(tol))
+        self.s = s
+        self.factors = factors
         # optimal upper bound: the largest eigenvalue of S
-        self.upper = self.factors.top**2
+        self.upper = factors.top**2
+
+    @classmethod
+    def of_system(cls, w: FusionSystem, k: np.ndarray, tol: ToleranceProfile, key):
+        """The analysis of (W, K, tol): thin SVD of T truncated at the rank cutoff, and S = T T*."""
+        t = synthesis(w)
+        return cls(
+            _read_only(k.copy()),
+            tol,
+            _read_only(t @ t.T),
+            _read_only(svd(t).truncated(tol)),
+            key,
+            any(sub.is_zero for sub, _ in w.members),
+        )
 
     @cached_property
     def pencil_ratio(self) -> float:
@@ -426,6 +452,39 @@ class FrameAnalysis:
             raise ValueError(f"system must be a K-fusion frame: {cert.message}")
         return self
 
+    def without_block(self, rows: slice, block: np.ndarray) -> "FrameAnalysis":
+        """The analysis of the system without one member, downdated from this one.
+
+        ``rows`` are the member's columns of T and ``block`` their values
+        (weight times basis). With T = U Sigma V* and V_j the member's rows of
+        V, the other rows have Gram matrix M**2, M = I - H H* + H diag(nu) H*,
+        where H holds the right singular vectors of V_j and nu_i = ||V_-j h_i||
+        comes from the other rows, so that values near zero stay accurate.
+        One r x r SVD of Sigma M then gives the singular values and left
+        factors of T without the member; ``factors.v`` is None, because only
+        the certificate reads the result. The pencil route reads the frame
+        operator S - block block*, so the two routes stay independent.
+        """
+        f = self.factors
+        if block.shape[1] == 0:
+            s_drop, factors = self.s, f
+        else:
+            s_drop = self.s - block @ block.T
+            # exactly symmetric, so max_rayleigh skips its symmetry-check SVDs
+            s_drop = _read_only(0.5 * (s_drop + s_drop.T))
+            v = f.v
+            h = svd(v[rows]).v
+            nu = np.hypot(
+                np.linalg.norm(v[: rows.start] @ h, axis=0),
+                np.linalg.norm(v[rows.stop :] @ h, axis=0),
+            )
+            m = np.eye(h.shape[0]) + (h * (nu - 1.0)) @ h.T
+            small = svd(f.singular_values[:, None] * m).truncated(self.tol)
+            factors = _read_only(Svd(f.u @ small.u, small.singular_values, None))
+        dropped = FrameAnalysis(self.k, self.tol, s_drop, factors)
+        dropped.k_norm = self.k_norm  # K is shared, and so is its norm
+        return dropped
+
 
 def frame_analysis(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> FrameAnalysis:
     """The shared analysis of (W, K, tol), memoised on the system.
@@ -440,7 +499,7 @@ def frame_analysis(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> F
     key = (k.shape, digest, tol)
     analysis = w._analysis
     if analysis is None or analysis.key != key:
-        analysis = FrameAnalysis(w, k, tol, key)
+        analysis = FrameAnalysis.of_system(w, k, tol, key)
         object.__setattr__(w, "_analysis", analysis)
     return analysis
 
@@ -495,21 +554,25 @@ def is_minimal(w: FusionSystem, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
 
 
 def is_exact(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> ExactnessReport:
-    """Removability of each member, given that the full system verifies."""
+    """Removability of each member, given that the full system verifies.
+
+    Each member's certificate comes from the shared analysis downdated by
+    that member (``FrameAnalysis.without_block``), so the call takes one SVD
+    of the synthesis matrix, not one per member.
+    """
     base = verify_k_fusion(w, k, tol)
     if not base.passed:
         raise ValueError("system must verify as a K-fusion frame before exactness")
-    removable, certificates = [], []
-    for j in range(len(w)):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cert = verify_k_fusion(w.drop(j), k, tol)
-        removable.append(cert.passed)
-        certificates.append(cert)
+    analysis = frame_analysis(w, k, tol)
+    certificates = tuple(
+        analysis.without_block(rows, weight * sub.basis).certificate()
+        for rows, (sub, weight) in zip(w.block_slices(), w.members)
+    )
+    removable = tuple(cert.passed for cert in certificates)
     return ExactnessReport(
         exact=not any(removable),
-        removable=tuple(removable),
-        certificates=tuple(certificates),
+        removable=removable,
+        certificates=certificates,
     )
 
 

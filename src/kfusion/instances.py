@@ -38,9 +38,13 @@ def parse_number(value, where: str) -> float:
 def _parse_vector(entries, length: int, where: str) -> np.ndarray:
     if not isinstance(entries, list) or len(entries) != length:
         raise ValueError(f"{where}: expected {length} entries")
-    return np.array(
-        [parse_number(v, f"{where}[{i}]") for i, v in enumerate(entries)]
-    )
+    try:
+        return np.array([parse_number(v, where) for v in entries])
+    except ValueError:
+        # parse again with each entry's own label, built only on this error path
+        for i, v in enumerate(entries):
+            parse_number(v, f"{where}[{i}]")
+        raise
 
 
 @dataclass(eq=False)

@@ -18,7 +18,7 @@ from kfusion.frames import (
     Certificate,
     FrameBounds,
     FusionSystem,
-    range_projector,
+    frame_analysis,
     verify_k_fusion,
 )
 from kfusion.numerics import (
@@ -27,8 +27,9 @@ from kfusion.numerics import (
     ToleranceProfile,
     as_matrix,
     max_rayleigh,
+    orthonormal_range,
+    r_factor,
     spectral_norm,
-    svd,
 )
 
 FALSIFIER_SAMPLES = 10_000
@@ -58,6 +59,17 @@ def analysis_epsilon(
     gram = 0.5 * (gram + gram.T)
     ratio = max_rayleigh(gram, k @ k.T, tol)
     return float(np.sqrt(ratio)) if np.isfinite(ratio) else np.inf
+
+
+def _member_gap(w_sub, w_weight, z_sub, z_weight):
+    """Y = [W Z] and G = R D, where Delta = w P_W - z P_Z = Y D Y* and R is the QR factor of Y.
+
+    With Y = Q R and Q orthonormal, Delta = Q (G Y*), so ||Delta x|| = ||G Y* x||,
+    and G has only dim W + dim Z rows.
+    """
+    y = np.hstack([w_sub.basis, z_sub.basis])
+    signs = np.concatenate([np.full(w_sub.dim, w_weight), np.full(z_sub.dim, -z_weight)])
+    return y, r_factor(y) * signs
 
 
 @dataclass
@@ -94,7 +106,9 @@ def certify_perturbation(
     quantifies over all vectors, so the decision runs in two phases: a
     conservative sufficient certificate (the gap vanishes off range(K) and
     is dominated on it by epsilon times the smallest nonzero singular
-    value of K), then a seeded randomized falsifier over unit vectors.
+    value of K), then a seeded randomized falsifier over unit vectors of
+    each member's subspace span(W_i, Z_i, range K), off which every term of
+    that member's inequality vanishes.
     When the hypothesis is certified and epsilon clears the applicability
     threshold, the predicted bounds must be dominated by the verified
     bounds of the perturbed system.
@@ -109,18 +123,22 @@ def certify_perturbation(
     base = verify_k_fusion(w, k, tol)
     if not base.passed:
         raise ValueError(f"base system must be a K-fusion frame: {base.message}")
-    deltas = _member_deltas(w, z)
-    p_r = range_projector(k, tol)
-    ambient = np.eye(w.ambient_dim)
-    sv = svd(k.T).singular_values
-    positive = sv[sv > tol.rank_rel * (sv[0] if sv.size else 0.0)]
-    sigma_min = float(positive[-1]) if positive.size else 0.0
+    analysis = frame_analysis(w, k, tol)
+    k_range = analysis.k_factors.u
+    k_sv = analysis.k_factors.singular_values
+    sigma_min = float(k_sv[-1]) if k_sv.size else 0.0
+    pairs = list(zip(w.members, z.members))
 
     certified = True
-    for delta, weight in zip(deltas, w.weights):
-        outside = spectral_norm(delta @ (ambient - p_r))
-        inside = spectral_norm(delta @ p_r)
-        if outside > tol.eq_abs or inside > epsilon * weight * sigma_min + tol.eq_abs:
+    for (w_sub, w_weight), (z_sub, z_weight) in pairs:
+        # Delta is symmetric, so ||Delta X|| = ||X Y (R D)*|| for a symmetric projector X
+        y, gap = _member_gap(w_sub, w_weight, z_sub, z_weight)
+        image = y @ gap.T
+        inside = k_range.T @ image
+        if (
+            spectral_norm(image - k_range @ inside) > tol.eq_abs
+            or spectral_norm(inside) > epsilon * w_weight * sigma_min + tol.eq_abs
+        ):
             certified = False
             break
     decided_by = "certificate" if certified else "undecided"
@@ -128,28 +146,39 @@ def certify_perturbation(
     witness = None
     if not certified:
         rng = np.random.default_rng(seed)
-        k_t = k.T
-        z_projs = [zw * zs.projector() for zs, zw in z.members]
-        w_projs = [ww * ws.projector() for ws, ww in w.members]
-        for delta, w_proj, z_proj, weight in zip(deltas, w_projs, z_projs, w.weights):
-            f = rng.standard_normal((w.ambient_dim, samples))
-            f /= np.linalg.norm(f, axis=0)
-            lhs = np.linalg.norm(delta @ f, axis=0)
-            rhs = (
-                lambda1 * np.linalg.norm(w_proj @ f, axis=0)
-                + lambda2 * np.linalg.norm(z_proj @ f, axis=0)
-                + epsilon * weight * np.linalg.norm(k_t @ f, axis=0)
+        for (w_sub, w_weight), (z_sub, z_weight) in pairs:
+            # every term of the hypothesis vanishes off S_i = span(W_i, Z_i, range K)
+            q = orthonormal_range(np.hstack([w_sub.basis, z_sub.basis, k_range]), tol)
+            dim = q.shape[1]
+            if dim == 0:
+                continue
+            y, gap = _member_gap(w_sub, w_weight, z_sub, z_weight)
+            y_q = y.T @ q
+            # Delta, the weighted member maps and K*, each as a map on S_i with as few rows
+            # as keep the norm: ||Delta Q g|| = ||R D Y* Q g|| and ||K* Q g|| = ||R_K g||
+            stacked = np.vstack([
+                gap @ y_q,
+                w_weight * y_q[: w_sub.dim],
+                z_weight * y_q[w_sub.dim :],
+                r_factor(k.T @ q),
+            ])
+            g = rng.standard_normal((dim, samples))
+            g /= np.linalg.norm(g, axis=0)
+            rows = np.cumsum([gap.shape[0], w_sub.dim, z_sub.dim])
+            lhs, w_term, z_term, k_term = (
+                np.linalg.norm(part, axis=0) for part in np.split(stacked @ g, rows)
             )
+            rhs = lambda1 * w_term + lambda2 * z_term + epsilon * w_weight * k_term
             bad = lhs > rhs * (1.0 + tol.eq_rel) + tol.eq_abs
             if bad.any():
-                witness = f[:, int(np.argmax(bad))].copy()
+                witness = q @ g[:, int(np.argmax(bad))]
                 decided_by = "falsifier"
                 break
         # no violation found leaves the hypothesis undecided: the
         # sufficient test is conservative and the sampler is not a proof
 
     weight_mass = float(np.sqrt(sum(w_**2 for w_ in w.weights)))
-    k_norm = spectral_norm(k)
+    k_norm = analysis.k_norm
     sqrt_a = float(np.sqrt(base.bounds.lower))
     sqrt_b = float(np.sqrt(base.bounds.upper))
     threshold = (
@@ -208,7 +237,7 @@ def perturbed_bounds(
         raise ValueError("epsilon must lie in [0, sqrt(A))")
     predicted = FrameBounds(
         lower=(sqrt_a - epsilon) ** 2,
-        upper=(np.sqrt(base.bounds.upper) + epsilon * spectral_norm(k)) ** 2,
+        upper=(np.sqrt(base.bounds.upper) + epsilon * frame_analysis(w, k, tol).k_norm) ** 2,
         optimal=False,
     )
     actual = verify_k_fusion(z, k, tol)
@@ -276,7 +305,7 @@ def epsilon_threshold(
     deviation = spectral_norm((inv_w.T - inv_z.T) @ k)
     dual_norm = spectral_norm(inv_z.T @ k)
     numerator = 0.5 - deviation**2 * base.bounds.upper
-    denominator = dual_norm**2 * spectral_norm(k) ** 2
+    denominator = dual_norm**2 * frame_analysis(w, k, tol).k_norm ** 2
     vacuous = bool(numerator <= 0.0)
     second = numerator / denominator if denominator > 0.0 else np.inf
     threshold = min(float(np.sqrt(base.bounds.lower)), float(second))

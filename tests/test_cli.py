@@ -359,3 +359,18 @@ def test_cli_import_does_not_load_scipy():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "False"
+
+
+def test_library_warnings_print_once_without_source_paths():
+    # the QK-dual of example_r4 has a zero-dimensional member, which warns
+    proc = subprocess.run(
+        [sys.executable, "-m", "kfusion.cli", "qk-dual", "--in", R4],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines() == [
+        "warning: zero-dimensional members contribute nothing and are skipped"
+    ]
+    assert ".py" not in proc.stderr
+    assert "warning" not in proc.stdout

@@ -43,6 +43,19 @@ def test_bad_rational_names_the_field():
         instance_from_document(doc)
 
 
+def test_bad_entry_names_its_index():
+    doc = bundled_document("example_r3.json")
+    doc["k_matrix"]["entries"][2][1] = "two thirds"
+    with pytest.raises(ValueError) as info:
+        instance_from_document(doc)
+    assert str(info.value) == "k_matrix row 2[1]: cannot parse 'two thirds' as a rational"
+    doc = bundled_document("example_r3.json")
+    doc["systems"]["W"]["members"][0]["span"][1][2] = True
+    with pytest.raises(ValueError) as info:
+        instance_from_document(doc)
+    assert str(info.value) == "system 'W' member 0 span vector 1[2]: expected a number, got a boolean"
+
+
 def test_bundled_r3_matches_worked_data():
     inst = load_instance(bundled_path("example_r3.json"))
     np.testing.assert_array_equal(
