@@ -42,6 +42,7 @@ from kfusion.numerics import (
     pinv,
     r_factor,
     spectral_norm,
+    symmetric_eigenvalues,
 )
 
 
@@ -115,7 +116,7 @@ def local_frame_system(
         if numerical_rank(mat, tol) < sub.dim:
             raise ValueError(f"local frame {idx} fails to span its subspace")
         gram = sub.basis.T @ (mat @ mat.T) @ sub.basis
-        vals = np.linalg.eigvalsh(0.5 * (gram + gram.T))
+        vals = symmetric_eigenvalues(gram)
         frames.append(frame)
         bounds.append((max(float(vals[0]), 0.0), max(float(vals[-1]), 0.0)))
     return LocalFrameSystem(fusion=fusion, local_frames=tuple(frames), local_bounds=tuple(bounds))

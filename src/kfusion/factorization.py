@@ -113,14 +113,18 @@ def _solve_from_factors(l1, l2, l1_factors, l2_factors, alpha_inf, tol) -> Dougl
     coeff = (l2_factors.u.T @ l1) / l2_factors.singular_values[:, None]
     x = l2_factors.v @ coeff
     residual = spectral_norm(l2 @ x - l1)
-    if residual > tol.eq_rel * (1.0 + l1_factors.top):
-        raise AgreementError(f"factorization residual {residual} exceeds tolerance")
-    norm_sq = spectral_norm(coeff) ** 2
-    if np.isinf(alpha_inf) or abs(norm_sq - alpha_inf) > tol.eq_rel * max(
-        norm_sq, alpha_inf, 1.0
-    ):
+    allowed = tol.eq_rel * (1.0 + l1_factors.top)
+    if residual > allowed:
         raise AgreementError(
-            f"norm-squared {norm_sq} and infimum constant {alpha_inf} disagree"
+            f"factorization residual ||L2 x - L1|| = {residual} exceeds tolerance {allowed}"
+        )
+    norm_sq = spectral_norm(coeff) ** 2
+    gap = abs(norm_sq - alpha_inf)
+    allowed = tol.eq_rel * max(norm_sq, alpha_inf, 1.0)
+    if np.isinf(alpha_inf) or gap > allowed:
+        raise AgreementError(
+            f"norm-squared {norm_sq} and infimum constant {alpha_inf} disagree:"
+            f" gap {gap} exceeds tolerance {allowed}"
         )
     x_scale = tol.eq_abs * (1.0 + np.sqrt(norm_sq))
     # x kills the kernel of L1 exactly when coeff vanishes off the row space of L1

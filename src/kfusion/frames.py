@@ -29,6 +29,7 @@ from kfusion.numerics import (
     pinv,
     spectral_norm,
     svd,
+    symmetric_eigenvalues,
 )
 
 
@@ -47,8 +48,10 @@ class Subspace:
         basis = as_matrix(self.basis)
         if basis.shape[0] != self.ambient_dim:
             raise ValueError("basis rows must equal the ambient dimension")
+        # every entry of the Gram matrix within eq_abs of the identity's
         gram = basis.T @ basis
-        if not np.allclose(gram, np.eye(basis.shape[1]), atol=DEFAULT_TOL.eq_abs):
+        gram.flat[:: gram.shape[0] + 1] -= 1.0
+        if gram.size and np.abs(gram).max() > DEFAULT_TOL.eq_abs:
             raise ValueError("basis columns must be orthonormal")
         basis = basis.copy()
         basis.flags.writeable = False
@@ -306,10 +309,14 @@ def _worst_column_outside(m: np.ndarray, basis: np.ndarray):
     return float(norms[j]), j
 
 
-def _lower_bounds_agree(a1: float, a2: float, tol: ToleranceProfile) -> bool:
+def _lower_bound_gap(a1: float, a2: float, tol: ToleranceProfile) -> tuple:
+    """(gap, allowed) between two lower bounds; they agree when gap <= allowed.
+
+    Two infinite bounds agree with gap 0; an infinite and a finite one have gap inf.
+    """
     if np.isinf(a1) or np.isinf(a2):
-        return np.isinf(a1) and np.isinf(a2)
-    return abs(a1 - a2) <= tol.eq_rel * max(a1, a2, 1.0)
+        return (0.0 if np.isinf(a1) and np.isinf(a2) else np.inf), 0.0
+    return abs(a1 - a2), tol.eq_rel * max(a1, a2, 1.0)
 
 
 def _read_only(m):
@@ -425,9 +432,11 @@ class FrameAnalysis:
         f = self.factors
         x_norm = spectral_norm((f.u.T @ k) / f.singular_values[:, None])
         lower_pinv = np.inf if x_norm == 0.0 else x_norm**-2
-        if not _lower_bounds_agree(lower_pencil, lower_pinv, tol):
+        gap, allowed = _lower_bound_gap(lower_pencil, lower_pinv, tol)
+        if gap > allowed:
             raise AgreementError(
-                f"optimal lower bound mismatch: pencil {lower_pencil} vs pinv {lower_pinv}"
+                f"optimal lower bound mismatch: pencil {lower_pencil} vs pinv {lower_pinv},"
+                f" gap {gap} exceeds tolerance {allowed}"
             )
         return lower_pencil, lower_pinv, None, ""
 
@@ -586,7 +595,7 @@ def restricted_bounds(s, sub: Subspace, tol: ToleranceProfile = DEFAULT_TOL):
     if sub.dim == 0:
         return 0.0, 0.0, True
     gram = sub.basis.T @ s @ sub.basis
-    vals = np.linalg.eigvalsh(0.5 * (gram + gram.T))
+    vals = symmetric_eigenvalues(gram)
     complete = numerical_rank(gram, tol) == sub.dim
     return max(float(vals[0]), 0.0), max(float(vals[-1]), 0.0), complete
 

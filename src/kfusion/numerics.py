@@ -1,4 +1,4 @@
-"""Dense-matrix kernel: SVD, rank, pseudo-inverse, norms, PSD pencil maxima.
+"""Dense-matrix kernel: SVD, rank, pseudo-inverse, eigenvalues, norms, PSD pencil maxima.
 
 Every other module routes its linear algebra through here so that rank
 decisions happen once, at SVD truncation, under a single tolerance policy.
@@ -155,12 +155,36 @@ def pinv(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     return (vt.T * s_inv) @ u.T
 
 
-def spectral_norm(m) -> float:
-    """Largest singular value; zero for empty matrices."""
+def symmetric_eigenvalues(m) -> np.ndarray:
+    """Eigenvalues, ascending, of the symmetric part ``(m + m.T) / 2`` of a square matrix."""
     m = as_matrix(m)
-    if m.size == 0:
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return np.linalg.eigvalsh(0.5 * (m + m.T))
+
+
+def spectral_norm(m) -> float:
+    """Largest singular value; zero for empty and zero matrices.
+
+    Computed without an SVD. The input is first scaled by its largest
+    absolute entry, so nothing below can overflow or underflow. An exactly
+    symmetric input gives its norm as the largest eigenvalue modulus;
+    otherwise the norm is the square root of the top eigenvalue of the
+    Gram matrix of the shorter side. Both are accurate to a few ulps
+    relative. Rank decisions do not come from here: a Gram squares the
+    small singular values they read, so they keep the SVD.
+    """
+    m = as_matrix(m)
+    scale = float(np.abs(m).max()) if m.size else 0.0
+    if scale == 0.0:
         return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    m = m / scale
+    rows, cols = m.shape
+    if rows == cols and np.array_equal(m, m.T):
+        vals = symmetric_eigenvalues(m)
+        return scale * max(-float(vals[0]), float(vals[-1]))
+    gram = m.T @ m if cols <= rows else m @ m.T
+    return scale * max(float(symmetric_eigenvalues(gram)[-1]), 0.0) ** 0.5
 
 
 def orthonormal_range(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:

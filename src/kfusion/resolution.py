@@ -120,20 +120,32 @@ def resolution_from_x(
 
 
 def resolution_b(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> Resolution:
-    """Resolution by range-projected members of the adjoint inverse route."""
+    """Resolution by range-projected members of the adjoint inverse route.
+
+    The i-th operator is P_K P_i C, with P_K the range projector of K, P_i
+    the member projector and C the adjoint of the inverse frame operator on
+    the image, applied to K. With U_K an orthonormal basis of range(K) and
+    B_i the member basis it is built as (U_K (U_K* B_i)) (B_i* C), at
+    n * d_i * n operations per member.
+    """
     k = as_matrix(k)
     analysis = frame_analysis(w, k, tol).require()
-    p_r = analysis.k_projector
+    u_k = analysis.k_factors.u
     carrier = analysis.inverse_on_image.T @ k
-    thetas = tuple(p_r @ sub.projector() @ carrier for sub, _ in w.members)
+    thetas = tuple((u_k @ (u_k.T @ sub.basis)) @ (sub.basis.T @ carrier) for sub, _ in w.members)
     return Resolution(thetas=thetas, weights=w.weights)
 
 
 def resolution_c(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> Resolution:
-    """Resolution by the inverse frame operator applied after member projections."""
+    """Resolution by the inverse frame operator applied after member projections.
+
+    The i-th operator is G P_i K, with G the inverse frame operator on the
+    image of range(K); it is built through the member basis B_i as
+    (G B_i) (B_i* K).
+    """
     k = as_matrix(k)
     inv_img = frame_analysis(w, k, tol).require().inverse_on_image
-    thetas = tuple(inv_img @ sub.projector() @ k for sub, _ in w.members)
+    thetas = tuple((inv_img @ sub.basis) @ (sub.basis.T @ k) for sub, _ in w.members)
     return Resolution(thetas=thetas, weights=w.weights)
 
 

@@ -1,6 +1,7 @@
 """The shared analysis of (W, K, tol): safety, independence of the cross-checks, cost."""
 
 import hashlib
+import re
 import sys
 
 import numpy as np
@@ -113,6 +114,23 @@ def test_svd_route_is_an_independent_check(monkeypatch):
     fresh, _ = _instance()
     with pytest.raises(AgreementError):
         x_w(fresh, k)
+
+
+def test_lower_bound_mismatch_names_both_values_the_gap_and_the_tolerance(monkeypatch):
+    w, k = _instance()
+    want_pinv = verify_k_fusion(_copy(w), k).details["lower_via_pinv"]
+    real = frames.max_rayleigh
+    monkeypatch.setattr(frames, "max_rayleigh", lambda a, b, tol: 1.01 * real(a, b, tol))
+    with pytest.raises(AgreementError) as err:
+        verify_k_fusion(w, k)
+    found = re.search(
+        r"pencil (\S+) vs pinv (\S+), gap (\S+) exceeds tolerance (\S+)$", str(err.value)
+    )
+    pencil, pinv, gap, allowed = map(float, found.groups())
+    assert pinv == want_pinv
+    assert pencil == pytest.approx(pinv / 1.01, rel=1e-8)
+    assert gap == abs(pencil - pinv) > allowed
+    assert allowed == numerics.DEFAULT_TOL.eq_rel * max(pencil, pinv, 1.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import make_system, random_fusion_system
+from kfusion import factorization
 from kfusion.factorization import DouglasSolution, douglas_solve, range_included, x_w
 from kfusion.frames import frame_operator, range_projector, synthesis, verify_k_fusion
-from kfusion.numerics import pinv, spectral_norm
+from kfusion.numerics import DEFAULT_TOL, AgreementError, Svd, pinv, spectral_norm
 
 ABS_TOLERANCE = 1e-9
 REL_TOLERANCE = 1e-8
@@ -70,6 +73,47 @@ def test_douglas_solve_random_composed_instance():
     assert sol.residual <= REL_TOLERANCE * (1.0 + spectral_norm(l1))
     assert sol.norm_sq == pytest.approx(sol.alpha_inf, rel=REL_TOLERANCE)
     assert sol.nullspace_match and sol.range_containment
+
+
+def _composed_pair():
+    rng = np.random.default_rng(47)
+    l2 = rng.standard_normal((6, 9))
+    return l2 @ rng.standard_normal((9, 4)), l2
+
+
+def test_residual_disagreement_names_the_residual_and_the_tolerance(monkeypatch):
+    l1, l2 = _composed_pair()
+    real = factorization.svd
+
+    def skewed(m):
+        f = real(m)
+        if m.shape != l2.shape:
+            return f
+        return Svd(u=f.u, singular_values=1.01 * f.singular_values, v=f.v)
+
+    monkeypatch.setattr(factorization, "svd", skewed)
+    with pytest.raises(AgreementError) as err:
+        douglas_solve(l1, l2)
+    found = re.search(r"\|\|L2 x - L1\|\| = (\S+) exceeds tolerance (\S+)$", str(err.value))
+    residual, allowed = map(float, found.groups())
+    assert residual > allowed
+    assert allowed == pytest.approx(DEFAULT_TOL.eq_rel * (1.0 + spectral_norm(l1)), rel=1e-12)
+
+
+def test_norm_disagreement_names_both_values_the_gap_and_the_tolerance(monkeypatch):
+    l1, l2 = _composed_pair()
+    real = factorization.max_rayleigh
+    monkeypatch.setattr(factorization, "max_rayleigh", lambda a, b, tol: 1.01 * real(a, b, tol))
+    with pytest.raises(AgreementError) as err:
+        douglas_solve(l1, l2)
+    found = re.search(
+        r"norm-squared (\S+) and infimum constant (\S+) disagree:"
+        r" gap (\S+) exceeds tolerance (\S+)$",
+        str(err.value),
+    )
+    norm_sq, alpha, gap, allowed = map(float, found.groups())
+    assert alpha == pytest.approx(1.01 * norm_sq, rel=1e-12)
+    assert gap == abs(norm_sq - alpha) > allowed == DEFAULT_TOL.eq_rel * max(norm_sq, alpha, 1.0)
 
 
 def test_douglas_solve_rejects_range_obstruction():

@@ -67,6 +67,21 @@ def test_subspace_rejects_non_orthonormal_basis():
         Subspace(2, np.array([[1.0, 1.0], [0.0, 0.0]]))
 
 
+def test_subspace_rejects_a_column_of_norm_one_plus_5e_6():
+    with pytest.raises(ValueError, match="orthonormal"):
+        Subspace(2, [[1.0 + 5e-6], [0.0]])
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (5, 3), (8, 8), (4, 0)])
+def test_subspace_accepts_qr_bases_and_rounding_level_drift(n, d):
+    rng = np.random.default_rng(n + d)
+    q = np.linalg.qr(rng.standard_normal((n, d)))[0] if d else np.zeros((n, 0))
+    assert Subspace(n, q).dim == d
+    if d:
+        q[:, 0] *= 1.0 + 1e-12
+        assert Subspace(n, q).dim == d
+
+
 def test_fusion_system_rejects_nonpositive_weight():
     sub = subspace_from_spanning([(1.0, 0.0)])
     with pytest.raises(ValueError):

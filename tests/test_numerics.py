@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings
@@ -14,6 +17,7 @@ from kfusion.numerics import (
     pinv,
     spectral_norm,
     svd,
+    symmetric_eigenvalues,
 )
 
 MATRIX_DIMENSION = 4
@@ -230,3 +234,131 @@ def test_max_rayleigh_scale_covariance(g, h, c):
     base = max_rayleigh(a, b)
     scaled = max_rayleigh(c * a, b)
     assert scaled == pytest.approx(c * base, rel=REL_TOLERANCE, abs=ABS_TOLERANCE)
+
+
+@st.composite
+def scaled_matrices(draw):
+    """Matrices of 1..40 rows or columns, scaled by 10**-200 .. 10**150.
+
+    Row, column, square and general shapes; exactly symmetric indefinite
+    matrices whose most negative eigenvalue dominates; rank-deficient
+    products; and zero matrices.
+    """
+    kinds = ["row", "column", "square", "general", "symmetric", "low_rank", "zero"]
+    kind = draw(st.sampled_from(kinds))
+    n = draw(st.integers(1, 40))
+    p = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "row":
+        m = rng.standard_normal((1, n))
+    elif kind == "column":
+        m = rng.standard_normal((n, 1))
+    elif kind == "square":
+        m = rng.standard_normal((n, n))
+    elif kind == "general":
+        m = rng.standard_normal((n, p))
+    elif kind == "symmetric":
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        eigenvalues = rng.uniform(-1.0, 1.0, n)
+        eigenvalues[0] = -2.0
+        a = (q * eigenvalues) @ q.T
+        m = 0.5 * (a + a.T)
+    elif kind == "low_rank":
+        r = draw(st.integers(1, max(1, min(n, p) - 1)))
+        m = rng.standard_normal((n, r)) @ rng.standard_normal((r, p))
+    else:
+        m = np.zeros((n, p))
+    return m * 10.0 ** draw(st.integers(-200, 150))
+
+
+@seed(1)
+@settings(max_examples=300, deadline=None)
+@given(scaled_matrices())
+def test_spectral_norm_matches_the_top_singular_value(m):
+    want = float(np.linalg.svd(m, compute_uv=False)[0])
+    got = spectral_norm(m)
+    if want == 0.0:
+        assert got == 0.0
+    else:
+        assert abs(got - want) <= 1e-13 * want
+
+
+def test_spectral_norm_of_a_symmetric_matrix_reads_the_negative_eigenvalue():
+    m = np.diag([-3.0, 1.0, 2.0])
+    assert spectral_norm(m) == pytest.approx(3.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_spectral_norm_of_an_empty_matrix_is_zero(shape):
+    assert spectral_norm(np.zeros(shape)) == 0.0
+
+
+def test_spectral_norm_makes_no_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("spectral_norm called the SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((6, 6))
+    for m in (a, a + a.T, a[:, :3], a[:2, :]):
+        assert spectral_norm(m) > 0.0
+
+
+def test_symmetric_eigenvalues_read_the_symmetric_part():
+    m = np.array([[1.0, 2.0], [0.0, 1.0]])
+    np.testing.assert_allclose(symmetric_eigenvalues(m), [0.0, 2.0], atol=1e-15)
+    with pytest.raises(ValueError):
+        symmetric_eigenvalues(np.zeros((2, 3)))
+
+
+# Decompositions outside numerics would escape the rank policy and the
+# benchmark tracer, which counts them at the numerics boundary.
+DECOMPOSITION_CALLS = {
+    "svd", "eigh", "eigvalsh", "eig", "eigvals", "qr", "pinv", "inv", "lstsq",
+    "matrix_rank", "solve",
+}
+# The seeded generator draws random orthogonal matrices; it makes no rank
+# decision and is not part of any analysis.
+EXEMPT = {("instances", "random_instance")}
+
+
+def _linalg_calls(tree):
+    """(enclosing top-level function or None, name) of every np.linalg.<name>(...) call."""
+    found = []
+    for node in tree.body:
+        owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call) or not isinstance(call.func, ast.Attribute):
+                continue
+            parent = call.func.value
+            if (
+                isinstance(parent, ast.Attribute)
+                and parent.attr == "linalg"
+                and isinstance(parent.value, ast.Name)
+                and parent.value.id in {"np", "numpy"}
+            ):
+                found.append((owner, call.func.attr))
+    return found
+
+
+def test_every_decomposition_goes_through_numerics():
+    package = Path(__file__).resolve().parents[1] / "src" / "kfusion"
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "numerics":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in {"numpy.linalg", "numpy"}:
+                assert all(alias.name != "linalg" for alias in node.names), path.name
+                assert node.module != "numpy.linalg", path.name
+        for owner, name in _linalg_calls(tree):
+            if name in DECOMPOSITION_CALLS and (path.stem, owner) not in EXEMPT:
+                offenders.append(f"{path.stem}.{owner}: np.linalg.{name}")
+    assert not offenders, offenders
+
+
+def test_the_decomposition_scan_sees_the_exempt_generator():
+    path = Path(__file__).resolve().parents[1] / "src" / "kfusion" / "instances.py"
+    calls = _linalg_calls(ast.parse(path.read_text()))
+    assert ("random_instance", "qr") in calls

@@ -5,6 +5,9 @@ from hypothesis import strategies as st
 
 from kfusion.factorization import x_w
 from kfusion.frames import (
+    FusionSystem,
+    Subspace,
+    frame_analysis,
     frame_operator,
     same_subspace,
     subspace_from_spanning,
@@ -152,6 +155,24 @@ def test_constructed_resolutions_pass_with_positive_lower(entropy, n):
         assert check.passed
         assert check.lower > 0.0
         assert np.isfinite(check.upper)
+
+
+@pytest.mark.filterwarnings("ignore:zero-dimensional members")
+def test_member_basis_constructions_equal_the_projector_formulas():
+    rng = np.random.default_rng(29)
+    n = 24
+    base = random_fusion_system(rng, n, [1, 3, 4, 6, 5], list(rng.uniform(0.5, 2.0, 5)))
+    w = FusionSystem(n, base.members + ((Subspace(n, np.zeros((n, 0))), 1.5),))
+    k = synthesis(w) @ rng.standard_normal((sum(w.dims()), 6)) @ rng.standard_normal((6, n))
+    analysis = frame_analysis(w, k)
+    p_r, inv_img = analysis.k_projector, analysis.inverse_on_image
+    carrier = inv_img.T @ k
+    want_b = [p_r @ sub.projector() @ carrier for sub in w.subspaces]
+    want_c = [inv_img @ sub.projector() @ k for sub in w.subspaces]
+    for built, want in ((resolution_b(w, k), want_b), (resolution_c(w, k), want_c)):
+        assert built.weights == tuple(w.weights)
+        for theta, expected in zip(built.thetas, want):
+            assert spectral_norm(theta - expected) <= 1e-12 * max(spectral_norm(expected), 1.0)
 
 
 # ------------------------------------------------------------ induced systems
