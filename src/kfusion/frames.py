@@ -27,6 +27,7 @@ from kfusion.numerics import (
     numerical_rank,
     orthonormal_range,
     pinv,
+    rayleigh_maximizer,
     spectral_norm,
     svd,
     symmetric_eigenvalues,
@@ -755,9 +756,7 @@ def verify_k_frame(f: KFrame, k, tol: ToleranceProfile = DEFAULT_TOL) -> Certifi
     upper = spectral_norm(s_f)
     ratio = max_rayleigh(k @ k.T, s_f, tol)
     if np.isinf(ratio):
-        kernel = null_basis(s_f, tol)
-        scores = np.linalg.norm(k.T @ kernel, axis=0)
-        witness = kernel[:, int(np.argmax(scores))] if kernel.shape[1] else None
+        _, witness = rayleigh_maximizer(k @ k.T, s_f, tol)
         return Certificate(
             passed=False,
             witness=witness,

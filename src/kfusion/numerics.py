@@ -210,6 +210,41 @@ def null_basis(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     return vt[rank:].T
 
 
+def _scaled_pencil(a, b, tol: ToleranceProfile):
+    """The pencil (a, b) on range(b) as one symmetric matrix, and the map of its eigenvectors.
+
+    Returns ``(pencil, back)``: an eigenvector v of ``pencil`` is ``back @ v`` in ambient
+    coordinates. Returns ``(None, f)`` when a moves the kernel of b, with f the unit kernel
+    vector of b that a moves most.
+    """
+    a = as_matrix(a)
+    b = as_matrix(b)
+    for name, m in (("a", a), ("b", b)):
+        if m.shape[0] != m.shape[1]:
+            raise ValueError(f"{name} must be square")
+        skew = m - m.T
+        # an exactly symmetric input passes without the two norm SVDs
+        if skew.any() and spectral_norm(skew) > tol.eq_abs * (1.0 + spectral_norm(m)):
+            raise ValueError(f"{name} is not symmetric within tolerance")
+    if a.shape != b.shape:
+        raise ValueError("a and b must have matching shapes")
+    a = 0.5 * (a + a.T)
+    b = 0.5 * (b + b.T)
+    vals, vecs = np.linalg.eigh(b)
+    top = float(vals[-1]) if vals.size else 0.0
+    keep = vals > tol.rank_rel * max(top, 0.0)
+    kernel = vecs[:, ~keep]
+    if kernel.shape[1]:
+        moved = a @ kernel
+        if spectral_norm(moved) > tol.eq_abs * (1.0 + spectral_norm(a)):
+            return None, kernel[:, int(np.argmax(np.linalg.norm(moved, axis=0)))]
+    # b is diagonal in its kept eigenbasis, so the restricted pencil reduces
+    # to an ordinary symmetric eigenproblem after diagonal scaling.
+    root = 1.0 / np.sqrt(vals[keep])
+    a_restricted = vecs[:, keep].T @ a @ vecs[:, keep]
+    return root[:, None] * a_restricted * root[None, :], vecs[:, keep] * root
+
+
 def max_rayleigh(a, b, tol: ToleranceProfile = DEFAULT_TOL) -> float:
     """Supremum of ``<a f, f> / <b f, f>`` over f outside the kernel of b.
 
@@ -234,30 +269,22 @@ def max_rayleigh(a, b, tol: ToleranceProfile = DEFAULT_TOL) -> float:
     ValueError
         If either argument is asymmetric beyond tolerance or shapes differ.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    for name, m in (("a", a), ("b", b)):
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"{name} must be square")
-        skew = m - m.T
-        # an exactly symmetric input passes without the two norm SVDs
-        if skew.any() and spectral_norm(skew) > tol.eq_abs * (1.0 + spectral_norm(m)):
-            raise ValueError(f"{name} is not symmetric within tolerance")
-    if a.shape != b.shape:
-        raise ValueError("a and b must have matching shapes")
-    a = 0.5 * (a + a.T)
-    b = 0.5 * (b + b.T)
-    vals, vecs = np.linalg.eigh(b)
-    top = float(vals[-1]) if vals.size else 0.0
-    keep = vals > tol.rank_rel * max(top, 0.0)
-    kernel = vecs[:, ~keep]
-    if kernel.shape[1] and spectral_norm(a @ kernel) > tol.eq_abs * (1.0 + spectral_norm(a)):
+    pencil, _ = _scaled_pencil(a, b, tol)
+    if pencil is None:
         return float("inf")
-    if not np.any(keep):
-        return 0.0
-    # b is diagonal in its kept eigenbasis, so the restricted pencil reduces
-    # to an ordinary symmetric eigenproblem after diagonal scaling.
-    root = 1.0 / np.sqrt(vals[keep])
-    a_restricted = vecs[:, keep].T @ a @ vecs[:, keep]
-    pencil = root[:, None] * a_restricted * root[None, :]
-    return max(float(np.linalg.eigvalsh(pencil)[-1]), 0.0)
+    return max(float(np.linalg.eigvalsh(pencil)[-1]), 0.0) if pencil.size else 0.0
+
+
+def rayleigh_maximizer(a, b, tol: ToleranceProfile = DEFAULT_TOL) -> tuple[float, np.ndarray]:
+    """``max_rayleigh``, from ``eigh`` (so equal up to the last digits), and a unit maximizer.
+
+    An unbounded quotient gives a kernel vector of b that a moves; a = b = 0 gives zero.
+    """
+    pencil, back = _scaled_pencil(a, b, tol)
+    if pencil is None:
+        return float("inf"), back
+    if not pencil.size:
+        return 0.0, np.zeros(back.shape[0])
+    vals, vecs = np.linalg.eigh(pencil)
+    top = back @ vecs[:, -1]
+    return max(float(vals[-1]), 0.0), top / np.linalg.norm(top)

@@ -29,17 +29,9 @@ from kfusion.numerics import (
     max_rayleigh,
     orthonormal_range,
     r_factor,
+    rayleigh_maximizer,
     spectral_norm,
 )
-
-FALSIFIER_SAMPLES = 10_000
-
-
-def _member_deltas(w: FusionSystem, z: FusionSystem):
-    return [
-        w_weight * w_sub.projector() - z_weight * z_sub.projector()
-        for (w_sub, w_weight), (z_sub, z_weight) in zip(w.members, z.members)
-    ]
 
 
 def analysis_epsilon(
@@ -55,8 +47,14 @@ def analysis_epsilon(
     if len(w) != len(z) or w.ambient_dim != z.ambient_dim:
         raise ValueError("systems must have matching layout")
     k = as_matrix(k)
-    gram = sum(d.T @ d for d in _member_deltas(w, z))
-    gram = 0.5 * (gram + gram.T)
+    # an unchanged member adds exactly nothing; for the others Delta* Delta = (Y G*)(Y G*)*
+    gaps = (
+        _member_gap(w_sub, w_weight, z_sub, z_weight)
+        for (w_sub, w_weight), (z_sub, z_weight) in zip(w.members, z.members)
+        if w_weight != z_weight or not np.array_equal(w_sub.basis, z_sub.basis)
+    )
+    images = (y @ gap.T for y, gap in gaps)
+    gram = sum((image @ image.T for image in images), np.zeros((w.ambient_dim,) * 2))
     ratio = max_rayleigh(gram, k @ k.T, tol)
     return float(np.sqrt(ratio)) if np.isfinite(ratio) else np.inf
 
@@ -88,6 +86,51 @@ class PerturbationReport:
     applicable: bool = False
 
 
+def member_pencils(
+    w: FusionSystem, z: FusionSystem, k, lambda1, lambda2, epsilon, tol=DEFAULT_TOL
+):
+    """Yield ``(mu, f, violated)`` for each member with dim S_i > 0, in member order.
+
+    Every term of member i's inequality vanishes off S_i = span(W_i, Z_i, range K).
+    With Q an orthonormal basis of S_i, the gap at f = Q g is ||A g|| and the
+    right-hand side is ||B g|| + ||C g|| + ||D g||: the weighted member maps and
+    K*, times lambda1, lambda2 and epsilon w_i. mu is the top eigenvalue of the
+    pencil (A*A, B*B + C*C + D*D), f = Q g the unit vector at its eigenvector,
+    and ``violated`` whether f violates the inequality as stated.
+    """
+    k = as_matrix(k)
+    k_range = frame_analysis(w, k, tol).k_factors.u
+    for (w_sub, w_weight), (z_sub, z_weight) in zip(w.members, z.members):
+        q = orthonormal_range(np.hstack([w_sub.basis, z_sub.basis, k_range]), tol)
+        if q.shape[1] == 0:
+            continue
+        y, gap = _member_gap(w_sub, w_weight, z_sub, z_weight)
+        y_q = y.T @ q
+        a = gap @ y_q
+        # few rows that keep each norm: ||Delta Q g|| = ||G Y* Q g|| and ||K* Q g|| = ||R_K g||
+        terms = (
+            lambda1 * w_weight * y_q[: w_sub.dim],
+            lambda2 * z_weight * y_q[w_sub.dim :],
+            epsilon * w_weight * r_factor(k.T @ q),
+        )
+        stacked = np.vstack(terms)
+        mu, g = rayleigh_maximizer(a.T @ a, stacked.T @ stacked, tol)
+        rhs = sum(np.linalg.norm(t @ g) for t in terms)
+        yield mu, q @ g, bool(np.linalg.norm(a @ g) > rhs * (1.0 + tol.eq_rel) + tol.eq_abs)
+
+
+def _window(predicted: FrameBounds, actual: Certificate, tol: ToleranceProfile):
+    """Whether verified bounds exist and lie in the predicted window, up to slack; the numbers."""
+    slack = tol.eq_rel * (1.0 + predicted.upper)
+    verified = f"[{actual.bounds.lower}, {actual.bounds.upper}]" if actual.passed else "none"
+    inside = actual.passed and (
+        predicted.lower - slack <= actual.bounds.lower
+        and actual.bounds.upper <= predicted.upper + slack
+    )
+    numbers = f"verified bounds {verified}, predicted window [{predicted.lower}, {predicted.upper}]"
+    return bool(inside), f"{numbers}, slack {slack}"
+
+
 def certify_perturbation(
     w: FusionSystem,
     z: FusionSystem,
@@ -96,8 +139,6 @@ def certify_perturbation(
     lambda2: float,
     epsilon: float,
     tol: ToleranceProfile = DEFAULT_TOL,
-    seed: int = 0,
-    samples: int = FALSIFIER_SAMPLES,
 ) -> PerturbationReport:
     """Decide the member-wise perturbation hypothesis and report frame bounds.
 
@@ -106,9 +147,10 @@ def certify_perturbation(
     quantifies over all vectors, so the decision runs in two phases: a
     conservative sufficient certificate (the gap vanishes off range(K) and
     is dominated on it by epsilon times the smallest nonzero singular
-    value of K), then a seeded randomized falsifier over unit vectors of
-    each member's subspace span(W_i, Z_i, range K), off which every term of
-    that member's inequality vanishes.
+    value of K), then ``member_pencils``, member by member, whose top
+    generalized eigenvector is the one witness candidate of each member.
+    A candidate that does not violate the inequality as stated leaves the
+    answer "undecided".
     When the hypothesis is certified and epsilon clears the applicability
     threshold, the predicted bounds must be dominated by the verified
     bounds of the perturbed system.
@@ -127,10 +169,9 @@ def certify_perturbation(
     k_range = analysis.k_factors.u
     k_sv = analysis.k_factors.singular_values
     sigma_min = float(k_sv[-1]) if k_sv.size else 0.0
-    pairs = list(zip(w.members, z.members))
 
     certified = True
-    for (w_sub, w_weight), (z_sub, z_weight) in pairs:
+    for (w_sub, w_weight), (z_sub, z_weight) in zip(w.members, z.members):
         # Delta is symmetric, so ||Delta X|| = ||X Y (R D)*|| for a symmetric projector X
         y, gap = _member_gap(w_sub, w_weight, z_sub, z_weight)
         image = y @ gap.T
@@ -141,41 +182,12 @@ def certify_perturbation(
         ):
             certified = False
             break
-    decided_by = "certificate" if certified else "undecided"
 
-    witness = None
+    decided_by, witness = "certificate", None
     if not certified:
-        rng = np.random.default_rng(seed)
-        for (w_sub, w_weight), (z_sub, z_weight) in pairs:
-            # every term of the hypothesis vanishes off S_i = span(W_i, Z_i, range K)
-            q = orthonormal_range(np.hstack([w_sub.basis, z_sub.basis, k_range]), tol)
-            dim = q.shape[1]
-            if dim == 0:
-                continue
-            y, gap = _member_gap(w_sub, w_weight, z_sub, z_weight)
-            y_q = y.T @ q
-            # Delta, the weighted member maps and K*, each as a map on S_i with as few rows
-            # as keep the norm: ||Delta Q g|| = ||R D Y* Q g|| and ||K* Q g|| = ||R_K g||
-            stacked = np.vstack([
-                gap @ y_q,
-                w_weight * y_q[: w_sub.dim],
-                z_weight * y_q[w_sub.dim :],
-                r_factor(k.T @ q),
-            ])
-            g = rng.standard_normal((dim, samples))
-            g /= np.linalg.norm(g, axis=0)
-            rows = np.cumsum([gap.shape[0], w_sub.dim, z_sub.dim])
-            lhs, w_term, z_term, k_term = (
-                np.linalg.norm(part, axis=0) for part in np.split(stacked @ g, rows)
-            )
-            rhs = lambda1 * w_term + lambda2 * z_term + epsilon * w_weight * k_term
-            bad = lhs > rhs * (1.0 + tol.eq_rel) + tol.eq_abs
-            if bad.any():
-                witness = q @ g[:, int(np.argmax(bad))]
-                decided_by = "falsifier"
-                break
-        # no violation found leaves the hypothesis undecided: the
-        # sufficient test is conservative and the sampler is not a proof
+        pencils = member_pencils(w, z, k, lambda1, lambda2, epsilon, tol)
+        witness = next((f for _, f, violated in pencils if violated), None)
+        decided_by = "undecided" if witness is None else "falsifier"
 
     weight_mass = float(np.sqrt(sum(w_**2 for w_ in w.weights)))
     k_norm = analysis.k_norm
@@ -196,14 +208,9 @@ def certify_perturbation(
     actual = verify_k_fusion(z, k, tol)
     applicable = bool(certified and epsilon < threshold)
     if applicable:
-        if not actual.passed:
-            raise AgreementError("certified perturbation failed frame verification")
-        slack = tol.eq_rel * (1.0 + predicted.upper)
-        if (
-            actual.bounds.lower < predicted.lower - slack
-            or actual.bounds.upper > predicted.upper + slack
-        ):
-            raise AgreementError("verified bounds escape the predicted window")
+        inside, numbers = _window(predicted, actual, tol)
+        if not inside:
+            raise AgreementError(f"certified perturbation escapes the predicted window: {numbers}")
     return PerturbationReport(
         lambda1=lambda1,
         lambda2=lambda2,
@@ -241,16 +248,11 @@ def perturbed_bounds(
         optimal=False,
     )
     actual = verify_k_fusion(z, k, tol)
-    slack = tol.eq_rel * (1.0 + predicted.upper)
-    dominated = bool(
-        actual.passed
-        and actual.bounds.lower >= predicted.lower - slack
-        and actual.bounds.upper <= predicted.upper + slack
-    )
+    dominated, numbers = _window(predicted, actual, tol)
     eps_star = analysis_epsilon(w, z, k, tol)
     hypothesis_holds = bool(eps_star <= epsilon * (1.0 + tol.eq_rel) + tol.eq_abs)
     if hypothesis_holds and not dominated:
-        raise AgreementError("perturbed bounds escape the predicted window")
+        raise AgreementError(f"perturbed bounds escape the predicted window: {numbers}")
     cert = Certificate(
         passed=dominated,
         bounds=actual.bounds,

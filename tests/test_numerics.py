@@ -15,6 +15,7 @@ from kfusion.numerics import (
     numerical_rank,
     orthonormal_range,
     pinv,
+    rayleigh_maximizer,
     spectral_norm,
     svd,
     symmetric_eigenvalues,
@@ -184,6 +185,27 @@ def test_max_rayleigh_zero_pencil():
     assert max_rayleigh(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
 
 
+@seed(1)
+@settings(deadline=None)
+@given(square_matrices, square_matrices)
+def test_rayleigh_maximizer_attains_max_rayleigh(g, h):
+    a = g @ g.T
+    b = h @ h.T + 1e-3 * np.eye(MATRIX_DIMENSION)
+    value, f = rayleigh_maximizer(a, b)
+    assert value == pytest.approx(max_rayleigh(a, b), rel=REL_TOLERANCE, abs=ABS_TOLERANCE)
+    assert np.linalg.norm(f) == pytest.approx(1.0, rel=1e-12)
+    assert f @ a @ f == pytest.approx(value * (f @ b @ f), rel=REL_TOLERANCE, abs=ABS_TOLERANCE)
+
+
+def test_rayleigh_maximizer_unbounded_and_vacuous_pencils():
+    value, f = rayleigh_maximizer(np.diag([1.0, 1.0]), np.diag([1.0, 0.0]))
+    assert value == np.inf
+    np.testing.assert_allclose(np.abs(f), [0.0, 1.0], atol=1e-15)
+    value, f = rayleigh_maximizer(np.zeros((2, 2)), np.zeros((2, 2)))
+    assert value == 0.0
+    assert not f.any()
+
+
 def test_max_rayleigh_rejects_asymmetric_input():
     with pytest.raises(ValueError):
         max_rayleigh(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
@@ -317,27 +339,34 @@ DECOMPOSITION_CALLS = {
     "svd", "eigh", "eigvalsh", "eig", "eigvals", "qr", "pinv", "inv", "lstsq",
     "matrix_rank", "solve",
 }
-# The seeded generator draws random orthogonal matrices; it makes no rank
-# decision and is not part of any analysis.
+# The seeded generator draws random orthogonal matrices from the caller's
+# seed; it makes no rank decision and is not part of any analysis.
 EXEMPT = {("instances", "random_instance")}
+
+
+def _calls(tree):
+    """(enclosing top-level function or None, node) of every call in a module."""
+    for node in tree.body:
+        owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                yield owner, call
 
 
 def _linalg_calls(tree):
     """(enclosing top-level function or None, name) of every np.linalg.<name>(...) call."""
     found = []
-    for node in tree.body:
-        owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
-        for call in ast.walk(node):
-            if not isinstance(call, ast.Call) or not isinstance(call.func, ast.Attribute):
-                continue
-            parent = call.func.value
-            if (
-                isinstance(parent, ast.Attribute)
-                and parent.attr == "linalg"
-                and isinstance(parent.value, ast.Name)
-                and parent.value.id in {"np", "numpy"}
-            ):
-                found.append((owner, call.func.attr))
+    for owner, call in _calls(tree):
+        if not isinstance(call.func, ast.Attribute):
+            continue
+        parent = call.func.value
+        if (
+            isinstance(parent, ast.Attribute)
+            and parent.attr == "linalg"
+            and isinstance(parent.value, ast.Name)
+            and parent.value.id in {"np", "numpy"}
+        ):
+            found.append((owner, call.func.attr))
     return found
 
 
@@ -358,7 +387,37 @@ def test_every_decomposition_goes_through_numerics():
     assert not offenders, offenders
 
 
+def _generator_seeds(tree):
+    """(enclosing top-level function or None, arguments) of every ``default_rng(...)`` call."""
+    return [
+        (owner, call.args + [kw.value for kw in call.keywords])
+        for owner, call in _calls(tree)
+        if "default_rng" in {getattr(call.func, "attr", None), getattr(call.func, "id", None)}
+    ]
+
+
+def test_every_generator_takes_a_literal_seed():
+    """No answer outside the instance generator can depend on a seed that a caller passes."""
+    package = Path(__file__).resolve().parents[1] / "src" / "kfusion"
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for owner, args in _generator_seeds(tree):
+            literal = len(args) == 1 and isinstance(args[0], ast.Constant)
+            if not literal and (path.stem, owner) not in EXEMPT:
+                offenders.append(f"{path.stem}.{owner}: default_rng with a non-literal seed")
+    assert not offenders, offenders
+
+
 def test_the_decomposition_scan_sees_the_exempt_generator():
     path = Path(__file__).resolve().parents[1] / "src" / "kfusion" / "instances.py"
     calls = _linalg_calls(ast.parse(path.read_text()))
     assert ("random_instance", "qr") in calls
+
+
+def test_the_seed_scan_sees_the_exempt_generator_and_the_literal_ones():
+    package = Path(__file__).resolve().parents[1] / "src" / "kfusion"
+    instances = _generator_seeds(ast.parse((package / "instances.py").read_text()))
+    assert [(owner, type(args[0])) for owner, args in instances] == [("random_instance", ast.Name)]
+    duality = _generator_seeds(ast.parse((package / "duality.py").read_text()))
+    assert duality and all(isinstance(args[0], ast.Constant) for _, args in duality)

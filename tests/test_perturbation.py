@@ -1,9 +1,13 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
+from kfusion import perturbation
 from kfusion.duality import canonical_k_dual
 from kfusion.frames import FusionSystem, Subspace, verify_k_fusion
-from kfusion.numerics import spectral_norm
+from kfusion.numerics import DEFAULT_TOL, AgreementError, spectral_norm
 from kfusion.perturbation import (
     analysis_epsilon,
     approximate_dual_norm,
@@ -170,7 +174,7 @@ def test_certify_tiny_rotation(r3_system, r3_k):
 
 def test_certify_orthogonal_swap_is_falsified(r3_system, r3_k):
     z = make_system(3, [[list(E1 + E2), list(E3)], [list(E1 - E2)], [list(E1 + E2)]])
-    report = certify_perturbation(r3_system, z, r3_k, 0.5, 0.5, 0.01, seed=7)
+    report = certify_perturbation(r3_system, z, r3_k, 0.5, 0.5, 0.01)
     assert not report.certified
     assert report.decided_by == "falsifier"
     f = report.falsified_witness
@@ -192,3 +196,57 @@ def test_certify_rejects_bad_parameters(r3_system, r3_k):
         certify_perturbation(r3_system, r3_system, r3_k, 1.2, 0.1, 0.01)
     with pytest.raises(ValueError):
         certify_perturbation(r3_system, r3_system, r3_k, 0.1, 0.1, 0.0)
+
+
+WINDOW_MESSAGE = re.compile(
+    r"verified bounds (none|\[(\S+), (\S+)\]), predicted window \[(\S+), (\S+)\], slack (\S+)$"
+)
+
+
+def _skew_verification(monkeypatch, z, skew):
+    """Make verify_k_fusion report ``skew(certificate)`` for the perturbed system only."""
+    real = perturbation.verify_k_fusion
+
+    def skewed(system, k, tol):
+        cert = real(system, k, tol)
+        return skew(cert) if system is z else cert
+
+    monkeypatch.setattr(perturbation, "verify_k_fusion", skewed)
+
+
+def _stretched(cert):
+    bounds = dataclasses.replace(cert.bounds, upper=10.0 * cert.bounds.upper)
+    return dataclasses.replace(cert, bounds=bounds)
+
+
+def _failed(cert):
+    return dataclasses.replace(cert, passed=False, bounds=None, message="skewed")
+
+
+@pytest.mark.parametrize(
+    "question, skew",
+    [
+        (lambda *args: certify_perturbation(*args, 0.1, 0.1, 0.01).predicted_bounds, _stretched),
+        (lambda *args: certify_perturbation(*args, 0.1, 0.1, 0.01).predicted_bounds, _failed),
+        (lambda *args: perturbed_bounds(*args, analysis_epsilon(*args))[0], _stretched),
+    ],
+    ids=["certify-escape", "certify-failed", "perturbed-escape"],
+)
+def test_window_errors_name_the_bounds_the_window_and_the_slack(
+    r3_system, r3_k, monkeypatch, question, skew
+):
+    """Each question returns its predicted window, and raises once verification is skewed."""
+    z = rotated_system(1e-3)
+    predicted = question(r3_system, z, r3_k)
+    _skew_verification(monkeypatch, z, skew)
+    with pytest.raises(AgreementError) as err:
+        question(r3_system, z, r3_k)
+    found = WINDOW_MESSAGE.search(str(err.value))
+    verified, lower, upper, low, high, slack = found.groups()
+    assert [float(low), float(high)] == [predicted.lower, predicted.upper]
+    assert float(slack) == DEFAULT_TOL.eq_rel * (1.0 + predicted.upper)
+    if skew is _failed:
+        assert verified == "none"
+    else:
+        assert float(upper) > float(high) + float(slack)
+        assert float(lower) >= float(low) - float(slack)

@@ -1,4 +1,4 @@
-"""The stability questions in each member's own subspace: the projected falsifier and downdated exactness."""
+"""The stability questions in each member's own subspace: member pencils and downdated exactness."""
 
 import sys
 import warnings
@@ -9,7 +9,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import random_fusion_system
-from kfusion import frames, numerics
+from kfusion import frames, numerics, perturbation
 from kfusion.frames import (
     FusionSystem,
     Subspace,
@@ -20,7 +20,7 @@ from kfusion.frames import (
 )
 from kfusion.instances import random_instance
 from kfusion.numerics import AgreementError, orthonormal_range
-from kfusion.perturbation import certify_perturbation
+from kfusion.perturbation import certify_perturbation, member_pencils
 
 SVD_FAMILY = {"svd", "numerical_rank", "pinv", "spectral_norm", "orthonormal_range", "null_basis"}
 
@@ -33,7 +33,7 @@ def _planted(n=64, rank=4, seed=21):
     six-dimensional span of a, b and range(K).
     """
     rng = np.random.default_rng(seed)
-    # about one uniform direction of that span in a hundred violates at epsilon = 1
+    # the member's pencil has mu = 1 / min(lambda1, lambda2)^2 whatever epsilon is
     frame = np.linalg.qr(rng.standard_normal((n, n)))[0]
     k_range, a, b = frame[:, :rank], frame[:, rank], frame[:, rank + 1]
     right = np.linalg.qr(rng.standard_normal((n, rank)))[0]
@@ -46,11 +46,10 @@ def _planted(n=64, rank=4, seed=21):
     return w, z, k, a, b
 
 
-@pytest.mark.parametrize("seed_", range(5))
-def test_projected_sampler_finds_a_planted_low_dimensional_violation(seed_):
+def test_pencil_finds_a_planted_low_dimensional_violation():
     w, z, k, a, b = _planted()
     lambda1, lambda2, epsilon = 0.5, 0.5, 1.0
-    report = certify_perturbation(w, z, k, lambda1, lambda2, epsilon, seed=seed_)
+    report = certify_perturbation(w, z, k, lambda1, lambda2, epsilon)
     assert report.decided_by == "falsifier"
     assert not report.certified
     f = report.falsified_witness
@@ -58,6 +57,11 @@ def test_projected_sampler_finds_a_planted_low_dimensional_violation(seed_):
     # the witness lies in span(a, b, range K) and violates member 3, checked by plain numpy
     span = np.linalg.qr(np.column_stack([a, b, k]))[0][:, : 2 + np.linalg.matrix_rank(k)]
     assert np.linalg.norm(f - span @ (span.T @ f)) <= 1e-12
+    assert _violation(f, a, b, k, lambda1, lambda2, epsilon) > 0.0
+
+
+def _violation(f, a, b, k, lambda1, lambda2, epsilon):
+    """lhs - rhs of the planted member's inequality at f, from ambient projectors."""
     p_w, p_z = np.outer(a, a), np.outer(b, b)
     lhs = np.linalg.norm((p_w - p_z) @ f)
     rhs = (
@@ -65,7 +69,7 @@ def test_projected_sampler_finds_a_planted_low_dimensional_violation(seed_):
         + lambda2 * np.linalg.norm(p_z @ f)
         + epsilon * np.linalg.norm(k.T @ f)
     )
-    assert lhs > rhs
+    return lhs - rhs
 
 
 def _rotated_pair(n, rank, angle, seed_=8):
@@ -89,7 +93,7 @@ def test_certificate_decides_at_the_dense_threshold(margin):
     ]
     sigma_min = np.linalg.svd(k, compute_uv=False)[-1]
     ratio = max(np.linalg.norm(d, 2) / (wt * sigma_min) for d, wt in zip(deltas, w.weights))
-    report = certify_perturbation(w, z, k, 0.5, 0.5, margin * ratio, samples=100)
+    report = certify_perturbation(w, z, k, 0.5, 0.5, margin * ratio)
     assert (report.decided_by == "certificate") == (margin > 1.0)
 
 
@@ -97,38 +101,121 @@ def test_certificate_decides_at_the_dense_threshold(margin):
 def test_certificate_requires_the_gap_to_vanish_off_range_k(angle, certified):
     w, z, k = _rotated_pair(6, 3, angle)
     assert verify_k_fusion(w, k).passed
-    report = certify_perturbation(w, z, k, 0.5, 0.5, 10.0, samples=100)
+    report = certify_perturbation(w, z, k, 0.5, 0.5, 10.0)
     assert (report.decided_by == "certificate") is certified
 
 
-class _RecordingRng:
-    """A numpy Generator that records the shape of each Gaussian draw."""
-
-    def __init__(self, rng, shapes):
-        self._rng, self._shapes = rng, shapes
-
-    def standard_normal(self, size):
-        self._shapes.append(size)
-        return self._rng.standard_normal(size)
-
-
-def test_sampler_draws_batches_in_each_members_subspace(monkeypatch):
-    """Each batch has dim S_i rows, never n, so no n x n matrix meets a batch."""
+def test_pencils_live_in_each_members_subspace(monkeypatch):
+    """Each pencil is dim S_i x dim S_i, never n x n, and the walk stops at the planted member."""
     w, z, k, _, _ = _planted()
     n = w.ambient_dim
-    real = np.random.default_rng
+    real = perturbation.rayleigh_maximizer
     shapes = []
-    monkeypatch.setattr(np.random, "default_rng", lambda s: _RecordingRng(real(s), shapes))
-    report = certify_perturbation(w, z, k, 0.5, 0.5, 1.0, samples=2000)
+
+    def recording(a, b, tol):
+        shapes.append((np.shape(a), np.shape(b)))
+        return real(a, b, tol)
+
+    monkeypatch.setattr(perturbation, "rayleigh_maximizer", recording)
+    report = certify_perturbation(w, z, k, 0.5, 0.5, 1.0)
     k_range = orthonormal_range(k)
     dims = [
         orthonormal_range(np.hstack([ws.basis, zs.basis, k_range])).shape[1]
         for (ws, _), (zs, _) in zip(w.members, z.members)
     ]
-    # the sampler walks the members in order and stops at the planted one
     assert report.decided_by == "falsifier"
-    assert shapes == [(dim, 2000) for dim in dims[:4]]
+    assert shapes == [((dim, dim), (dim, dim)) for dim in dims[:4]]
     assert dims[3] == 6 and max(dims) < n
+
+
+def _dense_ratios(w, z, k, lambda1, lambda2, epsilon):
+    """Each member's mu from n x n ambient Grams: the gap's Gram against the squared terms.
+
+    The pencil is restricted to the range of the right-hand Gram, S_i, and
+    reduced through a Cholesky factor there.
+    """
+    ratios = []
+    for (ws, ww), (zs, zw) in zip(w.members, z.members):
+        p_w, p_z = ws.basis @ ws.basis.T, zs.basis @ zs.basis.T
+        delta = ww * p_w - zw * p_z
+        rhs = (lambda1 * ww) ** 2 * p_w + (lambda2 * zw) ** 2 * p_z + (epsilon * ww) ** 2 * k @ k.T
+        vals, vecs = np.linalg.eigh(rhs)
+        span = vecs[:, vals > 1e-9 * vals[-1]]
+        chol = np.linalg.cholesky(span.T @ rhs @ span)
+        half = np.linalg.solve(chol, span.T @ delta.T)
+        ratios.append(np.linalg.eigvalsh(half @ half.T)[-1])
+    return ratios
+
+
+def _random_pair(seed_, n, m, rank, angle, unchanged):
+    """A K-fusion frame of m members, K of the given rank with singular values in [0.5, 2],
+    and a copy whose members are turned by ``angle`` and reweighted, except ``unchanged`` ones."""
+    rng = np.random.default_rng(seed_)
+    dims = rng.integers(1, n + 1, m)
+    weights = list(rng.uniform(0.5, 2.0, m))
+    w = random_fusion_system(rng, n, dims, weights)
+    left = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :rank]
+    right = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :rank]
+    k = left @ np.diag(rng.uniform(0.5, 2.0, rank)) @ right.T
+    members = []
+    for j, (sub, weight) in enumerate(w.members):
+        if j < unchanged:
+            members.append((sub, weight))
+            continue
+        turned = np.linalg.qr(sub.basis + angle * rng.standard_normal(sub.basis.shape))[0]
+        members.append((Subspace(n, turned), weight * (1.0 + angle * rng.uniform(-1.0, 1.0))))
+    return w, FusionSystem(n, tuple(members)), k
+
+
+@st.composite
+def perturbation_cases(draw):
+    n = draw(st.integers(2, 7))
+    m = draw(st.integers(1, 4))
+    rank = draw(st.sampled_from([n, draw(st.integers(1, n))]))
+    angle = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 1e-1, 1.0]))
+    pair = _random_pair(draw(st.integers(0, 2**32 - 1)), n, m, rank, angle, draw(st.integers(0, m)))
+    lambdas = [draw(st.floats(0.05, 0.95)) for _ in range(2)]
+    epsilon = 10.0 ** draw(st.floats(-2.0, 1.0))
+    return (*pair, *lambdas, epsilon)
+
+
+@seed(6)
+@settings(deadline=None, max_examples=150)
+@given(perturbation_cases())
+def test_certificate_and_dense_pencils_agree(case):
+    """A passing certificate has every mu <= (1 + eq_rel)^2; any mu > 3 ends "falsifier"."""
+    w, z, k, lambda1, lambda2, epsilon = case
+    assume(verify_k_fusion(w, k).passed)
+    report = certify_perturbation(w, z, k, lambda1, lambda2, epsilon)
+    ratios = _dense_ratios(w, z, k, lambda1, lambda2, epsilon)
+    if report.decided_by == "certificate":
+        assert max(ratios) <= (1.0 + numerics.DEFAULT_TOL.eq_rel) ** 2
+    if max(ratios) > 3.0:
+        assert report.decided_by == "falsifier"
+
+
+@pytest.mark.parametrize("seed_", range(6))
+def test_member_pencils_match_the_dense_ambient_pencils(seed_):
+    n = 6 + seed_
+    rank = n if seed_ % 2 else n // 2
+    w, z, k = _random_pair(seed_, n, 4, rank, 0.3, 1)
+    assert verify_k_fusion(w, k).passed
+    got = [mu for mu, _, _ in member_pencils(w, z, k, 0.4, 0.6, 0.5)]
+    want = _dense_ratios(w, z, k, 0.4, 0.6, 0.5)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+def test_a_planted_ratio_between_one_and_three_is_undecided_or_witnessed():
+    """At lambda = 0.75 the planted member has mu = 1 / 0.75^2, where Q g may or may not violate."""
+    w, z, k, a, b = _planted()
+    lambda1 = lambda2 = 0.75
+    ratios = [mu for mu, _, _ in member_pencils(w, z, k, lambda1, lambda2, 1.0)]
+    assert 1.0 < max(ratios) <= 3.0
+    assert max(ratios) == pytest.approx(1.0 / 0.75**2, rel=1e-12)
+    report = certify_perturbation(w, z, k, lambda1, lambda2, 1.0)
+    assert report.decided_by in {"undecided", "falsifier"}
+    if report.decided_by == "falsifier":
+        assert _violation(report.falsified_witness, a, b, k, lambda1, lambda2, 1.0) > 0.0
 
 
 def _variant(seed_, n, m, rank, kind, position):
