@@ -44,6 +44,7 @@ from .numerics import (
     DEFAULT_TOL,
     AgreementError,
     ToleranceProfile,
+    negligible,
     numerical_rank,
     pinv,
     spectral_norm,
@@ -231,7 +232,7 @@ def douglas(instance, tol):
     ok = bool(
         sol.nullspace_match
         and sol.range_containment
-        and sol.residual <= tol.eq_abs * (1.0 + spectral_norm(instance.k_matrix))
+        and negligible(sol.residual, spectral_norm(instance.k_matrix), tol)
     )
     results = {
         "norm_sq": sol.norm_sq,

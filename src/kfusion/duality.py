@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from kfusion.factorization import DouglasSolution, x_w
+from kfusion.factorization import DouglasSolution, solution_matrix, x_w
 from kfusion.frames import (
     BlockVector,
     Certificate,
@@ -38,7 +38,10 @@ from kfusion.numerics import (
     AgreementError,
     ToleranceProfile,
     as_matrix,
+    at_most,
+    negligible,
     numerical_rank,
+    outside_column,
     pinv,
     r_factor,
     spectral_norm,
@@ -78,8 +81,8 @@ class DualCertificate:
     """Reconstruction certificate for a candidate dual system.
 
     ``kind`` is one of "QK", "K", "approximate"; exact kinds pass when the
-    residual stays within ``eq_abs`` of zero (scaled by the size of K),
-    the approximate kind passes strictly below one.
+    residual is ``negligible`` at the scale of K, the approximate kind
+    passes strictly below one.
     """
 
     kind: str
@@ -110,8 +113,7 @@ def local_frame_system(
             raise ValueError(f"member {idx} is zero-dimensional and has no local frame")
         frame = KFrame(fusion.ambient_dim, tuple(vectors))
         mat = frame.matrix
-        drift = mat - sub.projector() @ mat
-        if mat.shape[1] == 0 or spectral_norm(drift) > tol.eq_abs * (1.0 + spectral_norm(mat)):
+        if mat.shape[1] == 0 or outside_column(mat, sub.basis, spectral_norm(mat), tol) is not None:
             raise ValueError(f"local frame {idx} does not lie inside its subspace")
         if numerical_rank(mat, tol) < sub.dim:
             raise ValueError(f"local frame {idx} fails to span its subspace")
@@ -154,10 +156,6 @@ def phi_operator(
     return PhiOperator(blocks=blocks)
 
 
-def _exact_pass(residual: float, k: np.ndarray, tol: ToleranceProfile) -> bool:
-    return residual <= tol.eq_abs * (1.0 + spectral_norm(k))
-
-
 def is_qk_dual(
     w: FusionSystem, v: FusionSystem, q, k, tol: ToleranceProfile = DEFAULT_TOL
 ) -> DualCertificate:
@@ -194,7 +192,7 @@ def _qk_certificate(w, v, q, k, q_norm, tol) -> DualCertificate:
     cert = DualCertificate(
         kind="QK",
         residual=residual,
-        passed=_exact_pass(residual, k, tol),
+        passed=negligible(residual, spectral_norm(k), tol),
         operator_q=q,
     )
     if not cert.passed:
@@ -209,12 +207,8 @@ def _qk_certificate(w, v, q, k, q_norm, tol) -> DualCertificate:
         d_floor = 0.0 if np.isinf(base.bounds.lower) else inv_qn / base.bounds.lower
         cert.details["lower_bound_floor"] = c_floor
         cert.details["upper_bound_floor"] = d_floor
-        cert.details["lower_bound_ok"] = bool(
-            adjoint_cert.bounds.lower >= c_floor - tol.eq_rel
-        )
-        cert.details["upper_bound_ok"] = bool(
-            adjoint_cert.bounds.upper >= d_floor - tol.eq_rel
-        )
+        cert.details["lower_bound_ok"] = at_most(c_floor, adjoint_cert.bounds.lower, tol)
+        cert.details["upper_bound_ok"] = at_most(d_floor, adjoint_cert.bounds.upper, tol)
     return cert
 
 
@@ -231,10 +225,7 @@ def qk_dual_from_x(
     Returns (dual system, Q, certificate).
     """
     k = as_matrix(k)
-    base = frame_analysis(w, k, tol)
-    x_mat = as_matrix(x.x)
-    if spectral_norm(synthesis(w) @ x_mat - k) > tol.eq_rel * (1.0 + base.k_norm):
-        raise ValueError("x does not solve the synthesis equation for K")
+    x_mat = solution_matrix(w, k, x, tol)
     members = tuple(
         (subspace_from_columns(x_mat[sl, :].T, tol), weight)
         for (_, weight), sl in zip(w.members, w.block_slices())
@@ -282,7 +273,7 @@ def is_k_dual(
     return DualCertificate(
         kind="K",
         residual=residual,
-        passed=_exact_pass(residual, k, tol),
+        passed=negligible(residual, spectral_norm(k), tol),
         details={"phi": phi},
     )
 
@@ -327,7 +318,7 @@ def canonical_k_dual(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL):
     report = {
         "bessel_bound": bessel,
         "bessel_estimate": estimate,
-        "within_estimate": bool(bessel <= estimate + tol.eq_rel),
+        "within_estimate": at_most(bessel, estimate, tol),
     }
     return dual, cert, report
 
@@ -354,7 +345,7 @@ def enlarge_dual(
         raise ValueError("summand must live in the ambient space")
     if not u_j.is_zero:
         overlap = spectral_norm(tilde_j.basis.T @ u_j.basis)
-        if overlap > tol.eq_abs:
+        if not negligible(overlap, 0.0, tol):
             raise ValueError("summand must be orthogonal to the member it extends")
     enlarged = subspace_from_columns(np.hstack([tilde_j.basis, u_j.basis]), tol)
     members = list(base.members)
@@ -398,7 +389,7 @@ def check_sws_range_condition(
     sol = x_w(w, k, tol)
     candidate = synthesis(w).T @ inverse_on_image(w, k, tol).T @ k
     gap = spectral_norm(candidate - sol.x)
-    operator_equality = bool(gap <= tol.eq_abs * (1.0 + spectral_norm(sol.x)))
+    operator_equality = negligible(gap, spectral_norm(sol.x), tol)
     if condition != operator_equality:
         raise AgreementError(
             "range condition and solution comparison disagree: "
@@ -494,7 +485,7 @@ def component_preserving_duals(
     else:
         k = as_matrix(k)
         gap = spectral_norm(implied - k)
-        if gap > tol.eq_abs * (1.0 + spectral_norm(k)):
+        if not negligible(gap, spectral_norm(k), tol):
             raise ValueError(f"psi equation residual {gap} exceeds tolerance")
     members = tuple(
         (subspace_from_columns(psi[:, sl], tol), 1.0) for sl in w.block_slices()
@@ -535,7 +526,7 @@ def kframe_projection_dual(f: KFrame, k, tol: ToleranceProfile = DEFAULT_TOL):
         vec = rng.standard_normal(f.ambient_dim)
         worst = max(worst, float(np.linalg.norm(k @ vec - recon @ vec)))
     cert = Certificate(
-        passed=_exact_pass(residual, k, tol),
+        passed=negligible(residual, spectral_norm(k), tol),
         message="reconstruction of K through the projected family",
         details={"residual": residual, "worst_pointwise": worst},
     )
@@ -591,11 +582,10 @@ def local_duality_equiv(
     frames_g = KFrame(w.ambient_dim, tuple(g_vectors))
     discrete = frames_f.matrix @ frames_g.matrix.T
     discrete_residual = spectral_norm(discrete - k)
-    operators_match = spectral_norm(discrete - recon) <= tol.eq_abs * (
-        1.0 + spectral_norm(k)
-    )
-    continuous_pass = _exact_pass(continuous_residual, k, tol)
-    discrete_pass = _exact_pass(discrete_residual, k, tol)
+    k_norm = spectral_norm(k)
+    operators_match = negligible(spectral_norm(discrete - recon), k_norm, tol)
+    continuous_pass = negligible(continuous_residual, k_norm, tol)
+    discrete_pass = negligible(discrete_residual, k_norm, tol)
     if continuous_pass != discrete_pass:
         raise AgreementError(
             f"subspace duality {continuous_pass} and discrete duality "
@@ -606,7 +596,7 @@ def local_duality_equiv(
         discrete_pass=discrete_pass,
         continuous_residual=continuous_residual,
         discrete_residual=discrete_residual,
-        operators_match=bool(operators_match),
+        operators_match=operators_match,
         frames_f=frames_f,
         frames_g=frames_g,
     )
@@ -647,7 +637,7 @@ def kframe_from_local(
         vec = rng.standard_normal(w.ambient_dim)
         worst = max(worst, float(np.linalg.norm(k @ vec - recon @ vec)))
     cert = Certificate(
-        passed=_exact_pass(residual, k, tol),
+        passed=negligible(residual, spectral_norm(k), tol),
         message="reconstruction of K through weighted local frames",
         details={
             "residual": residual,

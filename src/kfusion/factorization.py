@@ -15,7 +15,6 @@ import numpy as np
 from kfusion.frames import (
     BlockVector,
     FusionSystem,
-    _worst_column_outside,
     frame_analysis,
     synthesis,
 )
@@ -23,10 +22,14 @@ from kfusion.numerics import (
     DEFAULT_TOL,
     AgreementError,
     ToleranceProfile,
+    agreement,
     as_matrix,
+    cross_allowance,
     max_rayleigh,
+    negligible,
     numerical_rank,
     orthonormal_range,
+    outside_column,
     spectral_norm,
     svd,
 )
@@ -80,25 +83,21 @@ class XwSolution(DouglasSolution):
 def range_included(l1, l2, tol: ToleranceProfile = DEFAULT_TOL):
     """Whether the column space of L1 lies inside that of L2.
 
-    Returns (included, witness). Inclusion fails when some column of L1 lies
-    farther than ``eq_abs * (1 + ||L1||)`` from the range of L2, the rule
-    ``douglas_solve`` applies; the witness is then the farthest column, else
-    None.
+    Returns (included, witness). Inclusion is ``numerics.outside_column``,
+    the rule ``douglas_solve`` applies; on failure the witness is the column
+    of L1 farthest from the range of L2, else None.
     """
     l1 = as_matrix(l1)
     l2 = as_matrix(l2)
     if l1.shape[0] != l2.shape[0]:
         raise ValueError("L1 and L2 must have the same number of rows")
-    witness = _outside_witness(l1, orthonormal_range(l2, tol), spectral_norm(l1), tol)
-    return witness is None, witness
+    j = outside_column(l1, orthonormal_range(l2, tol), spectral_norm(l1), tol)
+    return j is None, None if j is None else l1[:, j]
 
 
-def _outside_witness(l1, basis, l1_norm: float, tol: ToleranceProfile):
-    """The column of L1 farthest from span(basis) if beyond ``eq_abs * (1 + ||L1||)``, else None."""
-    gap, j = _worst_column_outside(l1, basis)
-    if j is None or gap <= tol.eq_abs * (1.0 + l1_norm):
-        return None
-    return l1[:, j]
+def _residual(l2, x, l1, l1_norm: float, tol: ToleranceProfile):
+    """``(||L2 x - L1||, allowed)``: L2 x and L1 are two computations of L1, of norm ``l1_norm``."""
+    return spectral_norm(l2 @ x - l1), cross_allowance(l1_norm, tol)
 
 
 def _solve_from_factors(l1, l2, l1_factors, l2_factors, alpha_inf, tol) -> DouglasSolution:
@@ -112,30 +111,26 @@ def _solve_from_factors(l1, l2, l1_factors, l2_factors, alpha_inf, tol) -> Dougl
     """
     coeff = (l2_factors.u.T @ l1) / l2_factors.singular_values[:, None]
     x = l2_factors.v @ coeff
-    residual = spectral_norm(l2 @ x - l1)
-    allowed = tol.eq_rel * (1.0 + l1_factors.top)
+    residual, allowed = _residual(l2, x, l1, l1_factors.top, tol)
     if residual > allowed:
         raise AgreementError(
             f"factorization residual ||L2 x - L1|| = {residual} exceeds tolerance {allowed}"
         )
     norm_sq = spectral_norm(coeff) ** 2
-    gap = abs(norm_sq - alpha_inf)
-    allowed = tol.eq_rel * max(norm_sq, alpha_inf, 1.0)
-    if np.isinf(alpha_inf) or gap > allowed:
+    gap, allowed = agreement(norm_sq, alpha_inf, tol)
+    if gap > allowed:
         raise AgreementError(
             f"norm-squared {norm_sq} and infimum constant {alpha_inf} disagree:"
             f" gap {gap} exceeds tolerance {allowed}"
         )
-    x_scale = tol.eq_abs * (1.0 + np.sqrt(norm_sq))
+    x_norm = np.sqrt(norm_sq)
     # x kills the kernel of L1 exactly when coeff vanishes off the row space of L1
     row = l1_factors.v
-    kernel_contained = row.shape[1] == l1.shape[1] or spectral_norm(
-        coeff - (coeff @ row) @ row.T
-    ) <= x_scale
+    kernel_contained = row.shape[1] == l1.shape[1] or negligible(
+        spectral_norm(coeff - (coeff @ row) @ row.T), x_norm, tol
+    )
     nullspace_match = kernel_contained and numerical_rank(coeff, tol) == row.shape[1]
-    v = l2_factors.v
-    off_range = np.linalg.norm(x - v @ (v.T @ x), axis=0)
-    range_containment = not off_range.size or off_range.max() <= x_scale
+    range_containment = outside_column(x, l2_factors.v, x_norm, tol) is None
     return DouglasSolution(
         x=x,
         norm_sq=norm_sq,
@@ -167,8 +162,8 @@ def douglas_solve(l1, l2, tol: ToleranceProfile = DEFAULT_TOL) -> DouglasSolutio
     Raises
     ------
     ValueError
-        If the range inclusion fails: some column of L1 lies farther than
-        ``eq_abs * (1 + ||L1||)`` from the range of L2.
+        If the range inclusion fails: L1 leaves the range of L2 by
+        ``numerics.outside_column``.
     AgreementError
         If the factorization residual exceeds tolerance or the two norm
         computations disagree.
@@ -179,13 +174,23 @@ def douglas_solve(l1, l2, tol: ToleranceProfile = DEFAULT_TOL) -> DouglasSolutio
         raise ValueError("L1 and L2 must have the same number of rows")
     l1_factors = svd(l1).truncated(tol)
     l2_factors = svd(l2).truncated(tol)
-    witness = _outside_witness(l1, l2_factors.u, l1_factors.top, tol)
-    if witness is not None:
+    j = outside_column(l1, l2_factors.u, l1_factors.top, tol)
+    if j is not None:
         raise ValueError(
-            f"range of L1 is not contained in range of L2; witness column {witness}"
+            f"range of L1 is not contained in range of L2; witness column {l1[:, j]}"
         )
-    alpha_inf = max_rayleigh(l1 @ l1.T, l2 @ l2.T, tol)
+    alpha_inf = max_rayleigh(l1, l2 @ l2.T, tol)
     return _solve_from_factors(l1, l2, l1_factors, l2_factors, alpha_inf, tol)
+
+
+def solution_matrix(w: FusionSystem, k: np.ndarray, x: DouglasSolution, tol) -> np.ndarray:
+    """The matrix of x; ValueError unless ``T_W @ x`` and K agree as ``x_w`` checks its own."""
+    x_mat = as_matrix(x.x)
+    analysis = frame_analysis(w, k, tol)
+    residual, allowed = _residual(synthesis(w), x_mat, analysis.k, analysis.k_factors.top, tol)
+    if residual > allowed:
+        raise ValueError("x does not solve the synthesis equation for K")
+    return x_mat
 
 
 def x_w(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> XwSolution:
@@ -200,13 +205,4 @@ def x_w(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> XwSolution:
     base = _solve_from_factors(
         analysis.k, synthesis(w), analysis.k_factors, analysis.factors, analysis.pencil_ratio, tol
     )
-    return XwSolution(
-        x=base.x,
-        norm_sq=base.norm_sq,
-        alpha_inf=base.alpha_inf,
-        nullspace_match=base.nullspace_match,
-        range_containment=base.range_containment,
-        residual=base.residual,
-        system=w,
-        k=as_matrix(k),
-    )
+    return XwSolution(**vars(base), system=w, k=as_matrix(k))

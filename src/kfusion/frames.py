@@ -21,11 +21,15 @@ from kfusion.numerics import (
     AgreementError,
     Svd,
     ToleranceProfile,
+    agreement,
     as_matrix,
+    at_most,
     max_rayleigh,
+    negligible,
     null_basis,
     numerical_rank,
     orthonormal_range,
+    outside_column,
     pinv,
     rayleigh_maximizer,
     spectral_norm,
@@ -40,6 +44,11 @@ class Subspace:
 
     The basis is copied on construction, so later changes to the caller's
     array cannot reach the subspace or anything computed from it.
+
+    Orthonormality is checked under ``DEFAULT_TOL``, whatever profile the
+    caller uses: every entry of BᵀB − I must be ``negligible`` at scale 0. A
+    subspace carries no profile, and every basis the library builds comes
+    from ``orthonormal_range``, so the check guards hand-built bases.
     """
 
     ambient_dim: int
@@ -49,10 +58,9 @@ class Subspace:
         basis = as_matrix(self.basis)
         if basis.shape[0] != self.ambient_dim:
             raise ValueError("basis rows must equal the ambient dimension")
-        # every entry of the Gram matrix within eq_abs of the identity's
         gram = basis.T @ basis
         gram.flat[:: gram.shape[0] + 1] -= 1.0
-        if gram.size and np.abs(gram).max() > DEFAULT_TOL.eq_abs:
+        if gram.size and not negligible(np.abs(gram).max(), 0.0, DEFAULT_TOL):
             raise ValueError("basis columns must be orthonormal")
         basis = basis.copy()
         basis.flags.writeable = False
@@ -68,9 +76,6 @@ class Subspace:
 
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.T
-
-    def project(self, f: np.ndarray) -> np.ndarray:
-        return self.basis @ (self.basis.T @ f)
 
 
 @dataclass(frozen=True)
@@ -301,25 +306,6 @@ def frame_operator(w: FusionSystem) -> np.ndarray:
     return t @ t.T
 
 
-def _worst_column_outside(m: np.ndarray, basis: np.ndarray):
-    """Largest column residual of m off the span of an orthonormal basis, with its index."""
-    if m.shape[1] == 0:
-        return 0.0, None
-    norms = np.linalg.norm(m - basis @ (basis.T @ m), axis=0)
-    j = int(np.argmax(norms))
-    return float(norms[j]), j
-
-
-def _lower_bound_gap(a1: float, a2: float, tol: ToleranceProfile) -> tuple:
-    """(gap, allowed) between two lower bounds; they agree when gap <= allowed.
-
-    Two infinite bounds agree with gap 0; an infinite and a finite one have gap inf.
-    """
-    if np.isinf(a1) or np.isinf(a2):
-        return (0.0 if np.isinf(a1) and np.isinf(a2) else np.inf), 0.0
-    return abs(a1 - a2), tol.eq_rel * max(a1, a2, 1.0)
-
-
 def _read_only(m):
     """``m`` (an array, or the factors of an Svd) made read-only in place."""
     for a in (m.u, m.singular_values, m.v) if isinstance(m, Svd) else (m,):
@@ -389,7 +375,7 @@ class FrameAnalysis:
     @cached_property
     def pencil_ratio(self) -> float:
         """Largest generalized eigenvalue of (K K*, S), from the eigendecomposition of S."""
-        return max_rayleigh(self.k @ self.k.T, self.s, self.tol)
+        return max_rayleigh(self.k, self.s, self.tol)
 
     @cached_property
     def k_norm(self) -> float:
@@ -421,19 +407,19 @@ class FrameAnalysis:
     def _verdict(self) -> tuple:
         """(lower via pencil, lower via pinv, witness column, message) of the frame condition."""
         k, tol = self.k, self.tol
-        gap, j = _worst_column_outside(k, self.factors.u)
-        if j is not None and gap > tol.eq_abs * (1.0 + self.k_norm):
+        j = outside_column(k, self.factors.u, self.k_norm, tol)
+        if j is not None:
             message = f"range obstruction: column {j} of K leaves the span of the system"
             return None, None, j, message
         ratio = self.pencil_ratio
         if np.isinf(ratio):
-            return None, None, j, "no positive lower bound: the pencil is unbounded"
+            return None, None, None, "no positive lower bound: the pencil is unbounded"
         lower_pencil = np.inf if ratio == 0.0 else 1.0 / ratio
         # ||pinv(T) K|| = ||V Sigma^-1 U* K|| = ||Sigma^-1 U* K||, an r x cols(K) matrix
         f = self.factors
         x_norm = spectral_norm((f.u.T @ k) / f.singular_values[:, None])
         lower_pinv = np.inf if x_norm == 0.0 else x_norm**-2
-        gap, allowed = _lower_bound_gap(lower_pencil, lower_pinv, tol)
+        gap, allowed = agreement(lower_pencil, lower_pinv, tol)
         if gap > allowed:
             raise AgreementError(
                 f"optimal lower bound mismatch: pencil {lower_pencil} vs pinv {lower_pinv},"
@@ -480,7 +466,7 @@ class FrameAnalysis:
             s_drop, factors = self.s, f
         else:
             s_drop = self.s - block @ block.T
-            # exactly symmetric, so max_rayleigh skips its symmetry-check SVDs
+            # exactly symmetric, so max_rayleigh skips its symmetry check
             s_drop = _read_only(0.5 * (s_drop + s_drop.T))
             v = f.v
             h = svd(v[rows]).v
@@ -532,15 +518,16 @@ def verify_k_fusion(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> 
         A new certificate on every call. On success, optimal bounds: upper
         is the frame operator norm, lower is the reciprocal of the largest
         Rayleigh quotient of K K* against the frame operator, cross-checked
-        against the reciprocal squared norm of ``pinv(T_W) @ K``. On
-        failure, a witness vector in the range of K that leaves the span of
-        the system. The lower bound is ``inf`` when K = 0 (every positive
-        constant works vacuously).
+        against the reciprocal squared norm of ``pinv(T_W) @ K``. On a
+        range obstruction, a witness vector in the range of K that leaves
+        the span of the system; an unbounded pencil has no witness. The
+        lower bound is ``inf`` when K = 0 (every positive constant works
+        vacuously).
 
     Raises
     ------
     AgreementError
-        If the two lower-bound computations disagree beyond ``eq_rel``.
+        If the two lower-bound computations disagree by ``numerics.agreement``.
     """
     return frame_analysis(w, k, tol).certificate()
 
@@ -651,9 +638,9 @@ def transform_sinv(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL):
 def transform_q(w: FusionSystem, q, k, tol: ToleranceProfile = DEFAULT_TOL):
     """Image system under an invertible matrix, certified against Q K.
 
-    When Q commutes with K within ``eq_abs`` the certificate also carries a
-    K-fusion verification of the transformed system under ``k_fusion`` in
-    its details.
+    When Q commutes with K (the commutator is ``negligible`` at scale 0) the
+    certificate also carries a K-fusion verification of the transformed
+    system under ``k_fusion`` in its details.
     """
     q = as_matrix(q)
     k = as_matrix(k)
@@ -665,7 +652,7 @@ def transform_q(w: FusionSystem, q, k, tol: ToleranceProfile = DEFAULT_TOL):
     members = tuple((map_subspace(q, sub, tol), weight) for sub, weight in w.members)
     image = FusionSystem(n, members)
     cert = verify_k_fusion(image, q @ k, tol)
-    if spectral_norm(k @ q - q @ k) <= tol.eq_abs:
+    if negligible(spectral_norm(k @ q - q @ k), 0.0, tol):
         cert.details["k_fusion"] = verify_k_fusion(image, k, tol)
     return image, cert
 
@@ -682,8 +669,8 @@ def weaken_to_q(w: FusionSystem, k, q, tol: ToleranceProfile = DEFAULT_TOL) -> C
     q = as_matrix(q)
     if k.shape[0] != w.ambient_dim or q.shape[0] != w.ambient_dim:
         raise ValueError("K and Q must have ambient_dim rows")
-    gap, j = _worst_column_outside(q, orthonormal_range(k, tol))
-    if j is not None and gap > tol.eq_abs * (1.0 + spectral_norm(q)):
+    j = outside_column(q, orthonormal_range(k, tol), spectral_norm(q), tol)
+    if j is not None:
         return Certificate(
             passed=False,
             witness=q[:, j],
@@ -692,18 +679,13 @@ def weaken_to_q(w: FusionSystem, k, q, tol: ToleranceProfile = DEFAULT_TOL) -> C
     base = verify_k_fusion(w, k, tol)
     if not base.passed:
         return Certificate(passed=False, message=f"not a K-fusion frame: {base.message}")
-    lam_sq = max_rayleigh(q @ q.T, k @ k.T, tol)
+    lam_sq = max_rayleigh(q, k @ k.T, tol)
     guaranteed = np.inf if lam_sq == 0.0 else base.bounds.lower / lam_sq
     qcert = verify_k_fusion(w, q, tol)
     if not qcert.passed:
         return Certificate(passed=False, witness=qcert.witness, message=qcert.message)
-    achieved = qcert.bounds.lower
-    if np.isinf(guaranteed):
-        dominated = np.isinf(achieved)
-    else:
-        dominated = achieved >= guaranteed * (1.0 - tol.eq_rel)
     return Certificate(
-        passed=bool(dominated),
+        passed=at_most(guaranteed, qcert.bounds.lower, tol),
         bounds=qcert.bounds,
         details={"lambda_squared": lam_sq, "guaranteed_lower": guaranteed},
     )
@@ -733,8 +715,8 @@ def k_image_frame(
     else:
         base = wrel
         for idx, (sub, _) in enumerate(base.members):
-            gap, j = _worst_column_outside(sub.basis, row_space.basis)
-            if j is not None and gap > tol.eq_abs:
+            # an orthonormal basis has spectral norm 1
+            if outside_column(sub.basis, row_space.basis, 1.0, tol) is not None:
                 raise ValueError(f"member {idx} leaves the row space of K")
     lower, upper, complete = restricted_bounds(frame_operator(base), row_space, tol)
     if not complete or lower <= 0.0:
@@ -754,9 +736,9 @@ def verify_k_frame(f: KFrame, k, tol: ToleranceProfile = DEFAULT_TOL) -> Certifi
     mat = f.matrix
     s_f = mat @ mat.T
     upper = spectral_norm(s_f)
-    ratio = max_rayleigh(k @ k.T, s_f, tol)
+    ratio = max_rayleigh(k, s_f, tol)
     if np.isinf(ratio):
-        _, witness = rayleigh_maximizer(k @ k.T, s_f, tol)
+        _, witness = rayleigh_maximizer(k, s_f, tol)
         return Certificate(
             passed=False,
             witness=witness,

@@ -2,6 +2,9 @@
 
 Every other module routes its linear algebra through here so that rank
 decisions happen once, at SVD truncation, under a single tolerance policy.
+Every other comparison with the tolerance goes through one of three rules
+here: ``negligible`` (a residual counts as zero), ``outside_column`` (columns
+lie in a span) and ``agreement`` / ``at_most`` (two computations of one number).
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ class ToleranceProfile:
     rank_rel : float
         Relative singular-value cutoff for rank decisions.
     eq_abs : float
-        Absolute residual tolerance for equality checks.
+        Absolute tolerance of the zero rule (``negligible``) and the
+        containment rule (``outside_column``).
     eq_rel : float
-        Relative residual tolerance for equality checks.
+        Relative tolerance of the cross-check rule (``agreement``, ``at_most``).
     """
 
     rank_rel: float = 1e-10
@@ -41,6 +45,49 @@ DEFAULT_TOL = ToleranceProfile()
 
 class AgreementError(RuntimeError):
     """Two independent computations of the same quantity disagreed."""
+
+
+def negligible(residual: float, scale: float, tol: ToleranceProfile) -> bool:
+    """The zero rule: a residual at norm ``scale`` counts as zero when <= eq_abs (1 + scale)."""
+    return bool(residual <= tol.eq_abs * (1.0 + scale))
+
+
+def outside_column(m: np.ndarray, basis: np.ndarray, m_norm: float, tol: ToleranceProfile):
+    """The containment rule: None when the columns of m lie in span(basis), else the worst column.
+
+    ``basis`` has orthonormal columns and ``m_norm`` is the spectral norm of m.
+    The columns lie in the span when the Frobenius norm of (I - B B*) m is
+    ``negligible`` at scale ``m_norm``; it bounds the spectral norm from above.
+    """
+    # in place: m can be far wider than it is tall
+    off = basis @ (basis.T @ m)
+    off -= m
+    off *= off
+    squares = off.sum(axis=0)
+    if negligible(float(np.sqrt(squares.sum())), m_norm, tol):
+        return None
+    return int(np.argmax(squares))
+
+
+def cross_allowance(scale: float, tol: ToleranceProfile) -> float:
+    """How far two computations of a quantity of size ``scale`` may differ: eq_rel max(scale, 1)."""
+    return tol.eq_rel * max(scale, 1.0)
+
+
+def agreement(a: float, b: float, tol: ToleranceProfile) -> tuple:
+    """The cross-check rule: (gap, allowed) between two computations of one number.
+
+    They agree when gap <= allowed = eq_rel max(|a|, |b|, 1); infinite values only when equal.
+    """
+    if np.isinf(a) or np.isinf(b):
+        return (0.0 if a == b else np.inf), 0.0
+    return abs(a - b), cross_allowance(max(abs(a), abs(b)), tol)
+
+
+def at_most(a: float, b: float, tol: ToleranceProfile) -> bool:
+    """a <= b up to rounding: a <= b, or a and b agree by ``agreement``."""
+    gap, allowed = agreement(a, b, tol)
+    return bool(a <= b or gap <= allowed)
 
 
 @dataclass(frozen=True)
@@ -210,77 +257,76 @@ def null_basis(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     return vt[rank:].T
 
 
-def _scaled_pencil(a, b, tol: ToleranceProfile):
-    """The pencil (a, b) on range(b) as one symmetric matrix, and the map of its eigenvectors.
+def _scaled_pencil(m, b, tol: ToleranceProfile):
+    """The pencil (m m*, b) on range(b) as one symmetric matrix, and the map of its eigenvectors.
 
     Returns ``(pencil, back)``: an eigenvector v of ``pencil`` is ``back @ v`` in ambient
-    coordinates. Returns ``(None, f)`` when a moves the kernel of b, with f the unit kernel
-    vector of b that a moves most.
+    coordinates. Returns ``(None, f)`` when the columns of m leave the span of b's kept
+    eigenvectors, with f the normalized off-span part of the worst column.
     """
-    a = as_matrix(a)
+    m = as_matrix(m)
     b = as_matrix(b)
-    for name, m in (("a", a), ("b", b)):
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"{name} must be square")
-        skew = m - m.T
-        # an exactly symmetric input passes without the two norm SVDs
-        if skew.any() and spectral_norm(skew) > tol.eq_abs * (1.0 + spectral_norm(m)):
-            raise ValueError(f"{name} is not symmetric within tolerance")
-    if a.shape != b.shape:
-        raise ValueError("a and b must have matching shapes")
-    a = 0.5 * (a + a.T)
+    if b.shape != (m.shape[0],) * 2:
+        raise ValueError("b must be square with as many rows as m")
+    skew = b - b.T
+    # an exactly symmetric input passes without the two norms
+    if skew.any() and not negligible(spectral_norm(skew), spectral_norm(b), tol):
+        raise ValueError("b is not symmetric within tolerance")
     b = 0.5 * (b + b.T)
     vals, vecs = np.linalg.eigh(b)
-    top = float(vals[-1]) if vals.size else 0.0
-    keep = vals > tol.rank_rel * max(top, 0.0)
-    kernel = vecs[:, ~keep]
-    if kernel.shape[1]:
-        moved = a @ kernel
-        if spectral_norm(moved) > tol.eq_abs * (1.0 + spectral_norm(a)):
-            return None, kernel[:, int(np.argmax(np.linalg.norm(moved, axis=0)))]
+    keep = vals > _sv_cutoff(vals[::-1], tol)
+    kept = vecs[:, keep]
+    a = m @ m.T
+    if not keep.all():
+        # ||m|| squared is the norm of the symmetric a, which needs no Gram of m
+        j = outside_column(m, kept, np.sqrt(spectral_norm(a)), tol)
+        if j is not None:
+            off = m[:, j] - kept @ (kept.T @ m[:, j])
+            return None, off / np.linalg.norm(off)
     # b is diagonal in its kept eigenbasis, so the restricted pencil reduces
     # to an ordinary symmetric eigenproblem after diagonal scaling.
     root = 1.0 / np.sqrt(vals[keep])
-    a_restricted = vecs[:, keep].T @ a @ vecs[:, keep]
-    return root[:, None] * a_restricted * root[None, :], vecs[:, keep] * root
+    a_restricted = kept.T @ a @ kept
+    return root[:, None] * a_restricted * root[None, :], kept * root
 
 
-def max_rayleigh(a, b, tol: ToleranceProfile = DEFAULT_TOL) -> float:
-    """Supremum of ``<a f, f> / <b f, f>`` over f outside the kernel of b.
+def max_rayleigh(m, b, tol: ToleranceProfile = DEFAULT_TOL) -> float:
+    """Supremum of ``<a f, f> / <b f, f>`` with a = m m* over f outside the kernel of b.
 
     Parameters
     ----------
-    a, b : array_like
-        Symmetric positive semidefinite matrices of matching shape.
+    m, b : array_like
+        The factor of a = m m*, and a symmetric PSD b with as many rows.
     tol : ToleranceProfile
-        Rank cutoff for the restriction of the pencil to ``range(b)`` and
-        the symmetry / kernel-containment checks.
+        Rank cutoff for the restriction of the pencil to ``range(b)``, the
+        symmetry check on b and the containment of m in ``range(b)``.
 
     Returns
     -------
     float
         The largest generalized eigenvalue of the pencil restricted to
-        ``range(b)``; ``inf`` when the kernel of b is not contained in the
-        kernel of a (the quotient is then unbounded); 0.0 in the vacuous
-        case a = b = 0.
+        ``range(b)``; ``inf`` when the columns of m fail ``outside_column``
+        against b's kept eigenvectors (the quotient is then unbounded); 0.0
+        in the vacuous case a = b = 0.
 
     Raises
     ------
     ValueError
-        If either argument is asymmetric beyond tolerance or shapes differ.
+        If b is asymmetric beyond tolerance or the shapes differ.
     """
-    pencil, _ = _scaled_pencil(a, b, tol)
+    pencil, _ = _scaled_pencil(m, b, tol)
     if pencil is None:
         return float("inf")
     return max(float(np.linalg.eigvalsh(pencil)[-1]), 0.0) if pencil.size else 0.0
 
 
-def rayleigh_maximizer(a, b, tol: ToleranceProfile = DEFAULT_TOL) -> tuple[float, np.ndarray]:
+def rayleigh_maximizer(m, b, tol: ToleranceProfile = DEFAULT_TOL) -> tuple[float, np.ndarray]:
     """``max_rayleigh``, from ``eigh`` (so equal up to the last digits), and a unit maximizer.
 
-    An unbounded quotient gives a kernel vector of b that a moves; a = b = 0 gives zero.
+    An unbounded quotient gives the normalized part of m's worst column off
+    range(b); a = b = 0 gives zero.
     """
-    pencil, back = _scaled_pencil(a, b, tol)
+    pencil, back = _scaled_pencil(m, b, tol)
     if pencil is None:
         return float("inf"), back
     if not pencil.size:

@@ -25,8 +25,11 @@ from kfusion.numerics import (
     DEFAULT_TOL,
     AgreementError,
     ToleranceProfile,
+    agreement,
     as_matrix,
+    at_most,
     max_rayleigh,
+    negligible,
     orthonormal_range,
     r_factor,
     rayleigh_maximizer,
@@ -47,15 +50,15 @@ def analysis_epsilon(
     if len(w) != len(z) or w.ambient_dim != z.ambient_dim:
         raise ValueError("systems must have matching layout")
     k = as_matrix(k)
-    # an unchanged member adds exactly nothing; for the others Delta* Delta = (Y G*)(Y G*)*
+    # an unchanged member adds exactly nothing; the factors Y G* of the others stand side by
+    # side, so the Gram of the stack is the sum of their Delta* Delta = (Y G*)(Y G*)*
     gaps = (
         _member_gap(w_sub, w_weight, z_sub, z_weight)
         for (w_sub, w_weight), (z_sub, z_weight) in zip(w.members, z.members)
         if w_weight != z_weight or not np.array_equal(w_sub.basis, z_sub.basis)
     )
-    images = (y @ gap.T for y, gap in gaps)
-    gram = sum((image @ image.T for image in images), np.zeros((w.ambient_dim,) * 2))
-    ratio = max_rayleigh(gram, k @ k.T, tol)
+    images = np.hstack([np.zeros((w.ambient_dim, 0)), *(y @ gap.T for y, gap in gaps)])
+    ratio = max_rayleigh(images, k @ k.T, tol)
     return float(np.sqrt(ratio)) if np.isfinite(ratio) else np.inf
 
 
@@ -114,21 +117,24 @@ def member_pencils(
             epsilon * w_weight * r_factor(k.T @ q),
         )
         stacked = np.vstack(terms)
-        mu, g = rayleigh_maximizer(a.T @ a, stacked.T @ stacked, tol)
+        mu, g = rayleigh_maximizer(a.T, stacked.T @ stacked, tol)
         rhs = sum(np.linalg.norm(t @ g) for t in terms)
-        yield mu, q @ g, bool(np.linalg.norm(a @ g) > rhs * (1.0 + tol.eq_rel) + tol.eq_abs)
+        yield mu, q @ g, not at_most(np.linalg.norm(a @ g), rhs, tol)
 
 
 def _window(predicted: FrameBounds, actual: Certificate, tol: ToleranceProfile):
-    """Whether verified bounds exist and lie in the predicted window, up to slack; the numbers."""
-    slack = tol.eq_rel * (1.0 + predicted.upper)
-    verified = f"[{actual.bounds.lower}, {actual.bounds.upper}]" if actual.passed else "none"
-    inside = actual.passed and (
-        predicted.lower - slack <= actual.bounds.lower
-        and actual.bounds.upper <= predicted.upper + slack
+    """Whether verified bounds exist and lie in the window, each end up to rounding; the numbers."""
+    window = f"predicted window [{predicted.lower}, {predicted.upper}]"
+    if not actual.passed:
+        return False, f"verified bounds none, {window}"
+    lower, upper = actual.bounds.lower, actual.bounds.upper
+    low_gap, low_allowed = agreement(predicted.lower, lower, tol)
+    high_gap, high_allowed = agreement(upper, predicted.upper, tol)
+    inside = (predicted.lower <= lower or low_gap <= low_allowed) and (
+        upper <= predicted.upper or high_gap <= high_allowed
     )
-    numbers = f"verified bounds {verified}, predicted window [{predicted.lower}, {predicted.upper}]"
-    return bool(inside), f"{numbers}, slack {slack}"
+    numbers = f"verified bounds [{lower}, {upper}], {window}"
+    return inside, f"{numbers}, allowed gaps {low_allowed} below and {high_allowed} above"
 
 
 def certify_perturbation(
@@ -176,9 +182,9 @@ def certify_perturbation(
         y, gap = _member_gap(w_sub, w_weight, z_sub, z_weight)
         image = y @ gap.T
         inside = k_range.T @ image
-        if (
-            spectral_norm(image - k_range @ inside) > tol.eq_abs
-            or spectral_norm(inside) > epsilon * w_weight * sigma_min + tol.eq_abs
+        if not (
+            negligible(spectral_norm(image - k_range @ inside), 0.0, tol)
+            and negligible(spectral_norm(inside) - epsilon * w_weight * sigma_min, 0.0, tol)
         ):
             certified = False
             break
@@ -234,6 +240,9 @@ def perturbed_bounds(
     predicted bounds and a certificate carrying the verified bounds of the
     perturbed system; when the supplied epsilon really dominates the
     analysis deviation, the verified bounds must respect the prediction.
+    "Dominates" is ``at_most(eps*, epsilon)``, which grants eps* up to its
+    allowance above epsilon; the verified bounds are then judged against
+    the window that eps* predicts, so the allowance moves both alike.
     """
     k = as_matrix(k)
     base = verify_k_fusion(w, k, tol)
@@ -242,15 +251,20 @@ def perturbed_bounds(
     sqrt_a = float(np.sqrt(base.bounds.lower))
     if not 0.0 <= epsilon < sqrt_a:
         raise ValueError("epsilon must lie in [0, sqrt(A))")
-    predicted = FrameBounds(
-        lower=(sqrt_a - epsilon) ** 2,
-        upper=(np.sqrt(base.bounds.upper) + epsilon * frame_analysis(w, k, tol).k_norm) ** 2,
-        optimal=False,
-    )
+    sqrt_b = float(np.sqrt(base.bounds.upper))
+    k_norm = frame_analysis(w, k, tol).k_norm
+
+    def window_at(e):
+        return FrameBounds(
+            lower=max(sqrt_a - e, 0.0) ** 2, upper=(sqrt_b + e * k_norm) ** 2, optimal=False
+        )
+
+    predicted = window_at(epsilon)
     actual = verify_k_fusion(z, k, tol)
-    dominated, numbers = _window(predicted, actual, tol)
     eps_star = analysis_epsilon(w, z, k, tol)
-    hypothesis_holds = bool(eps_star <= epsilon * (1.0 + tol.eq_rel) + tol.eq_abs)
+    hypothesis_holds = at_most(eps_star, epsilon, tol)
+    granted = window_at(max(eps_star, epsilon)) if hypothesis_holds else predicted
+    dominated, numbers = _window(granted, actual, tol)
     if hypothesis_holds and not dominated:
         raise AgreementError(f"perturbed bounds escape the predicted window: {numbers}")
     cert = Certificate(

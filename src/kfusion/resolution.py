@@ -14,13 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kfusion.factorization import DouglasSolution, x_w
+from kfusion.factorization import DouglasSolution, solution_matrix, x_w
 from kfusion.frames import (
     BlockVector,
-    Certificate,
     FusionSystem,
     frame_analysis,
-    frame_operator,
     range_projector,
     subspace_from_columns,
     synthesis,
@@ -30,7 +28,11 @@ from kfusion.numerics import (
     DEFAULT_TOL,
     ToleranceProfile,
     as_matrix,
+    at_most,
+    cross_allowance,
     max_rayleigh,
+    negligible,
+    outside_column,
     pinv,
     spectral_norm,
 )
@@ -90,10 +92,10 @@ def verify_resolution(
     residual = spectral_norm(r.weighted_sum() - k)
     gram = r.gram()
     upper = spectral_norm(gram)
-    ratio = max_rayleigh(k.T @ k, gram, tol)
+    ratio = max_rayleigh(k.T, gram, tol)
     lower = 0.0 if np.isinf(ratio) else (np.inf if ratio == 0.0 else 1.0 / ratio)
     return ResolutionCheck(
-        passed=bool(residual <= tol.eq_abs * (1.0 + spectral_norm(k))),
+        passed=negligible(residual, spectral_norm(k), tol),
         residual=residual,
         lower=lower,
         upper=upper,
@@ -110,9 +112,7 @@ def resolution_from_x(
     weighted sum telescopes back through the synthesis equation.
     """
     k = as_matrix(k)
-    x_mat = as_matrix(x.x)
-    if spectral_norm(synthesis(w) @ x_mat - k) > tol.eq_rel * (1.0 + spectral_norm(k)):
-        raise ValueError("x does not solve the synthesis equation for K")
+    x_mat = solution_matrix(w, k, x, tol)
     thetas = tuple(
         sub.basis @ x_mat[sl, :] for (sub, _), sl in zip(w.members, w.block_slices())
     )
@@ -196,19 +196,17 @@ def minimal_norm_check(
     if len(r) != len(w):
         raise ValueError("one operator per member is required")
     for idx, (theta, (sub, _)) in enumerate(zip(r.thetas, w.members)):
-        drift = spectral_norm(theta - sub.projector() @ theta)
-        if drift > tol.eq_abs * (1.0 + spectral_norm(theta)):
+        if outside_column(theta, sub.basis, spectral_norm(theta), tol) is not None:
             raise ValueError(f"operator {idx} does not map into member {idx}")
     lifted = sum(weight * theta for theta, weight in zip(r.thetas, w.weights))
-    gap = spectral_norm(lifted - k)
-    if gap > tol.eq_abs * (1.0 + spectral_norm(k)):
+    if not negligible(spectral_norm(lifted - k), spectral_norm(k), tol):
         raise ValueError(
             "resolution must reproduce K with one factor of the system weights"
         )
     x_mat = x_w(w, k, tol).x
     projectors = [sub.projector() for sub, _ in w.members]
     rng = np.random.default_rng(2)
-    plain, centered = [], []
+    plain, centered, within = [], [], True
     for _ in range(100):
         f = rng.standard_normal(w.ambient_dim)
         blocks = BlockVector.from_stacked(x_mat @ f, w.dims())
@@ -226,10 +224,10 @@ def minimal_norm_check(
             rhs_centered += float(np.linalg.norm(theta @ f - target) ** 2)
         plain.append(rhs_plain - lhs_plain)
         centered.append(rhs_centered - lhs_centered)
-    scale = tol.eq_rel * (1.0 + max(map(abs, plain + centered)))
-    passed = min(plain) >= -scale and min(centered) >= -scale
+        for lhs, rhs in ((lhs_plain, rhs_plain), (lhs_centered, rhs_centered)):
+            within = within and at_most(lhs, rhs, tol)
     return MinimalNormReport(
-        passed=bool(passed),
+        passed=within,
         plain_margin=(min(plain), max(plain)),
         centered_margin=(min(centered), max(centered)),
         samples=100,
@@ -263,9 +261,7 @@ def pinv_via_xw(w: FusionSystem, k, f, tol: ToleranceProfile = DEFAULT_TOL):
         raise ValueError("vector must live in the ambient space")
     p_r = range_projector(k, tol)
     projected = p_r @ f
-    was_outside = bool(
-        np.linalg.norm(f - projected) > tol.eq_abs * (1.0 + np.linalg.norm(f))
-    )
+    was_outside = not negligible(np.linalg.norm(f - projected), np.linalg.norm(f), tol)
     if was_outside:
         warnings.warn("vector outside range(K) was projected", stacklevel=2)
     t_w = synthesis(w)
@@ -274,14 +270,13 @@ def pinv_via_xw(w: FusionSystem, k, f, tol: ToleranceProfile = DEFAULT_TOL):
         tuple(weight * b for b, (_, weight) in zip(plain.blocks, w.members))
     )
     oracle = BlockVector.from_stacked(pinv(p_r @ t_w, tol) @ projected, w.dims())
-    slack = tol.eq_rel * (1.0 + oracle.norm())
     gap_plain = float(np.linalg.norm(plain.stacked() - oracle.stacked()))
     gap_weighted = float(np.linalg.norm(weighted.stacked() - oracle.stacked()))
     report = PinvRouteReport(
         projected=was_outside,
         gap_plain=gap_plain,
         gap_weighted=gap_weighted,
-        matches_plain=bool(gap_plain <= slack),
-        matches_weighted=bool(gap_weighted <= slack),
+        matches_plain=gap_plain <= cross_allowance(max(plain.norm(), oracle.norm()), tol),
+        matches_weighted=gap_weighted <= cross_allowance(max(weighted.norm(), oracle.norm()), tol),
     )
     return weighted, report

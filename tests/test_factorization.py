@@ -5,9 +5,18 @@ import pytest
 
 from conftest import make_system, random_fusion_system
 from kfusion import factorization
+from kfusion.duality import qk_dual_from_x
 from kfusion.factorization import DouglasSolution, douglas_solve, range_included, x_w
-from kfusion.frames import frame_operator, range_projector, synthesis, verify_k_fusion
+from kfusion.frames import (
+    FusionSystem,
+    frame_operator,
+    range_projector,
+    subspace_from_spanning,
+    synthesis,
+    verify_k_fusion,
+)
 from kfusion.numerics import DEFAULT_TOL, AgreementError, Svd, pinv, spectral_norm
+from kfusion.resolution import resolution_from_x
 
 ABS_TOLERANCE = 1e-9
 REL_TOLERANCE = 1e-8
@@ -46,6 +55,54 @@ def test_range_included_and_douglas_solve_share_one_rule():
     np.testing.assert_array_equal(witness, outside[:, 0])
     with pytest.raises(ValueError, match="not contained"):
         douglas_solve(outside, l2)
+
+
+def _tilted_columns(scale, delta, count):
+    """``count`` copies of the column scale * (1, delta), against L2 = e_1 in R^2."""
+    return scale * np.array([[1.0] * count, [delta] * count]), np.array([[1.0], [0.0]])
+
+
+@pytest.mark.parametrize(
+    "scale, delta, count",
+    [(1.0, 2.9e-9, 4), (1.0, 1.5e-8, 200)],
+    ids=["four-columns", "many-columns"],
+)
+def test_range_inclusion_is_decided_on_the_whole_matrix(scale, delta, count):
+    # each column sits inside eq_abs * (1 + ||L1||), the Frobenius norm of the off-range part not
+    l1, l2 = _tilted_columns(scale, delta, count)
+    included, witness = range_included(l1, l2)
+    assert not included
+    np.testing.assert_array_equal(witness, l1[:, 0])
+    with pytest.raises(ValueError, match="not contained"):
+        douglas_solve(l1, l2)
+
+
+def test_an_included_range_gives_a_bounded_pencil():
+    # the off-range part passes the containment rule, so the pencil of L1 L1* is bounded
+    l1, l2 = _tilted_columns(2.0, 1.2e-9, 4)
+    assert range_included(l1, l2)[0]
+    sol = douglas_solve(l1, l2)
+    assert sol.norm_sq == pytest.approx(16.0, rel=REL_TOLERANCE)
+    assert sol.alpha_inf == pytest.approx(16.0, rel=REL_TOLERANCE)
+
+
+def test_x_w_solves_the_synthesis_equation_it_is_checked_against():
+    # K leaves the span of the four rotated lines by just under the containment threshold
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((5, 5)))
+    w = FusionSystem(5, tuple((subspace_from_spanning([q[:, i]]), 1.0) for i in range(4)))
+
+    def k_at(d):
+        return q[:, :4] @ np.eye(4, 5) + d * q[:, 4:5] @ np.ones((1, 5))
+
+    inside, outside = 0.0, 1e-8
+    for _ in range(60):
+        mid = (inside + outside) / 2
+        inside, outside = (mid, outside) if verify_k_fusion(w, k_at(mid)).passed else (inside, mid)
+    k = k_at(inside)
+    x = x_w(w, k)
+    assert x.residual > ABS_TOLERANCE
+    qk_dual_from_x(w, k, x)
+    resolution_from_x(w, k, x)
 
 
 def test_douglas_solve_identity_case():
@@ -97,7 +154,7 @@ def test_residual_disagreement_names_the_residual_and_the_tolerance(monkeypatch)
     found = re.search(r"\|\|L2 x - L1\|\| = (\S+) exceeds tolerance (\S+)$", str(err.value))
     residual, allowed = map(float, found.groups())
     assert residual > allowed
-    assert allowed == pytest.approx(DEFAULT_TOL.eq_rel * (1.0 + spectral_norm(l1)), rel=1e-12)
+    assert allowed == pytest.approx(DEFAULT_TOL.eq_rel * max(spectral_norm(l1), 1.0), rel=1e-12)
 
 
 def test_norm_disagreement_names_both_values_the_gap_and_the_tolerance(monkeypatch):

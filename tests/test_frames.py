@@ -176,6 +176,17 @@ def test_verify_failure_yields_range_witness():
     assert np.linalg.norm(outside) > 1e-6
 
 
+def test_a_k_that_leaves_the_span_fails_the_range_check_not_the_pencil():
+    # every column of K is 1.5e-9 off the span of four coordinate lines in R^5: within
+    # eq_abs * (1 + ||K||) one at a time, beyond it together
+    w = make_system(5, [[tuple(np.eye(5)[i])] for i in range(4)])
+    k = np.vstack([np.eye(4), np.full((1, 4), 1.5e-9)])
+    cert = verify_k_fusion(w, k)
+    assert not cert.passed
+    assert cert.message.startswith("range obstruction")
+    np.testing.assert_array_equal(cert.witness, k[:, 0])
+
+
 def test_verify_lower_bound_two_ways_agree(r3_system, r3_k, r4_system, r4_k):
     for w, k in ((r3_system, r3_k), (r4_system, r4_k)):
         cert = verify_k_fusion(w, k)

@@ -162,7 +162,7 @@ def test_max_rayleigh_synthesis_pencil():
             [0.0, 1.0, 1.0, 0.0],
         ]
     )
-    assert max_rayleigh(k @ k.T, t @ t.T) == pytest.approx(1.0, abs=ABS_TOLERANCE)
+    assert max_rayleigh(k, t @ t.T) == pytest.approx(1.0, abs=ABS_TOLERANCE)
 
 
 def test_max_rayleigh_commuting_diagonal_brute_force():
@@ -173,7 +173,7 @@ def test_max_rayleigh_commuting_diagonal_brute_force():
         beta[rng.integers(0, MATRIX_DIMENSION)] = 0.0
         alpha[beta == 0.0] = 0.0
         expected = np.max(alpha[beta > 0.0] / beta[beta > 0.0])
-        got = max_rayleigh(np.diag(alpha), np.diag(beta))
+        got = max_rayleigh(np.diag(np.sqrt(alpha)), np.diag(beta))
         assert got == pytest.approx(expected, rel=REL_TOLERANCE, abs=ABS_TOLERANCE)
 
 
@@ -191,8 +191,8 @@ def test_max_rayleigh_zero_pencil():
 def test_rayleigh_maximizer_attains_max_rayleigh(g, h):
     a = g @ g.T
     b = h @ h.T + 1e-3 * np.eye(MATRIX_DIMENSION)
-    value, f = rayleigh_maximizer(a, b)
-    assert value == pytest.approx(max_rayleigh(a, b), rel=REL_TOLERANCE, abs=ABS_TOLERANCE)
+    value, f = rayleigh_maximizer(g, b)
+    assert value == pytest.approx(max_rayleigh(g, b), rel=REL_TOLERANCE, abs=ABS_TOLERANCE)
     assert np.linalg.norm(f) == pytest.approx(1.0, rel=1e-12)
     assert f @ a @ f == pytest.approx(value * (f @ b @ f), rel=REL_TOLERANCE, abs=ABS_TOLERANCE)
 
@@ -208,7 +208,7 @@ def test_rayleigh_maximizer_unbounded_and_vacuous_pencils():
 
 def test_max_rayleigh_rejects_asymmetric_input():
     with pytest.raises(ValueError):
-        max_rayleigh(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
+        max_rayleigh(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_tolerance_profile_validation():
@@ -251,10 +251,9 @@ def test_spectral_norm_transpose_invariant(m):
 @settings(deadline=None)
 @given(square_matrices, square_matrices, st.floats(min_value=0.1, max_value=10.0))
 def test_max_rayleigh_scale_covariance(g, h, c):
-    a = g @ g.T
     b = h @ h.T + 1e-3 * np.eye(MATRIX_DIMENSION)
-    base = max_rayleigh(a, b)
-    scaled = max_rayleigh(c * a, b)
+    base = max_rayleigh(g, b)
+    scaled = max_rayleigh(np.sqrt(c) * g, b)
     assert scaled == pytest.approx(c * base, rel=REL_TOLERANCE, abs=ABS_TOLERANCE)
 
 
@@ -421,3 +420,37 @@ def test_the_seed_scan_sees_the_exempt_generator_and_the_literal_ones():
     assert [(owner, type(args[0])) for owner, args in instances] == [("random_instance", ast.Name)]
     duality = _generator_seeds(ast.parse((package / "duality.py").read_text()))
     assert duality and all(isinstance(args[0], ast.Constant) for _, args in duality)
+
+
+# The tolerance policy lives in numerics: every other module compares with
+# the tolerance through its rules, never by reading a profile field.
+TOLERANCE_FIELDS = {"eq_abs", "eq_rel", "rank_rel"}
+
+
+def _tolerance_reads(tree):
+    """(enclosing top-level function or None, field) of every attribute read of a profile field."""
+    found = []
+    for node in tree.body:
+        owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+        for attr in ast.walk(node):
+            if isinstance(attr, ast.Attribute) and attr.attr in TOLERANCE_FIELDS:
+                found.append((owner, attr.attr))
+    return found
+
+
+def test_only_numerics_reads_the_tolerance_fields():
+    package = Path(__file__).resolve().parents[1] / "src" / "kfusion"
+    offenders = [
+        f"{path.stem}.{owner}: .{name}"
+        for path in sorted(package.glob("*.py"))
+        if path.stem != "numerics"
+        for owner, name in _tolerance_reads(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not offenders, offenders
+
+
+def test_the_tolerance_scan_sees_the_reads_in_numerics():
+    path = Path(__file__).resolve().parents[1] / "src" / "kfusion" / "numerics.py"
+    reads = _tolerance_reads(ast.parse(path.read_text()))
+    assert {("negligible", "eq_abs"), ("cross_allowance", "eq_rel")} <= set(reads)
+    assert {name for _, name in reads} == TOLERANCE_FIELDS

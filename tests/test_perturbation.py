@@ -85,6 +85,19 @@ def test_perturbed_bounds_tight_epsilon_dominates(r3_system, r3_k):
     assert cert.bounds.lower >= predicted.lower - 1e-9
 
 
+def test_a_hypothesis_granted_by_its_allowance_widens_the_window_alike():
+    # eps* = 8e-9 exceeds epsilon = 0 by less than the cross-check allowance 1e-8,
+    # and the verified lower bound (1 - 8e-9)^2 sits below the window [1, 1] by more
+    line = Subspace(1, np.eye(1))
+    w = FusionSystem(1, ((line, 1.0),))
+    z = FusionSystem(1, ((line, 1.0 - 8e-9),))
+    predicted, cert = perturbed_bounds(w, z, np.eye(1), 0.0)
+    assert [predicted.lower, predicted.upper] == [1.0, 1.0]
+    assert cert.details["analysis_epsilon"] == pytest.approx(8e-9)
+    assert cert.details["hypothesis_holds"]
+    assert cert.passed
+
+
 # ---------------------------------------------------------- epsilon threshold
 
 
@@ -199,7 +212,8 @@ def test_certify_rejects_bad_parameters(r3_system, r3_k):
 
 
 WINDOW_MESSAGE = re.compile(
-    r"verified bounds (none|\[(\S+), (\S+)\]), predicted window \[(\S+), (\S+)\], slack (\S+)$"
+    r"verified bounds (none|\[(\S+), (\S+)\]), predicted window \[(\S+), (\S+)\]"
+    r"(?:, allowed gaps (\S+) below and (\S+) above)?$"
 )
 
 
@@ -242,11 +256,12 @@ def test_window_errors_name_the_bounds_the_window_and_the_slack(
     with pytest.raises(AgreementError) as err:
         question(r3_system, z, r3_k)
     found = WINDOW_MESSAGE.search(str(err.value))
-    verified, lower, upper, low, high, slack = found.groups()
+    verified, lower, upper, low, high, below, above = found.groups()
     assert [float(low), float(high)] == [predicted.lower, predicted.upper]
-    assert float(slack) == DEFAULT_TOL.eq_rel * (1.0 + predicted.upper)
     if skew is _failed:
-        assert verified == "none"
+        assert verified == "none" and below is None
     else:
-        assert float(upper) > float(high) + float(slack)
-        assert float(lower) >= float(low) - float(slack)
+        assert float(below) == DEFAULT_TOL.eq_rel * max(float(lower), float(low), 1.0)
+        assert float(above) == DEFAULT_TOL.eq_rel * max(float(upper), float(high), 1.0)
+        assert float(upper) > float(high) + float(above)
+        assert float(lower) >= float(low) - float(below)

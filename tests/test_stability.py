@@ -124,7 +124,8 @@ def test_pencils_live_in_each_members_subspace(monkeypatch):
         for (ws, _), (zs, _) in zip(w.members, z.members)
     ]
     assert report.decided_by == "falsifier"
-    assert shapes == [((dim, dim), (dim, dim)) for dim in dims[:4]]
+    # the pencil takes the factor of its left side, which has dim S_i rows
+    assert [(m[0], b) for m, b in shapes] == [(dim, (dim, dim)) for dim in dims[:4]]
     assert dims[3] == 6 and max(dims) < n
 
 
