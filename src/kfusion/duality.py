@@ -178,12 +178,12 @@ def is_qk_dual(
         together with the two lower-bound inequalities those must satisfy.
     """
     q = as_matrix(q)
-    return _qk_certificate(w, v, q, k, lambda: spectral_norm(q), tol)
-
-
-def _qk_certificate(w, v, q, k, q_norm, tol) -> DualCertificate:
-    """``is_qk_dual`` with the norm of Q supplied by a callable, called only on a pass."""
     k = as_matrix(k)
+    return _qk_certificate(w, v, q, k, spectral_norm(k), lambda: spectral_norm(q), tol)
+
+
+def _qk_certificate(w, v, q, k, k_norm, q_norm, tol) -> DualCertificate:
+    """``is_qk_dual`` given the norm of K, and the norm of Q by a callable called only on a pass."""
     t_w = synthesis(w)
     t_v = synthesis(v)
     if q.shape != (t_v.shape[1], t_w.shape[1]):
@@ -192,7 +192,7 @@ def _qk_certificate(w, v, q, k, q_norm, tol) -> DualCertificate:
     cert = DualCertificate(
         kind="QK",
         residual=residual,
-        passed=negligible(residual, spectral_norm(k), tol),
+        passed=negligible(residual, k_norm, tol),
         operator_q=q,
     )
     if not cert.passed:
@@ -235,8 +235,12 @@ def qk_dual_from_x(
     f = frame_analysis(dual, k.T, tol).factors
     scaled = f.u / f.singular_values
     q = (x_mat @ scaled @ f.v.T).T
-    # ||Q|| = ||X U Sigma^-1||, and the R-factor of X has the norms of X
-    cert = _qk_certificate(w, dual, q, k, lambda: spectral_norm(r_factor(x_mat) @ scaled), tol)
+    # ||K|| from the analysis solution_matrix read; ||Q|| = ||X U Sigma^-1||,
+    # and the R-factor of X has the norms of X
+    k_norm = frame_analysis(w, k, tol).k_norm
+    cert = _qk_certificate(
+        w, dual, q, k, k_norm, lambda: spectral_norm(r_factor(x_mat) @ scaled), tol
+    )
     return dual, q, cert
 
 
@@ -273,7 +277,8 @@ def is_k_dual(
     return DualCertificate(
         kind="K",
         residual=residual,
-        passed=negligible(residual, spectral_norm(k), tol),
+        # the reconstruction read the analysis of (W, K, tol), which holds ||K||
+        passed=negligible(residual, frame_analysis(w, k, tol).k_norm, tol),
         details={"phi": phi},
     )
 

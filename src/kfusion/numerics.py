@@ -52,19 +52,37 @@ def negligible(residual: float, scale: float, tol: ToleranceProfile) -> bool:
     return bool(residual <= tol.eq_abs * (1.0 + scale))
 
 
-def outside_column(m: np.ndarray, basis: np.ndarray, m_norm: float, tol: ToleranceProfile):
+# ||B* m|| <= ||m|| holds exactly; the computed values can cross by rounding
+# when m lies in the span. Shrinking the first scale by far more than that
+# rounding keeps every first-step pass a pass of the one-step rule.
+_BELOW_NORM = 1.0 - 1e-8
+
+
+def outside_column(m: np.ndarray, basis: np.ndarray, m_norm, tol: ToleranceProfile):
     """The containment rule: None when the columns of m lie in span(basis), else the worst column.
 
     ``basis`` has orthonormal columns and ``m_norm`` is the spectral norm of m.
     The columns lie in the span when the Frobenius norm of (I - B B*) m is
     ``negligible`` at scale ``m_norm``; it bounds the spectral norm from above.
+
+    ``m_norm`` may instead be a callable that computes that norm. The rule is
+    then first decided at the scale of ||B* m||, a norm the size of the span:
+    it is at most ||m||, and ``negligible`` accepts more as its scale grows,
+    so a pass there is a pass at ||m||. The callable runs only on a fail,
+    and the rule is decided again at ||m|| (see ``_BELOW_NORM``).
     """
+    coords = basis.T @ m
     # in place: m can be far wider than it is tall
-    off = basis @ (basis.T @ m)
+    off = basis @ coords
     off -= m
     off *= off
     squares = off.sum(axis=0)
-    if negligible(float(np.sqrt(squares.sum())), m_norm, tol):
+    residual = float(np.sqrt(squares.sum()))
+    if callable(m_norm):
+        if negligible(residual, _BELOW_NORM * spectral_norm(coords), tol):
+            return None
+        m_norm = m_norm()
+    if negligible(residual, m_norm, tol):
         return None
     return int(np.argmax(squares))
 
@@ -278,8 +296,9 @@ def _scaled_pencil(m, b, tol: ToleranceProfile):
     kept = vecs[:, keep]
     a = m @ m.T
     if not keep.all():
-        # ||m|| squared is the norm of the symmetric a, which needs no Gram of m
-        j = outside_column(m, kept, np.sqrt(spectral_norm(a)), tol)
+        # ||m|| squared is the norm of the symmetric a, which needs no Gram of m;
+        # it is computed only when the rank-sized first step fails
+        j = outside_column(m, kept, lambda: np.sqrt(spectral_norm(a)), tol)
         if j is not None:
             off = m[:, j] - kept @ (kept.T @ m[:, j])
             return None, off / np.linalg.norm(off)

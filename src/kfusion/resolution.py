@@ -34,38 +34,91 @@ from kfusion.numerics import (
     negligible,
     outside_column,
     pinv,
+    r_factor,
     spectral_norm,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Resolution:
-    """Family of operators with positive weights, aimed at summing to K."""
+    """Family of operators with positive weights, aimed at summing to K.
 
-    thetas: tuple
+    Operator i is kept as a factor pair ``factors[i] = (left_i, right_i)``
+    with theta_i = left_i @ right_i: left_i is n x d_i and right_i is
+    d_i x cols. The library's constructions pass pairs with d_i the member
+    dimension, so nothing per member is n x n; ``Resolution(thetas, weights)``
+    keeps each dense theta as the pair (theta, I).
+    """
+
+    factors: tuple
     weights: tuple
 
-    def __post_init__(self):
-        if len(self.thetas) != len(self.weights):
+    def __init__(self, thetas, weights):
+        mats = tuple(as_matrix(t) for t in thetas)
+        eye = np.eye(mats[0].shape[1]) if mats else None
+        self._set(tuple((t, eye) for t in mats), weights)
+
+    @classmethod
+    def from_factors(cls, factors, weights) -> "Resolution":
+        """The resolution with operators ``left @ right`` for each (left, right) in ``factors``."""
+        r = cls.__new__(cls)
+        r._set(tuple((as_matrix(left), as_matrix(right)) for left, right in factors), weights)
+        return r
+
+    def _set(self, factors, weights) -> None:
+        weights = tuple(weights)
+        if len(factors) != len(weights):
             raise ValueError("one weight per operator is required")
-        if any(w <= 0 for w in self.weights):
+        if not factors:
+            raise ValueError("a resolution needs at least one operator")
+        if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive")
-        mats = tuple(as_matrix(t) for t in self.thetas)
-        shapes = {m.shape for m in mats}
-        if len(shapes) > 1:
+        if len({(left.shape[0], right.shape[1]) for left, right in factors}) > 1:
             raise ValueError("all operators must share one shape")
-        object.__setattr__(self, "thetas", mats)
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        if any(left.shape[1] != right.shape[0] for left, right in factors):
+            raise ValueError("each left factor needs as many columns as its right factor has rows")
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "weights", tuple(float(w) for w in weights))
 
     def __len__(self) -> int:
-        return len(self.thetas)
+        return len(self.factors)
+
+    @property
+    def shape(self) -> tuple:
+        left, right = self.factors[0]
+        return left.shape[0], right.shape[1]
+
+    @property
+    def thetas(self) -> tuple:
+        """The operators as dense matrices, multiplied out on every read."""
+        return tuple(left @ right for left, right in self.factors)
 
     def weighted_sum(self) -> np.ndarray:
-        return sum(w**2 * t for t, w in zip(self.thetas, self.weights))
+        """Sum of w_i**2 theta_i, as one product of the stacked factors."""
+        lefts = np.hstack([left for left, _ in self.factors])
+        rights = np.vstack([w**2 * right for (_, right), w in zip(self.factors, self.weights)])
+        return lefts @ rights
+
+    def gram_factor(self) -> np.ndarray:
+        """M with M* M the weighted gram sum, at most cols rows tall.
+
+        M stacks w_i R_i right_i, with R_i the R-factor of left_i, so it has
+        sum(d_i) rows; a stack taller than it is wide is replaced by its own
+        R-factor.
+        """
+        m = np.vstack(
+            [w * (r_factor(left) @ right) for (left, right), w in zip(self.factors, self.weights)]
+        )
+        return r_factor(m) if m.shape[0] > m.shape[1] else m
 
     def gram(self) -> np.ndarray:
-        g = sum(w**2 * t.T @ t for t, w in zip(self.thetas, self.weights))
-        return 0.5 * (g + g.T)
+        """Sum of w_i**2 theta_i* theta_i, from ``gram_factor``; exactly symmetric."""
+        return _gram(self.gram_factor())
+
+
+def _gram(m: np.ndarray) -> np.ndarray:
+    g = m.T @ m
+    return 0.5 * (g + g.T)
 
 
 @dataclass(frozen=True)
@@ -87,12 +140,13 @@ def verify_resolution(
     constraint.
     """
     k = as_matrix(k)
-    if r.thetas and r.thetas[0].shape != k.shape:
+    if r.shape != k.shape:
         raise ValueError("operators and K must share one shape")
     residual = spectral_norm(r.weighted_sum() - k)
-    gram = r.gram()
-    upper = spectral_norm(gram)
-    ratio = max_rayleigh(k.T, gram, tol)
+    # the gram sum is M* M, whose norm is that of M M*, at most min(sum(d_i), cols) wide
+    factor = r.gram_factor()
+    upper = spectral_norm(factor @ factor.T)
+    ratio = max_rayleigh(k.T, _gram(factor), tol)
     lower = 0.0 if np.isinf(ratio) else (np.inf if ratio == 0.0 else 1.0 / ratio)
     return ResolutionCheck(
         passed=negligible(residual, spectral_norm(k), tol),
@@ -113,10 +167,10 @@ def resolution_from_x(
     """
     k = as_matrix(k)
     x_mat = solution_matrix(w, k, x, tol)
-    thetas = tuple(
-        sub.basis @ x_mat[sl, :] for (sub, _), sl in zip(w.members, w.block_slices())
+    factors = tuple(
+        (sub.basis, x_mat[sl, :].copy()) for (sub, _), sl in zip(w.members, w.block_slices())
     )
-    return Resolution(thetas=thetas, weights=tuple(np.sqrt(w_) for w_ in w.weights))
+    return Resolution.from_factors(factors, tuple(np.sqrt(w_) for w_ in w.weights))
 
 
 def resolution_b(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> Resolution:
@@ -125,28 +179,27 @@ def resolution_b(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> Res
     The i-th operator is P_K P_i C, with P_K the range projector of K, P_i
     the member projector and C the adjoint of the inverse frame operator on
     the image, applied to K. With U_K an orthonormal basis of range(K) and
-    B_i the member basis it is built as (U_K (U_K* B_i)) (B_i* C), at
-    n * d_i * n operations per member.
+    B_i the member basis it is kept as the pair (U_K (U_K* B_i), B_i* C).
     """
     k = as_matrix(k)
     analysis = frame_analysis(w, k, tol).require()
     u_k = analysis.k_factors.u
     carrier = analysis.inverse_on_image.T @ k
-    thetas = tuple((u_k @ (u_k.T @ sub.basis)) @ (sub.basis.T @ carrier) for sub, _ in w.members)
-    return Resolution(thetas=thetas, weights=w.weights)
+    factors = tuple((u_k @ (u_k.T @ sub.basis), sub.basis.T @ carrier) for sub, _ in w.members)
+    return Resolution.from_factors(factors, w.weights)
 
 
 def resolution_c(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> Resolution:
     """Resolution by the inverse frame operator applied after member projections.
 
     The i-th operator is G P_i K, with G the inverse frame operator on the
-    image of range(K); it is built through the member basis B_i as
-    (G B_i) (B_i* K).
+    image of range(K); with B_i the member basis it is kept as the pair
+    (G B_i, B_i* K).
     """
     k = as_matrix(k)
     inv_img = frame_analysis(w, k, tol).require().inverse_on_image
-    thetas = tuple((inv_img @ sub.basis) @ (sub.basis.T @ k) for sub, _ in w.members)
-    return Resolution(thetas=thetas, weights=w.weights)
+    factors = tuple((inv_img @ sub.basis, sub.basis.T @ k) for sub, _ in w.members)
+    return Resolution.from_factors(factors, w.weights)
 
 
 def frame_from_resolution(r: Resolution, k, tol: ToleranceProfile = DEFAULT_TOL):
@@ -195,10 +248,11 @@ def minimal_norm_check(
     k = as_matrix(k)
     if len(r) != len(w):
         raise ValueError("one operator per member is required")
-    for idx, (theta, (sub, _)) in enumerate(zip(r.thetas, w.members)):
+    thetas = r.thetas
+    for idx, (theta, (sub, _)) in enumerate(zip(thetas, w.members)):
         if outside_column(theta, sub.basis, spectral_norm(theta), tol) is not None:
             raise ValueError(f"operator {idx} does not map into member {idx}")
-    lifted = sum(weight * theta for theta, weight in zip(r.thetas, w.weights))
+    lifted = sum(weight * theta for theta, weight in zip(thetas, w.weights))
     if not negligible(spectral_norm(lifted - k), spectral_norm(k), tol):
         raise ValueError(
             "resolution must reproduce K with one factor of the system weights"
@@ -211,17 +265,14 @@ def minimal_norm_check(
         f = rng.standard_normal(w.ambient_dim)
         blocks = BlockVector.from_stacked(x_mat @ f, w.dims())
         lhs_plain = blocks.norm_squared
-        rhs_plain = sum(
-            float(np.linalg.norm(theta @ f) ** 2) for theta in r.thetas
-        )
+        images = [left @ (right @ f) for left, right in r.factors]
+        rhs_plain = sum(float(np.linalg.norm(image) ** 2) for image in images)
         lhs_centered = 0.0
         rhs_centered = 0.0
-        for (sub, weight), block, theta, proj in zip(
-            w.members, blocks.blocks, r.thetas, projectors
-        ):
+        for (sub, weight), block, image, proj in zip(w.members, blocks.blocks, images, projectors):
             target = weight * (proj @ f)
             lhs_centered += float(np.linalg.norm(sub.basis @ block - target) ** 2)
-            rhs_centered += float(np.linalg.norm(theta @ f - target) ** 2)
+            rhs_centered += float(np.linalg.norm(image - target) ** 2)
         plain.append(rhs_plain - lhs_plain)
         centered.append(rhs_centered - lhs_centered)
         for lhs, rhs in ((lhs_plain, rhs_plain), (lhs_centered, rhs_centered)):

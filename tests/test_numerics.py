@@ -3,10 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from kfusion import numerics
 from kfusion.numerics import (
     DEFAULT_TOL,
     ToleranceProfile,
@@ -211,6 +212,83 @@ def test_max_rayleigh_rejects_asymmetric_input():
         max_rayleigh(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def _one_step_unbounded(m, b, tol):
+    """The containment rule decided once, at ||m||, in plain numpy: True when m leaves range(b)."""
+    vals, vecs = np.linalg.eigh(b)
+    kept = vecs[:, vals > tol.rank_rel * vals[-1]]
+    off = np.linalg.norm(m - kept @ (kept.T @ m))
+    return bool(off > tol.eq_abs * (1.0 + np.linalg.norm(m, 2)))
+
+
+@st.composite
+def pencils_near_the_containment_threshold(draw):
+    """(m, b, tol): a rank-deficient PSD b and an m whose part off range(b) is drawn or bisected.
+
+    With ``place`` "inside" or "outside", the off-range part is scaled to
+    one part in a million below or above the threshold of the one-step
+    rule, found by bisection; large ``eq_abs`` makes ||m|| clearly exceed
+    the norm of its part in range(b), so the first step fails there.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 7))
+    rank = draw(st.integers(1, n - 1))
+    cols = draw(st.integers(1, 7))
+    tol = ToleranceProfile(eq_abs=draw(st.sampled_from([1e-9, 1e-3, 0.5])))
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    b = (q[:, :rank] * rng.uniform(0.1, 3.0, rank)) @ q[:, :rank].T
+    b = 0.5 * (b + b.T)
+    inside = q[:, :rank] @ rng.standard_normal((rank, cols)) * 10.0 ** draw(st.integers(-3, 3))
+    away = q[:, rank:] @ rng.standard_normal((n - rank, cols))
+    place = draw(st.sampled_from(["drawn", "inside", "outside"]))
+    if place == "drawn":
+        return inside + 10.0 ** draw(st.integers(-14, 1)) * away, b, tol
+    low, high = 0.0, 1.0
+    while not _one_step_unbounded(inside + high * away, b, tol):
+        high *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (low + high)
+        low, high = (low, mid) if _one_step_unbounded(inside + mid * away, b, tol) else (mid, high)
+    t = low * (1.0 - 1e-6) if place == "inside" else high * (1.0 + 1e-6)
+    return inside + t * away, b, tol
+
+
+@seed(2)
+@settings(max_examples=200, deadline=None)
+@given(pencils_near_the_containment_threshold())
+def test_two_step_containment_decides_like_the_one_step_rule(case):
+    m, b, tol = case
+    assert np.isinf(max_rayleigh(m, b, tol)) == _one_step_unbounded(m, b, tol)
+
+
+def test_containment_failed_at_the_range_part_is_decided_again_at_the_full_norm():
+    # ||P m|| = 1 gives the threshold 0.5 * 2 = 1 < 1.1; ||m|| = sqrt(2.21) gives 1.24 > 1.1
+    tol = ToleranceProfile(eq_abs=0.5)
+    m = np.array([[1.0], [1.1]])
+    b = np.diag([1.0, 0.0])
+    assert not _one_step_unbounded(m, b, tol)
+    assert max_rayleigh(m, b, tol) == pytest.approx(1.0)
+
+
+def test_a_contained_pencil_takes_no_n_by_n_norm(monkeypatch):
+    """With b rank-deficient and m inside range(b), containment reads only a rank-sized norm."""
+    rng = np.random.default_rng(12)
+    n, rank = 40, 6
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :rank]
+    b = (q * rng.uniform(0.5, 2.0, rank)) @ q.T
+    b = 0.5 * (b + b.T)
+    m = q @ rng.standard_normal((rank, n))
+    shapes = []
+    real = numerics.spectral_norm
+
+    def recording(x):
+        shapes.append(np.shape(x))
+        return real(x)
+
+    monkeypatch.setattr(numerics, "spectral_norm", recording)
+    assert np.isfinite(max_rayleigh(m, b))
+    assert shapes == [(rank, n)]
+
+
 def test_tolerance_profile_validation():
     with pytest.raises(ValueError):
         ToleranceProfile(rank_rel=1.5)
@@ -219,14 +297,21 @@ def test_tolerance_profile_validation():
     assert DEFAULT_TOL.rank_rel == 1e-10
 
 
+# entries 6.08e-129 and 0 at [0, 0]: the pseudo-inverse has entries near 1.6e128
+TINY_WITH_A_ZERO_CORNER = np.full((MATRIX_DIMENSION, MATRIX_DIMENSION), 6.08e-129)
+TINY_WITH_A_ZERO_CORNER[0, 0] = 0.0
+
+
 @seed(1)
 @given(square_matrices)
+@example(TINY_WITH_A_ZERO_CORNER)
 def test_pinv_satisfies_penrose_identities(m):
     assume(rank_is_well_separated(m))
     p = pinv(m)
     scale = max(spectral_norm(m), 1.0)
     assert np.allclose(m @ p @ m, m, atol=REL_TOLERANCE * scale)
-    assert np.allclose(p @ m @ p, p, atol=REL_TOLERANCE * scale)
+    # p @ m @ p is in p's units: a tiny m has a huge pseudo-inverse
+    assert np.allclose(p @ m @ p, p, atol=REL_TOLERANCE * max(spectral_norm(p), 1.0))
     assert np.allclose(m @ p, (m @ p).T, atol=REL_TOLERANCE * scale)
     assert np.allclose(p @ m, (p @ m).T, atol=REL_TOLERANCE * scale)
 

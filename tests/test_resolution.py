@@ -157,13 +157,19 @@ def test_constructed_resolutions_pass_with_positive_lower(entropy, n):
         assert np.isfinite(check.upper)
 
 
-@pytest.mark.filterwarnings("ignore:zero-dimensional members")
-def test_member_basis_constructions_equal_the_projector_formulas():
+def _system_with_a_zero_member():
+    """Seeded n = 24 system of five members and a zero-dimensional one, and a rank-6 K inside it."""
     rng = np.random.default_rng(29)
     n = 24
     base = random_fusion_system(rng, n, [1, 3, 4, 6, 5], list(rng.uniform(0.5, 2.0, 5)))
     w = FusionSystem(n, base.members + ((Subspace(n, np.zeros((n, 0))), 1.5),))
     k = synthesis(w) @ rng.standard_normal((sum(w.dims()), 6)) @ rng.standard_normal((6, n))
+    return w, k
+
+
+@pytest.mark.filterwarnings("ignore:zero-dimensional members")
+def test_member_basis_constructions_equal_the_projector_formulas():
+    w, k = _system_with_a_zero_member()
     analysis = frame_analysis(w, k)
     p_r, inv_img = analysis.k_projector, analysis.inverse_on_image
     carrier = inv_img.T @ k
@@ -173,6 +179,74 @@ def test_member_basis_constructions_equal_the_projector_formulas():
         assert built.weights == tuple(w.weights)
         for theta, expected in zip(built.thetas, want):
             assert spectral_norm(theta - expected) <= 1e-12 * max(spectral_norm(expected), 1.0)
+
+
+def _built_resolutions(w, k):
+    """The three library constructions, each with its operators in the closed form of its docstring."""
+    analysis = frame_analysis(w, k)
+    p_r, inv_img = analysis.k_projector, analysis.inverse_on_image
+    carrier = inv_img.T @ k
+    sol = x_w(w, k)
+    return {
+        "b": (resolution_b(w, k), [p_r @ sub.projector() @ carrier for sub in w.subspaces]),
+        "c": (resolution_c(w, k), [inv_img @ sub.projector() @ k for sub in w.subspaces]),
+        "from_x": (
+            resolution_from_x(w, k, sol),
+            [sub.basis @ sol.x[sl, :] for sub, sl in zip(w.subspaces, w.block_slices())],
+        ),
+    }
+
+
+def _relative_gap(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.filterwarnings("ignore:zero-dimensional members")
+@pytest.mark.parametrize("name", ["b", "c", "from_x"])
+def test_factored_resolutions_equal_their_dense_sums(name):
+    w, k = _system_with_a_zero_member()
+    r, dense = _built_resolutions(w, k)[name]
+    weights = r.weights
+    for theta, want in zip(r.thetas, dense):
+        assert np.linalg.norm(theta - want) <= 1e-12 * max(np.linalg.norm(want), 1.0)
+    want_sum = sum(wt**2 * theta for theta, wt in zip(dense, weights))
+    want_gram = sum(wt**2 * theta.T @ theta for theta, wt in zip(dense, weights))
+    assert _relative_gap(r.weighted_sum(), want_sum) <= 1e-12
+    assert _relative_gap(r.gram(), want_gram) <= 1e-12
+    np.testing.assert_array_equal(r.gram(), r.gram().T)
+
+
+@pytest.mark.filterwarnings("ignore:zero-dimensional members")
+@pytest.mark.parametrize("name", ["b", "c", "from_x"])
+def test_factored_and_dense_resolutions_verify_alike(name):
+    w, k = _system_with_a_zero_member()
+    r, _ = _built_resolutions(w, k)[name]
+    factored = verify_resolution(r, k)
+    dense = verify_resolution(Resolution(r.thetas, r.weights), k)
+    assert factored.passed and dense.passed
+    for got, want in ((factored.lower, dense.lower), (factored.upper, dense.upper)):
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.filterwarnings("ignore:zero-dimensional members")
+def test_no_library_built_factor_is_n_by_n():
+    w, k = _system_with_a_zero_member()
+    n = w.ambient_dim
+    for r, _ in _built_resolutions(w, k).values():
+        assert len(r.factors) == len(w)
+        for (left, right), d in zip(r.factors, w.dims()):
+            assert left.shape == (n, d) and right.shape == (d, n)
+
+
+def test_factor_pairs_must_chain_and_share_one_shape():
+    with pytest.raises(ValueError):
+        Resolution.from_factors(((np.ones((3, 2)), np.ones((1, 3))),), (1.0,))
+    with pytest.raises(ValueError):
+        Resolution.from_factors(
+            ((np.ones((3, 1)), np.ones((1, 3))), (np.ones((3, 1)), np.ones((1, 2)))), (1.0, 1.0)
+        )
+    with pytest.raises(ValueError):
+        Resolution((), ())
 
 
 # ------------------------------------------------------------ induced systems
