@@ -27,7 +27,6 @@ from .frames import (
     is_exact,
     is_minimal,
     range_projector,
-    same_subspace,
     subspace_from_spanning,
     verify_k_fusion,
 )
@@ -114,8 +113,6 @@ def _digest(command: str, document, flags: dict, tol_flag) -> str:
 def _tolerance(document, tol_flag) -> ToleranceProfile:
     """The profile from ``--tol`` if given, else from the document's ``options.tolerance``."""
     if tol_flag is not None:
-        if tol_flag <= 0.0:
-            raise ValueError("tolerance must be positive")
         return ToleranceProfile(eq_abs=tol_flag, eq_rel=10.0 * tol_flag)
     # a malformed document or options block is reported when the instance is built
     options = document.get("options") if isinstance(document, dict) else None
@@ -169,15 +166,12 @@ def main():
     """Finite-dimensional K-fusion frame computations with certified reports."""
 
 
-def instance_command(name: str, *options, system=None):
+def instance_command(name: str, system=None):
     """Register ``compute(instance, tol, **options) -> (flags, results, passed)`` as ``name``.
 
     Options: ``--in``, ``--tol``, ``--out``, then ``--system`` if ``system`` gives
-    its (default, help), then ``options``. The help text is compute's docstring.
+    its (default, help). The help text is compute's docstring.
     """
-    if system is not None:
-        system_option = click.option("--system", "system_name", default=system[0], help=system[1])
-        options = (system_option, *options)
     in_option = click.option(
         "--in",
         "in_path",
@@ -185,6 +179,9 @@ def instance_command(name: str, *options, system=None):
         type=click.Path(exists=True, dir_okay=False),
         help="instance file to load",
     )
+    options = [in_option, _tol_option, _out_option]
+    if system is not None:
+        options.append(click.option("--system", "system_name", default=system[0], help=system[1]))
 
     def register(compute):
         def callback(in_path, tol_flag, out_path, **kwargs):
@@ -197,7 +194,7 @@ def instance_command(name: str, *options, system=None):
 
             _run(build, out_path)
 
-        for option in reversed((in_option, _tol_option, _out_option, *options)):
+        for option in reversed(options):
             callback = option(callback)
         main.command(name, help=compute.__doc__)(callback)
         return compute
@@ -347,12 +344,8 @@ def minimal_norm(instance, tol):
     return {}, results, outcome.passed
 
 
-@instance_command(
-    "perturb",
-    click.option("--seed", type=int, default=None, help="enters the digest; changes nothing"),
-    system=("Z", "perturbed system"),
-)
-def perturb(instance, tol, system_name, seed):
+@instance_command("perturb", system=("Z", "perturbed system"))
+def perturb(instance, tol, system_name):
     """Certify or falsify the three-parameter perturbation hypothesis."""
     params = instance.options.get("perturbation")
     if not isinstance(params, dict):
@@ -364,8 +357,6 @@ def perturb(instance, tol, system_name, seed):
         }
     except KeyError as exc:
         raise ValueError(f"options.perturbation: missing field {exc.args[0]!r}") from exc
-    # nothing is drawn at random; the seed stays in the digest so reports keep their bytes
-    use_seed = seed if seed is not None else int(instance.options.get("seed", 0))
     w, z, k = instance.system("W"), instance.system(system_name), instance.k_matrix
     outcome = certify_perturbation(
         w, z, k, values["lambda1"], values["lambda2"], values["epsilon"], tol
@@ -384,7 +375,7 @@ def perturb(instance, tol, system_name, seed):
         if outcome.falsified_witness is None
         else _vec(outcome.falsified_witness),
     }
-    return {"seed": use_seed, "system": system_name}, results, outcome.certified
+    return {"system": system_name}, results, outcome.certified
 
 
 @instance_command("approx-dual", system=("V", "candidate dual system"))
@@ -401,211 +392,108 @@ def _bundled_document(name: str) -> dict:
     return json.loads(resources.files(__package__).joinpath("data", name).read_text())
 
 
-def _check(checks, name, ok, **observed):
-    entry = {"name": name, "ok": bool(ok)}
-    if observed:
-        entry["observed"] = observed
-    checks.append(entry)
+# every expected number of examples.json is held to this absolute distance,
+# whatever tolerance the library runs under
+_EXAMPLES_ABS = 1e-10
 
 
-def _golden_checks(tol: ToleranceProfile) -> list:
-    checks = []
+def _matches(observed, expected) -> bool:
+    """Whether ``observed`` has the shape of ``expected`` and agrees with it.
 
+    Dicts (same keys) and lists (same length) recurse, booleans compare
+    exactly, and numbers (``expected`` as ``parse_number`` reads it) agree
+    within ``_EXAMPLES_ABS``.
+    """
+    if isinstance(expected, dict):
+        return (
+            isinstance(observed, dict)
+            and observed.keys() == expected.keys()
+            and all(_matches(observed[key], expected[key]) for key in expected)
+        )
+    if isinstance(expected, list):
+        return (
+            isinstance(observed, list)
+            and len(observed) == len(expected)
+            and all(_matches(o, e) for o, e in zip(observed, expected))
+        )
+    if isinstance(expected, bool) or isinstance(observed, bool):
+        return observed is expected
+    if not isinstance(observed, (int, float)):
+        return False
+    return abs(observed - parse_number(expected, "examples.json")) <= _EXAMPLES_ABS
+
+
+def _certified(cert) -> dict:
+    return {"passed": bool(cert.passed), "bounds": _bounds_dict(cert.bounds)}
+
+
+def _reconstructs(check) -> dict:
+    return {"passed": bool(check.passed), "residual": float(check.residual)}
+
+
+def _dual_family(dual, cert) -> dict:
+    return {
+        "passed": bool(cert.passed),
+        "member_dims": dual.dims(),
+        "member_projectors": [_mat(sub.projector()) for sub, _ in dual.members],
+    }
+
+
+def _golden_observations(tol: ToleranceProfile) -> dict:
+    """Check id -> what the library computes for it on the bundled examples."""
     r4 = instance_from_document(_bundled_document("example_r4.json"), tol)
     w4, k4 = r4.system("W"), r4.k_matrix
-    cert4 = verify_k_fusion(w4, k4, tol)
-    _check(
-        checks,
-        "plane-line system on R^4 has optimal bounds (1/2, 1)",
-        cert4.passed
-        and abs(cert4.bounds.lower - 0.5) <= 1e-8
-        and abs(cert4.bounds.upper - 1.0) <= 1e-8,
-        bounds=_bounds_dict(cert4.bounds),
-    )
-    _check(checks, "plane-line system on R^4 is minimal", is_minimal(w4, tol))
-    exact4 = is_exact(w4, k4, tol)
-    dropped = verify_k_fusion(w4.drop(1), k4, tol)
-    _check(
-        checks,
-        "dropping the line keeps bounds (1/2, 1), so the system is not exact",
-        (not exact4.exact)
-        and dropped.passed
-        and abs(dropped.bounds.lower - 0.5) <= 1e-8
-        and abs(dropped.bounds.upper - 1.0) <= 1e-8,
-        bounds=_bounds_dict(dropped.bounds),
-    )
-
     r3 = instance_from_document(_bundled_document("example_r3.json"), tol)
-    w, k = r3.system("W"), r3.k_matrix
-    cert3 = verify_k_fusion(w, k, tol)
-    _check(
-        checks,
-        "plane-line-line system on R^3 has optimal bounds (1, 2)",
-        cert3.passed
-        and abs(cert3.bounds.lower - 1.0) <= 1e-8
-        and abs(cert3.bounds.upper - 2.0) <= 1e-8,
-        bounds=_bounds_dict(cert3.bounds),
-    )
-
+    w, z, k = r3.system("W"), r3.system("Z"), r3.k_matrix
+    on_range = range_projector(k, tol)
+    s_w, s_z = frame_operator(w) @ on_range, frame_operator(z) @ on_range
     sol = x_w(w, k, tol)
-    _check(
-        checks,
-        "minimal synthesis solution has unit norm with certified range and nullspace",
-        abs(sol.norm_sq - 1.0) <= 1e-8
-        and sol.nullspace_match
-        and sol.range_containment,
-        norm_sq=sol.norm_sq,
-    )
-
-    s_on_range = frame_operator(w) @ range_projector(k, tol)
-    s_target = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
-    s_inv_target = np.array([[0.25, 0.25, 0.0], [0.25, 0.25, 0.0], [0.0, 0.0, 0.5]])
-    _check(
-        checks,
-        "frame operator restricted to range(K) and its pseudo-inverse match",
-        np.max(np.abs(s_on_range - s_target)) <= 1e-10
-        and np.max(np.abs(pinv(s_on_range, tol) - s_inv_target)) <= 1e-10,
-        frame_operator_on_range=_mat(s_on_range),
-    )
-
-    e1 = np.array([1.0, 0.0, 0.0])
-    e2 = np.array([0.0, 1.0, 0.0])
-    e3 = np.array([0.0, 0.0, 1.0])
     dual, dual_cert, _ = canonical_k_dual(w, k, tol)
-    expected = [
-        subspace_from_spanning([e1, e2], tol),
-        subspace_from_spanning([e2], tol),
-        subspace_from_spanning([e1], tol),
-    ]
-    _check(
-        checks,
-        "canonical dual members are span{e1,e2}, span{e2}, span{e1}",
-        dual_cert.passed
-        and dual.dims() == [2, 1, 1]
-        and all(
-            same_subspace(sub, want, tol)
-            for (sub, _), want in zip(dual.members, expected)
-        ),
-        member_dims=dual.dims(),
-        residual=float(dual_cert.residual),
-    )
-
-    enlarged, enlarge_cert = enlarge_dual(
-        w, k, r3.system("V0"), 2, subspace_from_spanning([e3], tol), tol
-    )
-    _check(
-        checks,
-        "enlarging the third dual member by e3 keeps the reconstruction exact",
-        enlarge_cert.passed
-        and enlarge_cert.residual <= 1e-9
-        and same_subspace(
-            enlarged.members[2][0], subspace_from_spanning([e1, e3], tol), tol
-        ),
-        residual=float(enlarge_cert.residual),
-    )
-
+    e3 = subspace_from_spanning([np.array([0.0, 0.0, 1.0])], tol)
+    enlarged, enlarge_cert = enlarge_dual(w, k, r3.system("V0"), 2, e3, tol)
     qk_members, _, qk_cert = qk_dual_from_x(w, k, sol, tol)
-    _check(
-        checks,
-        "the minimal solution generates the same dual family with a certified Q",
-        qk_cert.passed
-        and qk_members.dims() == [2, 1, 1]
-        and all(
-            same_subspace(sub, want, tol)
-            for (sub, _), want in zip(qk_members.members, expected)
-        ),
-        member_dims=qk_members.dims(),
-    )
-
-    bundled_cert = is_k_dual(w, r3.system("V"), k, tol)
-    _check(
-        checks,
-        "the bundled enlarged dual reconstructs K",
-        bundled_cert.passed,
-        residual=float(bundled_cert.residual),
-    )
-
-    res_ok, res_observed = True, {}
-    for name, res in (
-        ("projection", resolution_b(w, k, tol)),
-        ("inverse", resolution_c(w, k, tol)),
-    ):
-        gap = spectral_norm(res.weighted_sum() - k)
-        check = verify_resolution(res, k, tol)
-        res_ok = res_ok and check.passed and gap <= 1e-10
-        res_observed[name] = {"residual": float(gap), "lower": float(check.lower)}
-    _check(
-        checks,
-        "both closed-form resolutions rebuild K exactly with positive bounds",
-        res_ok,
-        **res_observed,
-    )
-
-    z = r3.system("Z")
-    s_z = frame_operator(z) @ range_projector(k, tol)
-    z_target = np.array([[1.5, 1.5, 0.0], [1.5, 1.5, 0.0], [0.0, 0.0, 2.0]])
-    z_inv_target = np.array(
-        [[1.0 / 6.0, 1.0 / 6.0, 0.0], [1.0 / 6.0, 1.0 / 6.0, 0.0], [0.0, 0.0, 0.5]]
-    )
-    _check(
-        checks,
-        "merged-member frame operator on range(K) and its pseudo-inverse match",
-        np.max(np.abs(s_z - z_target)) <= 1e-10
-        and np.max(np.abs(pinv(s_z, tol) - z_inv_target)) <= 1e-10,
-        frame_operator_on_range=_mat(s_z),
-    )
-
-    cert_z = verify_k_fusion(z, k, tol)
-    _check(
-        checks,
-        "merged-member system has optimal bounds (3/2, 3)",
-        cert_z.passed
-        and abs(cert_z.bounds.lower - 1.5) <= 1e-8
-        and abs(cert_z.bounds.upper - 3.0) <= 1e-8,
-        bounds=_bounds_dict(cert_z.bounds),
-    )
-
-    eps_star = analysis_epsilon(w, z, k, tol)
-    _check(
-        checks,
-        "smallest perturbation constant equals sqrt(2)/2",
-        abs(eps_star - np.sqrt(2.0) / 2.0) <= 1e-9,
-        analysis_epsilon=float(eps_star),
-    )
-
     threshold = epsilon_threshold(w, z, k, tol)
-    _check(
-        checks,
-        "dual deviation sqrt(2)/6, dual norm 1/2, stability threshold 7/9",
-        (not threshold.vacuous)
-        and abs(threshold.deviation - np.sqrt(2.0) / 6.0) <= 1e-9
-        and abs(threshold.dual_norm - 0.5) <= 1e-9
-        and abs(threshold.threshold - 7.0 / 9.0) <= 1e-9,
-        deviation=float(threshold.deviation),
-        dual_norm=float(threshold.dual_norm),
-        threshold=float(threshold.threshold),
-    )
-
-    approx = approximate_dual_norm(z, r3.system("V"), k, tol)
-    _check(
-        checks,
-        "the enlarged dual stays an approximate dual of the merged system",
-        approx.passed and abs(approx.residual - np.sqrt(2.0) / 3.0) <= 1e-9,
-        residual=float(approx.residual),
-    )
-
     predicted, window_cert = perturbed_bounds(w, z, k, 0.5, tol)
-    _check(
-        checks,
-        "epsilon 1/2 predicts the window (1/4, 9/2) containing the true bounds",
-        window_cert.passed
-        and abs(predicted.lower - 0.25) <= 1e-9
-        and abs(predicted.upper - 4.5) <= 1e-9,
-        predicted=_bounds_dict(predicted),
-        actual=_bounds_dict(window_cert.bounds),
-    )
-
-    return checks
+    return {
+        "r4-bounds": _certified(verify_k_fusion(w4, k4, tol)),
+        "r4-minimal": {"minimal": bool(is_minimal(w4, tol))},
+        "r4-not-exact": {
+            "exact": bool(is_exact(w4, k4, tol).exact),
+            "dropped": _certified(verify_k_fusion(w4.drop(1), k4, tol)),
+        },
+        "r3-bounds": _certified(verify_k_fusion(w, k, tol)),
+        "x-w": {
+            "norm_sq": float(sol.norm_sq),
+            "nullspace_match": bool(sol.nullspace_match),
+            "range_containment": bool(sol.range_containment),
+        },
+        "frame-operator": {"on_range": _mat(s_w), "pseudo_inverse": _mat(pinv(s_w, tol))},
+        "canonical-dual": _dual_family(dual, dual_cert),
+        "enlarge-dual": {
+            **_reconstructs(enlarge_cert),
+            "member_2_projector": _mat(enlarged.members[2][0].projector()),
+        },
+        "qk-dual": _dual_family(qk_members, qk_cert),
+        "bundled-dual": _reconstructs(is_k_dual(w, r3.system("V"), k, tol)),
+        "resolutions": {
+            "projection": _reconstructs(verify_resolution(resolution_b(w, k, tol), k, tol)),
+            "inverse": _reconstructs(verify_resolution(resolution_c(w, k, tol), k, tol)),
+        },
+        "merged-frame-operator": {
+            "on_range": _mat(s_z),
+            "pseudo_inverse": _mat(pinv(s_z, tol)),
+        },
+        "merged-bounds": _certified(verify_k_fusion(z, k, tol)),
+        "epsilon-star": {"analysis_epsilon": float(analysis_epsilon(w, z, k, tol))},
+        "threshold": {
+            "vacuous": bool(threshold.vacuous),
+            "deviation": float(threshold.deviation),
+            "dual_norm": float(threshold.dual_norm),
+            "threshold": float(threshold.threshold),
+        },
+        "approx-dual": _reconstructs(approximate_dual_norm(z, r3.system("V"), k, tol)),
+        "window": {"predicted": _bounds_dict(predicted), "actual": _certified(window_cert)},
+    }
 
 
 @main.command()
@@ -615,7 +503,15 @@ def examples(tol_flag, out_path):
     """Reproduce every bundled worked example and fail on any mismatch."""
 
     def build() -> Report:
-        checks = _golden_checks(_tolerance(None, tol_flag))
+        observed = _golden_observations(_tolerance(None, tol_flag))
+        checks = [
+            {
+                "name": entry["name"],
+                "ok": _matches(observed[check_id], entry["expected"]),
+                "observed": observed[check_id],
+            }
+            for check_id, entry in _bundled_document("examples.json").items()
+        ]
         failed = [c["name"] for c in checks if not c["ok"]]
         inputs = {
             "command": "examples",

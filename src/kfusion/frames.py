@@ -9,7 +9,6 @@ range weakening, K-image) each return a new system with its certificate.
 
 from __future__ import annotations
 
-import hashlib
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -340,7 +339,6 @@ class FrameAnalysis:
         tol: ToleranceProfile,
         s: np.ndarray,
         factors: Svd,
-        key=None,
         has_zero_members: bool = False,
     ) -> None:
         """The analysis from a read-only K, the frame operator S and the truncated SVD of T.
@@ -353,14 +351,13 @@ class FrameAnalysis:
         self.has_zero_members = has_zero_members
         self.k = k
         self.tol = tol
-        self.key = key
         self.s = s
         self.factors = factors
         # optimal upper bound: the largest eigenvalue of S
         self.upper = factors.top**2
 
     @classmethod
-    def of_system(cls, w: FusionSystem, k: np.ndarray, tol: ToleranceProfile, key):
+    def of_system(cls, w: FusionSystem, k: np.ndarray, tol: ToleranceProfile):
         """The analysis of (W, K, tol): thin SVD of T truncated at the rank cutoff, and S = T T*."""
         t = synthesis(w)
         return cls(
@@ -368,7 +365,6 @@ class FrameAnalysis:
             tol,
             _read_only(t @ t.T),
             _read_only(svd(t).truncated(tol)),
-            key,
             any(sub.is_zero for sub, _ in w.members),
         )
 
@@ -485,17 +481,15 @@ class FrameAnalysis:
 def frame_analysis(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> FrameAnalysis:
     """The shared analysis of (W, K, tol), memoised on the system.
 
-    A system keeps a single entry, keyed by the shape and a content digest
-    of K and by the tolerance; asking about another pair replaces it.
+    A system keeps a single entry, found again by the tolerance and the
+    value of K; asking about another pair replaces it.
     """
     k = as_matrix(k)
     if k.shape[0] != w.ambient_dim:
         raise ValueError("K must have ambient_dim rows")
-    digest = hashlib.blake2b(np.ascontiguousarray(k).tobytes(), digest_size=16).digest()
-    key = (k.shape, digest, tol)
     analysis = w._analysis
-    if analysis is None or analysis.key != key:
-        analysis = FrameAnalysis.of_system(w, k, tol, key)
+    if analysis is None or analysis.tol != tol or not np.array_equal(analysis.k, k):
+        analysis = FrameAnalysis.of_system(w, k, tol)
         object.__setattr__(w, "_analysis", analysis)
     return analysis
 

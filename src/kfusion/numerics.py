@@ -36,8 +36,9 @@ class ToleranceProfile:
     def __post_init__(self) -> None:
         if not 0.0 < self.rank_rel < 1.0:
             raise ValueError("rank_rel must lie strictly between 0 and 1")
-        if self.eq_abs <= 0.0 or self.eq_rel <= 0.0:
-            raise ValueError("eq_abs and eq_rel must be strictly positive")
+        # written so that NaN fails too
+        if not (0.0 < self.eq_abs < np.inf and 0.0 < self.eq_rel < np.inf):
+            raise ValueError("eq_abs and eq_rel must be finite and strictly positive")
 
 
 DEFAULT_TOL = ToleranceProfile()

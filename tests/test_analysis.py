@@ -67,6 +67,16 @@ def test_mutating_the_input_array_leaves_later_results_unchanged():
     )
 
 
+def test_the_shared_analysis_is_found_by_the_value_of_k():
+    w, k = _instance()
+    first = frames.frame_analysis(w, k)
+    assert frames.frame_analysis(w, np.array(k.tolist())) is first
+    assert frames.frame_analysis(w, np.asfortranarray(k)) is first
+    other = k.copy()
+    other[2, 5] += 1e-3
+    assert frames.frame_analysis(w, other) is not first
+
+
 def test_every_call_returns_a_fresh_certificate():
     w, k = _instance()
     first = verify_k_fusion(w, k)

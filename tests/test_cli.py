@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -98,6 +99,20 @@ def test_malformed_file_is_an_input_error(runner, tmp_path):
 def test_negative_tolerance_is_an_input_error(runner):
     result = invoke(runner, "verify", "--in", R3, "--tol", "-1")
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerance_is_an_input_error(runner, tmp_path, value):
+    result = invoke(runner, "verify", "--in", R3, "--tol", value)
+    assert result.exit_code == 2
+    assert "input error" in result.output
+    doc = json.loads((DATA / "example_r3.json").read_text())
+    doc["options"]["tolerance"] = {"eq_abs": float(value)}
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(doc))
+    result = invoke(runner, "verify", "--in", str(path))
+    assert result.exit_code == 2
+    assert "input error" in result.output
 
 
 # --------------------------------------------------------------- factorization
@@ -230,6 +245,26 @@ def test_approx_dual_residual(runner, tmp_path):
 
 # ------------------------------------------------------------ examples, random
 
+EXAMPLE_NAMES = [
+    "plane-line system on R^4 has optimal bounds (1/2, 1)",
+    "plane-line system on R^4 is minimal",
+    "dropping the line keeps bounds (1/2, 1), so the system is not exact",
+    "plane-line-line system on R^3 has optimal bounds (1, 2)",
+    "minimal synthesis solution has unit norm with certified range and nullspace",
+    "frame operator restricted to range(K) and its pseudo-inverse match",
+    "canonical dual members are span{e1,e2}, span{e2}, span{e1}",
+    "enlarging the third dual member by e3 keeps the reconstruction exact",
+    "the minimal solution generates the same dual family with a certified Q",
+    "the bundled enlarged dual reconstructs K",
+    "both closed-form resolutions rebuild K exactly with positive bounds",
+    "merged-member frame operator on range(K) and its pseudo-inverse match",
+    "merged-member system has optimal bounds (3/2, 3)",
+    "smallest perturbation constant equals sqrt(2)/2",
+    "dual deviation sqrt(2)/6, dual norm 1/2, stability threshold 7/9",
+    "the enlarged dual stays an approximate dual of the merged system",
+    "epsilon 1/2 predicts the window (1/4, 9/2) containing the true bounds",
+]
+
 
 def test_examples_golden_suite_passes(runner, tmp_path):
     out = tmp_path / "report.json"
@@ -238,7 +273,67 @@ def test_examples_golden_suite_passes(runner, tmp_path):
     report = report_from(out)
     assert report["pass"]
     assert report["results"]["failed"] == []
-    assert report["results"]["total"] >= 15
+    assert report["results"]["total"] == 17
+    assert [check["name"] for check in report["results"]["checks"]] == EXAMPLE_NAMES
+
+
+def test_examples_table_and_observations_share_their_ids(runner):
+    table = cli._bundled_document("examples.json")
+    assert list(cli._golden_observations(cli.DEFAULT_TOL)) == list(table)
+    assert [entry["name"] for entry in table.values()] == EXAMPLE_NAMES
+    result = invoke(runner, "examples", "--tol", "1e-6")
+    assert result.exit_code == 0
+    assert json.loads(stdout_lines(result.output)["failed"]) == []
+
+
+def _examples_with(monkeypatch, check_id, path, change):
+    """Run ``examples`` with one expected value of the table replaced by ``change(value)``."""
+    load = cli._bundled_document
+
+    def patched(name):
+        document = load(name)
+        if name == "examples.json":
+            *parents, last = (check_id, "expected", *path)
+            node = document
+            for key in parents:
+                node = node[key]
+            node[last] = change(node[last])
+        return document
+
+    monkeypatch.setattr(cli, "_bundled_document", patched)
+    return invoke(CliRunner(), "examples")
+
+
+@pytest.mark.parametrize(
+    "check_id, path",
+    [
+        ("r3-bounds", ("bounds", "lower")),
+        ("frame-operator", ("pseudo_inverse", 0, 1)),
+        ("threshold", ("threshold",)),
+    ],
+)
+def test_an_expected_value_shifted_by_1e_9_fails_only_its_check(monkeypatch, check_id, path):
+    result = _examples_with(
+        monkeypatch, check_id, path, lambda v: str(Fraction(v) + Fraction(1, 10**9))
+    )
+    assert result.exit_code == 1
+    name = cli._bundled_document("examples.json")[check_id]["name"]
+    assert json.loads(stdout_lines(result.output)["failed"]) == [name]
+
+
+def test_an_expected_true_is_not_met_by_an_observed_false(monkeypatch):
+    result = _examples_with(monkeypatch, "r4-not-exact", ("exact",), lambda v: True)
+    assert result.exit_code == 1
+    assert json.loads(stdout_lines(result.output)["failed"]) == [EXAMPLE_NAMES[2]]
+
+
+def test_booleans_match_only_booleans():
+    assert cli._matches(True, True) and cli._matches(False, False)
+    assert not cli._matches(False, True)
+    assert not cli._matches(1, True) and not cli._matches(1.0, True)
+    assert not cli._matches(True, 1) and not cli._matches(False, "0")
+    assert not cli._matches({"a": 1, "b": 2}, {"a": 1})
+    assert not cli._matches([1, 2], [1, 2, 3])
 
 
 def test_random_is_reproducible(runner, tmp_path):

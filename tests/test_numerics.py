@@ -294,6 +294,13 @@ def test_tolerance_profile_validation():
         ToleranceProfile(rank_rel=1.5)
     with pytest.raises(ValueError):
         ToleranceProfile(eq_abs=0.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            ToleranceProfile(eq_abs=bad)
+        with pytest.raises(ValueError):
+            ToleranceProfile(eq_rel=bad)
+        with pytest.raises(ValueError):
+            ToleranceProfile(rank_rel=bad)
     assert DEFAULT_TOL.rank_rel == 1e-10
 
 
