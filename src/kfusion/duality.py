@@ -283,6 +283,12 @@ def is_k_dual(
     )
 
 
+def _frame_operator_norm(w: FusionSystem) -> float:
+    """||T T*|| for the synthesis matrix T, from the smaller of the Grams T* T and T T*."""
+    t = synthesis(w)
+    return spectral_norm(t) ** 2 if t.shape[1] < t.shape[0] else spectral_norm(t @ t.T)
+
+
 def canonical_k_dual(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL):
     """Canonical K-dual with certificate and Bessel bound report.
 
@@ -304,17 +310,17 @@ def canonical_k_dual(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL):
     dual = FusionSystem(w.ambient_dim, members)
     cert = is_k_dual(w, dual, k, tol)
     image = analysis.image_factors
-    image_proj = image.u @ image.u.T
+    u = image.u
     projected = FusionSystem(
         w.ambient_dim,
         tuple(
-            (subspace_from_columns(image_proj @ sub.basis, tol), weight)
+            (subspace_from_columns(u @ (u.T @ sub.basis), tol), weight)
             for sub, weight in w.members
         ),
     )
-    bessel = spectral_norm(frame_operator(dual))
+    bessel = _frame_operator_norm(dual)
     estimate = (
-        spectral_norm(frame_operator(projected))
+        _frame_operator_norm(projected)
         * analysis.k_norm**2
         * analysis.k_factors.pinv_norm**2
         * analysis.upper**2

@@ -54,10 +54,15 @@ class DouglasSolution:
 
 @dataclass(frozen=True)
 class XwSolution(DouglasSolution):
-    """Distinguished solution of ``T_W @ x = K`` with per-member block access."""
+    """Distinguished solution of ``T_W @ x = K`` with per-member block access.
+
+    ``x`` and ``k`` (the analysis's copy of K) are read-only, and ``tol`` is
+    the profile ``x_w`` checked the solution under.
+    """
 
     system: FusionSystem
     k: np.ndarray
+    tol: ToleranceProfile
 
     def blocks(self, f) -> BlockVector:
         """Direct-sum coefficients of the solution applied to an ambient vector."""
@@ -184,7 +189,14 @@ def douglas_solve(l1, l2, tol: ToleranceProfile = DEFAULT_TOL) -> DouglasSolutio
 
 
 def solution_matrix(w: FusionSystem, k: np.ndarray, x: DouglasSolution, tol) -> np.ndarray:
-    """The matrix of x; ValueError unless ``T_W @ x`` and K agree as ``x_w`` checks its own."""
+    """The matrix of x; ValueError unless ``T_W @ x`` and K agree as ``x_w`` checks its own.
+
+    The solution ``x_w`` built for this system, K and tol passed that very
+    check when it was built, and its matrix is read-only, so it is returned
+    without a second check.
+    """
+    if isinstance(x, XwSolution) and x.system is w and x.tol == tol and np.array_equal(x.k, k):
+        return x.x
     x_mat = as_matrix(x.x)
     analysis = frame_analysis(w, k, tol)
     residual, allowed = _residual(synthesis(w), x_mat, analysis.k, analysis.k_factors.top, tol)
@@ -205,4 +217,5 @@ def x_w(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> XwSolution:
     base = _solve_from_factors(
         analysis.k, synthesis(w), analysis.k_factors, analysis.factors, analysis.pencil_ratio, tol
     )
-    return XwSolution(**vars(base), system=w, k=as_matrix(k))
+    base.x.flags.writeable = False
+    return XwSolution(**vars(base), system=w, k=analysis.k, tol=tol)

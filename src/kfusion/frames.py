@@ -390,8 +390,15 @@ class FrameAnalysis:
 
     @cached_property
     def image_factors(self):
-        """Truncated SVD of S P with P the range projector of K; ``u`` spans S(range K)."""
-        return _read_only(svd(self.s @ self.k_projector).truncated(self.tol))
+        """Truncated SVD of S P with P the range projector of K; ``u`` spans S(range K).
+
+        With U_K the basis of range(K), S P = (S U_K) U_K*, so the factors
+        come from the thin SVD of the n x rank(K) matrix S U_K = U Sigma W*,
+        with v = U_K W; S P itself is never formed.
+        """
+        basis = self.k_factors.u
+        f = svd(self.s @ basis).truncated(self.tol)
+        return _read_only(Svd(f.u, f.singular_values, basis @ f.v))
 
     @cached_property
     def inverse_on_image(self) -> np.ndarray:

@@ -200,6 +200,5 @@ def random_instance(
             "entries": [[float(x) for x in row] for row in k],
         },
         "systems": {"W": {"members": members}},
-        "options": {"seed": seed},
     }
     return instance_from_document(document)

@@ -3,8 +3,9 @@
 Every other module routes its linear algebra through here so that rank
 decisions happen once, at SVD truncation, under a single tolerance policy.
 Every other comparison with the tolerance goes through one of three rules
-here: ``negligible`` (a residual counts as zero), ``outside_column`` (columns
-lie in a span) and ``agreement`` / ``at_most`` (two computations of one number).
+here: ``negligible`` (a residual counts as zero; ``negligible_lazily`` when
+its scale is costly), ``outside_column`` (columns lie in a span) and
+``agreement`` / ``at_most`` (two computations of one number).
 """
 
 from __future__ import annotations
@@ -53,10 +54,21 @@ def negligible(residual: float, scale: float, tol: ToleranceProfile) -> bool:
     return bool(residual <= tol.eq_abs * (1.0 + scale))
 
 
-# ||B* m|| <= ||m|| holds exactly; the computed values can cross by rounding
-# when m lies in the span. Shrinking the first scale by far more than that
-# rounding keeps every first-step pass a pass of the one-step rule.
+# A floor below a norm (||B* m|| <= ||m||, a column norm <= ||m||) holds
+# exactly; the computed values can cross by rounding when they are equal.
+# Shrinking the floor by far more than that rounding keeps every first-step
+# pass a pass of the one-step rule.
 _BELOW_NORM = 1.0 - 1e-8
+
+
+def negligible_lazily(residual: float, floor: float, scale, tol: ToleranceProfile) -> bool:
+    """``negligible(residual, scale(), tol)``, where ``floor`` is at most the value of ``scale()``.
+
+    ``negligible`` accepts more as its scale grows, so the rule is first
+    decided at ``floor``: a pass there is a pass at ``scale()``. The callable
+    runs only on a fail, and the rule is decided again at its value.
+    """
+    return negligible(residual, _BELOW_NORM * floor, tol) or negligible(residual, scale(), tol)
 
 
 def outside_column(m: np.ndarray, basis: np.ndarray, m_norm, tol: ToleranceProfile):
@@ -67,10 +79,8 @@ def outside_column(m: np.ndarray, basis: np.ndarray, m_norm, tol: ToleranceProfi
     ``negligible`` at scale ``m_norm``; it bounds the spectral norm from above.
 
     ``m_norm`` may instead be a callable that computes that norm. The rule is
-    then first decided at the scale of ||B* m||, a norm the size of the span:
-    it is at most ||m||, and ``negligible`` accepts more as its scale grows,
-    so a pass there is a pass at ||m||. The callable runs only on a fail,
-    and the rule is decided again at ||m|| (see ``_BELOW_NORM``).
+    then ``negligible_lazily`` with the floor ||B* m||, a norm the size of the
+    span, so the callable runs only when the residual fails there.
     """
     coords = basis.T @ m
     # in place: m can be far wider than it is tall
@@ -80,12 +90,10 @@ def outside_column(m: np.ndarray, basis: np.ndarray, m_norm, tol: ToleranceProfi
     squares = off.sum(axis=0)
     residual = float(np.sqrt(squares.sum()))
     if callable(m_norm):
-        if negligible(residual, _BELOW_NORM * spectral_norm(coords), tol):
-            return None
-        m_norm = m_norm()
-    if negligible(residual, m_norm, tol):
-        return None
-    return int(np.argmax(squares))
+        inside = negligible_lazily(residual, spectral_norm(coords), m_norm, tol)
+    else:
+        inside = negligible(residual, m_norm, tol)
+    return None if inside else int(np.argmax(squares))
 
 
 def cross_allowance(scale: float, tol: ToleranceProfile) -> float:
@@ -276,6 +284,25 @@ def null_basis(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     return vt[rank:].T
 
 
+def _kept_span(m: np.ndarray, vals: np.ndarray, vecs: np.ndarray, m_norm, tol: ToleranceProfile):
+    """b = vecs diag(vals) vecs*, restricted to the rank cutoff: ``(kept, kept_vals)``.
+
+    ``vecs`` has orthonormal columns, and b's eigenvalues above
+    ``rank_rel`` times the largest are kept. Returns ``(None, f)`` when the
+    columns of m leave the span of the kept eigenvectors, with f the
+    normalized off-span part of the worst column; ``m_norm`` is the
+    callable that ``outside_column`` asks for ||m|| on a first-step fail.
+    """
+    keep = vals > tol.rank_rel * max(float(vals.max(initial=0.0)), 0.0)
+    kept = vecs[:, keep]
+    if kept.shape[1] < m.shape[0]:
+        j = outside_column(m, kept, m_norm, tol)
+        if j is not None:
+            off = m[:, j] - kept @ (kept.T @ m[:, j])
+            return None, off / np.linalg.norm(off)
+    return kept, vals[keep]
+
+
 def _scaled_pencil(m, b, tol: ToleranceProfile):
     """The pencil (m m*, b) on range(b) as one symmetric matrix, and the map of its eigenvectors.
 
@@ -293,19 +320,15 @@ def _scaled_pencil(m, b, tol: ToleranceProfile):
         raise ValueError("b is not symmetric within tolerance")
     b = 0.5 * (b + b.T)
     vals, vecs = np.linalg.eigh(b)
-    keep = vals > _sv_cutoff(vals[::-1], tol)
-    kept = vecs[:, keep]
     a = m @ m.T
-    if not keep.all():
-        # ||m|| squared is the norm of the symmetric a, which needs no Gram of m;
-        # it is computed only when the rank-sized first step fails
-        j = outside_column(m, kept, lambda: np.sqrt(spectral_norm(a)), tol)
-        if j is not None:
-            off = m[:, j] - kept @ (kept.T @ m[:, j])
-            return None, off / np.linalg.norm(off)
+    # ||m|| squared is the norm of the symmetric a, which needs no Gram of m;
+    # it is computed only when the rank-sized first step fails
+    kept, vals = _kept_span(m, vals, vecs, lambda: np.sqrt(spectral_norm(a)), tol)
+    if kept is None:
+        return None, vals
     # b is diagonal in its kept eigenbasis, so the restricted pencil reduces
     # to an ordinary symmetric eigenproblem after diagonal scaling.
-    root = 1.0 / np.sqrt(vals[keep])
+    root = 1.0 / np.sqrt(vals)
     a_restricted = kept.T @ a @ kept
     return root[:, None] * a_restricted * root[None, :], kept * root
 
@@ -338,6 +361,31 @@ def max_rayleigh(m, b, tol: ToleranceProfile = DEFAULT_TOL) -> float:
     if pencil is None:
         return float("inf")
     return max(float(np.linalg.eigvalsh(pencil)[-1]), 0.0) if pencil.size else 0.0
+
+
+def max_rayleigh_gram(m, g, tol: ToleranceProfile = DEFAULT_TOL) -> float:
+    """``max_rayleigh(m, b)`` with b = g* g given by its factor g.
+
+    A g wider than tall has rank at most its row count, so b is never
+    formed: range(b) and b's eigenvalues there are the left singular
+    vectors and squared singular values of the thin SVD of g* (columns x
+    rows of g). The rank cutoff, the containment of m and the pencil are
+    then decided on that span, as ``max_rayleigh`` decides them on b's
+    eigenvectors; the pencil's top value is ||m* U Sigma^-1||**2 over the
+    kept factors. Any other g takes the eigendecomposition of b.
+    """
+    m = as_matrix(m)
+    g = as_matrix(g)
+    if g.shape[1] != m.shape[0]:
+        raise ValueError("g must have as many columns as m has rows")
+    if g.shape[0] >= g.shape[1]:
+        b = g.T @ g
+        return max_rayleigh(m, 0.5 * (b + b.T), tol)
+    f = svd(g.T)
+    kept, vals = _kept_span(m, f.singular_values**2, f.u, lambda: spectral_norm(m), tol)
+    if kept is None:
+        return float("inf")
+    return spectral_norm((m.T @ kept) / np.sqrt(vals)) ** 2
 
 
 def rayleigh_maximizer(m, b, tol: ToleranceProfile = DEFAULT_TOL) -> tuple[float, np.ndarray]:

@@ -30,8 +30,9 @@ from kfusion.numerics import (
     as_matrix,
     at_most,
     cross_allowance,
-    max_rayleigh,
+    max_rayleigh_gram,
     negligible,
+    negligible_lazily,
     outside_column,
     pinv,
     r_factor,
@@ -113,12 +114,9 @@ class Resolution:
 
     def gram(self) -> np.ndarray:
         """Sum of w_i**2 theta_i* theta_i, from ``gram_factor``; exactly symmetric."""
-        return _gram(self.gram_factor())
-
-
-def _gram(m: np.ndarray) -> np.ndarray:
-    g = m.T @ m
-    return 0.5 * (g + g.T)
+        m = self.gram_factor()
+        g = m.T @ m
+        return 0.5 * (g + g.T)
 
 
 @dataclass(frozen=True)
@@ -137,7 +135,9 @@ def verify_resolution(
     The upper bound is the largest eigenvalue of the weighted gram sum; the
     lower bound is the largest A with ``A * ||K f||^2`` below the weighted
     square sums for every f, vectors in the kernel of K imposing no
-    constraint.
+    constraint. Both are read at the size of the gram factor M (see
+    ``numerics.max_rayleigh_gram``), and ||K|| is computed only when the
+    residual fails at K's largest column norm.
     """
     k = as_matrix(k)
     if r.shape != k.shape:
@@ -146,14 +146,24 @@ def verify_resolution(
     # the gram sum is M* M, whose norm is that of M M*, at most min(sum(d_i), cols) wide
     factor = r.gram_factor()
     upper = spectral_norm(factor @ factor.T)
-    ratio = max_rayleigh(k.T, _gram(factor), tol)
+    ratio = max_rayleigh_gram(k.T, factor, tol)
     lower = 0.0 if np.isinf(ratio) else (np.inf if ratio == 0.0 else 1.0 / ratio)
     return ResolutionCheck(
-        passed=negligible(residual, spectral_norm(k), tol),
+        passed=_reproduces(residual, k, tol),
         residual=residual,
         lower=lower,
         upper=upper,
     )
+
+
+def _reproduces(residual: float, k: np.ndarray, tol: ToleranceProfile) -> bool:
+    """Whether a residual against K is ``negligible`` at scale ||K||.
+
+    No column of K is longer than ||K||, so the rule is decided first at the
+    largest column norm and ||K|| is computed only on a fail there.
+    """
+    floor = float(np.sqrt((k * k).sum(axis=0).max(initial=0.0)))
+    return negligible_lazily(residual, floor, lambda: spectral_norm(k), tol)
 
 
 def resolution_from_x(
@@ -250,10 +260,11 @@ def minimal_norm_check(
         raise ValueError("one operator per member is required")
     thetas = r.thetas
     for idx, (theta, (sub, _)) in enumerate(zip(thetas, w.members)):
-        if outside_column(theta, sub.basis, spectral_norm(theta), tol) is not None:
+        # ||theta|| is computed only when the member-sized first step fails
+        if outside_column(theta, sub.basis, lambda: spectral_norm(theta), tol) is not None:
             raise ValueError(f"operator {idx} does not map into member {idx}")
     lifted = sum(weight * theta for theta, weight in zip(thetas, w.weights))
-    if not negligible(spectral_norm(lifted - k), spectral_norm(k), tol):
+    if not _reproduces(spectral_norm(lifted - k), k, tol):
         raise ValueError(
             "resolution must reproduce K with one factor of the system weights"
         )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kfusion.frames import FusionSystem, subspace_from_spanning
+from kfusion.frames import FusionSystem, subspace_from_spanning, verify_k_fusion
 
 ACCEPTANCE_LINES = []
 
@@ -26,6 +26,28 @@ def make_system(ambient_dim, spans, weights=None):
 def random_fusion_system(rng, ambient_dim, member_dims, weights=None):
     spans = [rng.standard_normal((ambient_dim, d)).T for d in member_dims]
     return make_system(ambient_dim, spans, weights)
+
+
+def bisected_synthesis_instance(cols=5):
+    """(W, K, q): K leaves the span of four rotated lines in R^5 by just under the containment threshold.
+
+    W holds the lines spanned by the first four columns of the orthogonal q,
+    and K (5 x cols) is those columns plus d times the fifth one in every
+    column. d is bisected so that ``verify_k_fusion`` still passes, which
+    leaves ``x_w`` a residual just above ``eq_abs (1 + ||K||)``, yet within
+    its own allowance. With cols = 4 the kernel of K is trivial.
+    """
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((5, 5)))
+    w = FusionSystem(5, tuple((subspace_from_spanning([q[:, i]]), 1.0) for i in range(4)))
+
+    def k_at(d):
+        return q[:, :4] @ np.eye(4, cols) + d * q[:, 4:5] @ np.ones((1, cols))
+
+    inside, outside = 0.0, 1e-8
+    for _ in range(60):
+        mid = (inside + outside) / 2
+        inside, outside = (mid, outside) if verify_k_fusion(w, k_at(mid)).passed else (inside, mid)
+    return w, k_at(inside), q
 
 
 @pytest.fixture

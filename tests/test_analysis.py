@@ -228,3 +228,69 @@ def test_cost_model_of_the_question_set(monkeypatch):
     wide = [(name, shape) for name, shape in calls if name in SVD_FAMILY and max(shape) > n]
     assert len(wide) <= len(keys), f"{len(wide)} n x Σd SVDs for {len(keys)} keys: {wide}"
     assert all(max(shape) == n for name, shape in calls if name == "max_rayleigh")
+
+
+def _thin_instance(seed=21, n=24, dims=(3, 2, 4, 3), rank=4):
+    """A K-fusion frame with Σd < n, and a K of the given rank inside the span of T."""
+    rng = np.random.default_rng(seed)
+    w = random_fusion_system(rng, n, list(dims), list(rng.uniform(0.5, 2.0, len(dims))))
+    span = np.linalg.qr(synthesis(w))[0]
+    k = span[:, :rank] @ rng.standard_normal((rank, n))
+    return w, k
+
+
+def _record_decompositions(monkeypatch):
+    """Shapes of the inputs of every ``eigh`` and SVD made from now on."""
+    shapes = []
+    for name in ("eigh", "svd"):
+        real = getattr(np.linalg, name)
+
+        def recording(m, *args, _real=real, _name=name, **kwargs):
+            shapes.append((_name, np.shape(m)))
+            return _real(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return shapes
+
+
+def test_thin_resolutions_and_image_factors_decompose_nothing_n_by_n(monkeypatch):
+    """With Σd < n, the resolution pencils and the image factors are decided at the rank."""
+    w, k = _thin_instance()
+    n = w.ambient_dim
+    assert synthesis(w).shape[1] < n
+    sol = x_w(w, k)
+    built = [
+        resolution.resolution_b(w, k),
+        resolution.resolution_c(w, k),
+        resolution.resolution_from_x(w, k, sol),
+    ]
+    analysis = frames.frame_analysis(_copy(w), k).require()
+    analysis.k_factors  # the SVD of K itself is not the image factors' cost
+
+    shapes = _record_decompositions(monkeypatch)
+    checks = [resolution.verify_resolution(r, k) for r in built]
+    image = analysis.image_factors
+    assert all(check.passed and 0.0 < check.lower < np.inf for check in checks)
+    assert image.singular_values.size == 4
+    assert shapes, "no decomposition was recorded"
+    assert all(min(shape) < n for _, shape in shapes), shapes
+
+
+def test_image_factors_match_the_svd_of_s_times_the_range_projector():
+    for w, k in (_thin_instance(), _thin_instance(seed=4, n=10, dims=(4, 4, 3), rank=10), _instance()):
+        analysis = frames.frame_analysis(w, k).require()
+        image = analysis.image_factors
+        s_p = analysis.s @ analysis.k_projector
+        old = numerics.svd(s_p).truncated()
+        scale = old.top
+        np.testing.assert_allclose(image.singular_values, old.singular_values, rtol=1e-12)
+        np.testing.assert_allclose(image.u @ image.u.T, old.u @ old.u.T, atol=1e-12)
+        np.testing.assert_allclose(image.v @ image.v.T, old.v @ old.v.T, atol=1e-12)
+        want_inverse = (old.v / old.singular_values) @ old.u.T
+        np.testing.assert_allclose(
+            analysis.inverse_on_image, want_inverse, atol=1e-12 * np.abs(want_inverse).max()
+        )
+        # a factorization of S P itself
+        np.testing.assert_allclose(
+            (image.u * image.singular_values) @ image.v.T, s_p, atol=1e-12 * scale
+        )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,9 +9,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from conftest import bisected_synthesis_instance
 from kfusion import cli
+from kfusion.factorization import x_w
 from kfusion.instances import canonical_text
-from kfusion.numerics import AgreementError
+from kfusion.numerics import AgreementError, spectral_norm
+
+ABS_TOLERANCE = 1e-9
 
 DATA = resources.files("kfusion") / "data"
 R3 = str(DATA / "example_r3.json")
@@ -116,6 +121,28 @@ def test_non_finite_tolerance_is_an_input_error(runner, tmp_path, value):
 
 
 # --------------------------------------------------------------- factorization
+
+
+def test_douglas_passes_on_the_residual_x_w_accepted(runner, tmp_path):
+    # x_w allows eq_rel max(||K||, 1) = 1e-8; the zero rule at ||K|| would allow about 2e-9
+    w, k, q = bisected_synthesis_instance(cols=4)
+    sol = x_w(w, k)
+    residual = sol.residual
+    assert ABS_TOLERANCE * (1.0 + spectral_norm(k)) < residual
+    assert sol.nullspace_match and sol.range_containment
+    document = {
+        "ambient_dim": 5,
+        "k_matrix": {"rows": 5, "cols": 4, "entries": k.tolist()},
+        "systems": {"W": {"members": [{"span": [q[:, i].tolist()], "weight": 1} for i in range(4)]}},
+    }
+    path = tmp_path / "bisected.json"
+    path.write_text(json.dumps(document))
+    out = tmp_path / "report.json"
+    result = invoke(runner, "douglas", "--in", str(path), "--out", str(out))
+    assert result.exit_code == 0, result.output
+    report = report_from(out)
+    assert report["pass"]
+    assert report["results"]["residual"] == residual
 
 
 def test_douglas_unit_norm(runner, tmp_path):
@@ -325,6 +352,16 @@ def test_an_expected_true_is_not_met_by_an_observed_false(monkeypatch):
     result = _examples_with(monkeypatch, "r4-not-exact", ("exact",), lambda v: True)
     assert result.exit_code == 1
     assert json.loads(stdout_lines(result.output)["failed"]) == [EXAMPLE_NAMES[2]]
+
+
+def test_a_resolution_without_a_positive_lower_bound_fails_only_its_check(monkeypatch):
+    real = cli.verify_resolution
+    monkeypatch.setattr(
+        cli, "verify_resolution", lambda *args: dataclasses.replace(real(*args), lower=0.0)
+    )
+    result = invoke(CliRunner(), "examples")
+    assert result.exit_code == 1
+    assert json.loads(stdout_lines(result.output)["failed"]) == [EXAMPLE_NAMES[10]]
 
 
 def test_booleans_match_only_booleans():

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import make_system, random_fusion_system
+from conftest import bisected_synthesis_instance, make_system, random_fusion_system
 from kfusion import factorization
 from kfusion.duality import qk_dual_from_x
 from kfusion.factorization import DouglasSolution, douglas_solve, range_included, x_w
@@ -15,7 +15,14 @@ from kfusion.frames import (
     synthesis,
     verify_k_fusion,
 )
-from kfusion.numerics import DEFAULT_TOL, AgreementError, Svd, pinv, spectral_norm
+from kfusion.numerics import (
+    DEFAULT_TOL,
+    AgreementError,
+    Svd,
+    ToleranceProfile,
+    pinv,
+    spectral_norm,
+)
 from kfusion.resolution import resolution_from_x
 
 ABS_TOLERANCE = 1e-9
@@ -88,21 +95,44 @@ def test_an_included_range_gives_a_bounded_pencil():
 
 def test_x_w_solves_the_synthesis_equation_it_is_checked_against():
     # K leaves the span of the four rotated lines by just under the containment threshold
-    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((5, 5)))
-    w = FusionSystem(5, tuple((subspace_from_spanning([q[:, i]]), 1.0) for i in range(4)))
-
-    def k_at(d):
-        return q[:, :4] @ np.eye(4, 5) + d * q[:, 4:5] @ np.ones((1, 5))
-
-    inside, outside = 0.0, 1e-8
-    for _ in range(60):
-        mid = (inside + outside) / 2
-        inside, outside = (mid, outside) if verify_k_fusion(w, k_at(mid)).passed else (inside, mid)
-    k = k_at(inside)
+    w, k, _ = bisected_synthesis_instance()
     x = x_w(w, k)
     assert x.residual > ABS_TOLERANCE
     qk_dual_from_x(w, k, x)
     resolution_from_x(w, k, x)
+
+
+def test_x_w_solution_is_read_only_and_not_checked_again(monkeypatch, r3_system, r3_k):
+    sol = x_w(r3_system, r3_k)
+    with pytest.raises(ValueError):
+        sol.x[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        sol.k[0, 0] = 1.0
+    checked = []
+    real = factorization._residual
+    monkeypatch.setattr(
+        factorization, "_residual", lambda *args: checked.append(args) or real(*args)
+    )
+    assert factorization.solution_matrix(r3_system, r3_k, sol, DEFAULT_TOL) is sol.x
+    qk_dual_from_x(r3_system, r3_k, sol)
+    resolution_from_x(r3_system, r3_k, sol)
+    assert checked == []
+
+
+def test_solutions_x_w_did_not_check_for_this_question_are_checked(r3_system, r3_k):
+    sol = x_w(r3_system, r3_k)
+    solution_matrix = factorization.solution_matrix
+    with pytest.raises(ValueError, match="does not solve"):
+        solution_matrix(r3_system, 2.0 * r3_k, sol, DEFAULT_TOL)
+    # an equal system or another profile passes the check itself
+    copy = FusionSystem(3, r3_system.members)
+    np.testing.assert_array_equal(solution_matrix(copy, r3_k, sol, DEFAULT_TOL), sol.x)
+    loose = ToleranceProfile(eq_abs=1e-6)
+    np.testing.assert_array_equal(solution_matrix(r3_system, r3_k, sol, loose), sol.x)
+    fields = {name: getattr(sol, name) for name in DouglasSolution.__dataclass_fields__}
+    bad = DouglasSolution(**{**fields, "x": 1.001 * sol.x})
+    with pytest.raises(ValueError, match="does not solve"):
+        solution_matrix(r3_system, r3_k, bad, DEFAULT_TOL)
 
 
 def test_douglas_solve_identity_case():

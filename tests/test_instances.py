@@ -149,6 +149,9 @@ def test_random_instance_is_deterministic():
     b = random_instance(0, 4, 3, 2)
     assert instance_digest(a) == instance_digest(b)
     assert instance_digest(a) != instance_digest(random_instance(1, 4, 3, 2))
+    # the seed is named in the comment only; no option carries it
+    assert a.document["comment"] == "seeded random instance (seed=0)"
+    assert "options" not in a.document and a.options == {}
 
 
 def test_random_instance_round_trips_through_files(tmp_path):

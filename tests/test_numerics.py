@@ -12,6 +12,7 @@ from kfusion.numerics import (
     DEFAULT_TOL,
     ToleranceProfile,
     max_rayleigh,
+    max_rayleigh_gram,
     null_basis,
     numerical_rank,
     orthonormal_range,
@@ -287,6 +288,91 @@ def test_a_contained_pencil_takes_no_n_by_n_norm(monkeypatch):
     monkeypatch.setattr(numerics, "spectral_norm", recording)
     assert np.isfinite(max_rayleigh(m, b))
     assert shapes == [(rank, n)]
+
+
+@st.composite
+def wide_factors_around_the_cutoff(draw):
+    """(m, g): a g wider than tall whose squared singular values straddle ``rank_rel``.
+
+    Each singular value of g is 1 or in [0.3, 1] ("big"), has its square
+    2 to 10 times the cutoff ``rank_rel * sigma_1**2`` ("kept"), 0.1 to 0.5
+    times it ("dropped"), or is zero. m lies in the span of the big
+    directions, plus a part of drawn size along the kept, the dropped, or
+    the kernel directions of g* g. Along kept directions that part stays
+    below 1e-7: the eigenvectors that ``eigh`` returns for eigenvalues
+    within a factor 10 of the cutoff are only accurate to about
+    eps / 1e-9 = 1e-7, so a larger part makes the dense route itself wrong
+    (see ``test_the_factored_pencil_keeps_a_near_cutoff_direction_eigh_blurs``).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 12))
+    rows = draw(st.integers(1, n - 1))
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    kinds = np.array([draw(st.sampled_from(["big", "kept", "dropped", "zero"])) for _ in range(rows)])
+    kinds[0] = "big"
+    cutoff = DEFAULT_TOL.rank_rel
+    s = np.select(
+        [kinds == "big", kinds == "kept", kinds == "dropped"],
+        [
+            rng.uniform(0.3, 1.0, rows),
+            np.sqrt(cutoff * rng.uniform(2.0, 10.0, rows)),
+            np.sqrt(cutoff * rng.uniform(0.1, 0.5, rows)),
+        ],
+        0.0,
+    )
+    s[0] = 1.0
+    left = np.linalg.qr(rng.standard_normal((rows, rows)))[0]
+    g = 10.0 ** draw(st.integers(-3, 3)) * (left * s) @ q[:, :rows].T
+    cols = draw(st.integers(1, 5))
+    big = q[:, :rows][:, kinds == "big"]
+    m = big @ rng.standard_normal((big.shape[1], cols))
+    place = draw(st.sampled_from(["inside", "kept", "dropped", "kernel"]))
+    if place == "kept":
+        extra, size = q[:, :rows][:, kinds == "kept"], 10.0 ** draw(st.integers(-14, -7))
+    elif place == "dropped":
+        extra, size = q[:, :rows][:, kinds == "dropped"], 10.0 ** draw(st.integers(-14, 1))
+    else:
+        extra, size = q[:, rows:], 10.0 ** draw(st.integers(-14, 1))
+    if place != "inside":
+        m = m + size * extra @ rng.standard_normal((extra.shape[1], cols))
+    return m * 10.0 ** draw(st.integers(-3, 3)), g
+
+
+@seed(3)
+@settings(max_examples=300, deadline=None)
+@given(wide_factors_around_the_cutoff())
+def test_the_factored_pencil_matches_the_dense_one(case):
+    m, g = case
+    b = g.T @ g
+    dense = max_rayleigh(m, 0.5 * (b + b.T))
+    factored = max_rayleigh_gram(m, g)
+    assert np.isinf(factored) == np.isinf(dense)
+    if np.isfinite(dense):
+        assert abs(factored - dense) <= 1e-10 * dense
+
+
+def test_the_factored_pencil_keeps_a_near_cutoff_direction_eigh_blurs():
+    """m along g's direction with squared singular value 5 rank_rel: the pencil is 1 / (5 rank_rel).
+
+    ``eigh`` of g* g returns that eigenvector with an error near eps / 5e-10,
+    so m seems to leave the kept span and the dense route reports an
+    unbounded pencil; the SVD of g* resolves the direction and the value.
+    """
+    q = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))[0]
+    s = np.array([1.0, np.sqrt(5.0 * DEFAULT_TOL.rank_rel)])
+    g = s[:, None] * q[:, :2].T
+    m = q[:, 1:2]
+    b = g.T @ g
+    assert max_rayleigh(m, 0.5 * (b + b.T)) == np.inf
+    assert max_rayleigh_gram(m, g) == pytest.approx(1.0 / s[1] ** 2, rel=1e-12)
+
+
+def test_a_tall_factor_takes_the_dense_route():
+    g = np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    m = np.array([[1.0], [1.0]])
+    assert max_rayleigh_gram(m, g) == max_rayleigh(m, g.T @ g) == pytest.approx(0.75)
+    with pytest.raises(ValueError):
+        max_rayleigh_gram(m, g.T)
 
 
 def test_tolerance_profile_validation():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
+from kfusion import resolution
 from kfusion.factorization import x_w
 from kfusion.frames import (
     FusionSystem,
@@ -14,7 +15,7 @@ from kfusion.frames import (
     synthesis,
     verify_k_fusion,
 )
-from kfusion.numerics import numerical_rank, pinv, spectral_norm
+from kfusion.numerics import DEFAULT_TOL, numerical_rank, pinv, spectral_norm
 from kfusion.resolution import (
     Resolution,
     frame_from_resolution,
@@ -306,6 +307,35 @@ def test_minimal_norm_strict_for_shifted_solution(r3_system, r3_k):
     assert report.plain_margin[0] >= -1e-9
     assert report.plain_margin[1] > 1e-3
     assert report.centered_margin[1] > 1e-3
+
+
+def _norms_taken(monkeypatch):
+    """The matrices whose spectral norm ``kfusion.resolution`` takes from now on."""
+    taken = []
+    monkeypatch.setattr(
+        resolution, "spectral_norm", lambda m: taken.append(m) or spectral_norm(m)
+    )
+    return taken
+
+
+def test_passing_checks_take_no_norm_of_k_or_of_a_member_operator(monkeypatch):
+    rng = np.random.default_rng(9)
+    w = random_fusion_system(rng, 12, [2, 3, 2])
+    k = synthesis(w) @ rng.standard_normal((7, 12))
+    r = resolution_from_x(w, k, x_w(w, k))
+    taken = _norms_taken(monkeypatch)
+    assert verify_resolution(r, k).passed
+    assert minimal_norm_check(w, k, r).passed
+    # the two residuals and the upper bound, nothing per member and not ||K||
+    assert [m.shape for m in taken] == [(12, 12), (7, 7), (12, 12)]
+    assert not any(m is k for m in taken)
+
+
+def test_a_residual_failing_at_the_largest_column_norm_is_decided_again_at_the_norm():
+    # 2.5e-9 fails at the column norm sqrt(2) (allowance 2.41e-9), passes at ||K|| = 2 (3e-9)
+    k = np.array([[1.0, 1.0], [1.0, 1.0]])
+    assert resolution._reproduces(2.5e-9, k, DEFAULT_TOL)
+    assert not resolution._reproduces(3.5e-9, k, DEFAULT_TOL)
 
 
 def test_minimal_norm_rejects_range_violation(r3_system, r3_k):
