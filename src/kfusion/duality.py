@@ -44,6 +44,7 @@ from kfusion.numerics import (
     outside_column,
     pinv,
     r_factor,
+    residual_matrix,
     spectral_norm,
     symmetric_eigenvalues,
 )
@@ -188,7 +189,7 @@ def _qk_certificate(w, v, q, k, k_norm, q_norm, tol) -> DualCertificate:
     t_v = synthesis(v)
     if q.shape != (t_v.shape[1], t_w.shape[1]):
         raise ValueError("Q must map W coefficients to V coefficients")
-    residual = spectral_norm(t_w @ q.T @ t_v.T - k)
+    residual = spectral_norm(residual_matrix(t_w @ q.T, t_v.T, k))
     cert = DualCertificate(
         kind="QK",
         residual=residual,
@@ -244,22 +245,27 @@ def qk_dual_from_x(
     return dual, q, cert
 
 
+def _k_dual_factors(w: FusionSystem, v: FusionSystem, k: np.ndarray, tol: ToleranceProfile):
+    """(U_K, M, phi) with U_K M = P_K T_W phi T_V*, the reconstruction operator of the pair."""
+    phi = phi_operator(w, v, k, tol)
+    u_k = frame_analysis(w, k, tol).k_factors.u
+    # U_K* T_W @ phi.matrix() @ T_V.T, one diagonal block at a time
+    m = sum(
+        (
+            (w_weight * (u_k.T @ w_sub.basis)) @ block @ (v_weight * v_sub.basis).T
+            for (w_sub, w_weight), (v_sub, v_weight), block in zip(w.members, v.members, phi.blocks)
+        ),
+        np.zeros((u_k.shape[1], v.ambient_dim)),
+    )
+    return u_k, m, phi
+
+
 def k_dual_reconstruction(
     w: FusionSystem, v: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL
 ):
     """Reconstruction operator of a candidate K-dual pair, with its transfer map."""
-    k = as_matrix(k)
-    phi = phi_operator(w, v, k, tol)
-    # T_W @ phi.matrix() @ T_V.T, one diagonal block at a time
-    inner = sum(
-        (
-            (w_weight * w_sub.basis) @ block @ (v_weight * v_sub.basis).T
-            for (w_sub, w_weight), (v_sub, v_weight), block in zip(w.members, v.members, phi.blocks)
-        ),
-        np.zeros((w.ambient_dim, v.ambient_dim)),
-    )
-    recon = frame_analysis(w, k, tol).k_projector @ inner
-    return recon, phi
+    u_k, m, phi = _k_dual_factors(w, v, as_matrix(k), tol)
+    return u_k @ m, phi
 
 
 def is_k_dual(
@@ -272,8 +278,8 @@ def is_k_dual(
     if len(v) != len(w):
         raise ValueError("systems must have the same member count")
     k = as_matrix(k)
-    recon, phi = k_dual_reconstruction(w, v, k, tol)
-    residual = spectral_norm(recon - k)
+    u_k, m, phi = _k_dual_factors(w, v, k, tol)
+    residual = spectral_norm(residual_matrix(u_k, m, k))
     return DualCertificate(
         kind="K",
         residual=residual,

@@ -30,6 +30,7 @@ from kfusion.numerics import (
     numerical_rank,
     orthonormal_range,
     outside_column,
+    residual_matrix,
     spectral_norm,
     svd,
 )
@@ -102,7 +103,7 @@ def range_included(l1, l2, tol: ToleranceProfile = DEFAULT_TOL):
 
 def _residual(l2, x, l1, l1_norm: float, tol: ToleranceProfile):
     """``(||L2 x - L1||, allowed)``: L2 x and L1 are two computations of L1, of norm ``l1_norm``."""
-    return spectral_norm(l2 @ x - l1), cross_allowance(l1_norm, tol)
+    return spectral_norm(residual_matrix(l2, x, l1)), cross_allowance(l1_norm, tol)
 
 
 def _solve_from_factors(l1, l2, l1_factors, l2_factors, alpha_inf, tol) -> DouglasSolution:

@@ -31,6 +31,7 @@ from kfusion.numerics import (
     outside_column,
     pinv,
     rayleigh_maximizer,
+    span_coordinates,
     spectral_norm,
     svd,
     symmetric_eigenvalues,
@@ -374,13 +375,24 @@ class FrameAnalysis:
         return max_rayleigh(self.k, self.s, self.tol)
 
     @cached_property
+    def _k_factors_in_span(self):
+        """``k_factors`` from the SVD of U* K when U is n x r, r < n, and K lies in span(U)."""
+        u = self.factors.u
+        coords = span_coordinates(self.k, u) if u.shape[1] < u.shape[0] else None
+        if coords is None:
+            return None
+        f = svd(coords).truncated(self.tol)
+        return _read_only(Svd(u @ f.u, f.singular_values, f.v))
+
+    @cached_property
     def k_norm(self) -> float:
-        return spectral_norm(self.k)
+        f = self._k_factors_in_span
+        return spectral_norm(self.k) if f is None else f.top
 
     @cached_property
     def k_factors(self):
         """Thin SVD of K truncated at the rank cutoff; ``u`` spans range(K)."""
-        return _read_only(svd(self.k).truncated(self.tol))
+        return self._k_factors_in_span or _read_only(svd(self.k).truncated(self.tol))
 
     @property
     def k_projector(self) -> np.ndarray:

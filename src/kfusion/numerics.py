@@ -96,6 +96,29 @@ def outside_column(m: np.ndarray, basis: np.ndarray, m_norm, tol: ToleranceProfi
     return None if inside else int(np.argmax(squares))
 
 
+# c eps of the span rule, c = 64 units of rounding: it picks an algorithm,
+# never an answer, so it is not part of the ToleranceProfile
+SPAN_ROUNDING = 64 * np.finfo(float).eps
+
+
+def span_coordinates(m: np.ndarray, basis: np.ndarray):
+    """Q* m when ||m - Q Q* m||_F <= c eps ||m||_F for the orthonormal Q = ``basis``, else None."""
+    coords = basis.T @ m
+    off = basis @ coords
+    off -= m
+    return coords if np.linalg.norm(off) <= SPAN_ROUNDING * np.linalg.norm(m) else None
+
+
+def residual_matrix(l: np.ndarray, r: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """L R - K, or R_L R - Q* K (same norm to rounding) when L = Q R_L is tall and K in span(Q)."""
+    if l.shape[0] > l.shape[1]:
+        q, r_l = np.linalg.qr(l)
+        coords = span_coordinates(k, q)
+        if coords is not None:
+            return r_l @ r - coords
+    return l @ r - k
+
+
 def cross_allowance(scale: float, tol: ToleranceProfile) -> float:
     """How far two computations of a quantity of size ``scale`` may differ: eq_rel max(scale, 1)."""
     return tol.eq_rel * max(scale, 1.0)
@@ -212,7 +235,8 @@ def pinv(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
         Real matrix.
     tol : ToleranceProfile
         Supplies the ``rank_rel`` cutoff; singular values at or below it are
-        zeroed, not inverted.
+        zeroed, not inverted, and so are subnormal ones, whose reciprocals
+        can overflow however m is scaled.
 
     Returns
     -------
@@ -223,7 +247,7 @@ def pinv(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     if m.size == 0:
         return np.zeros((m.shape[1], m.shape[0]))
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    keep = s > _sv_cutoff(s, tol)
+    keep = (s > _sv_cutoff(s, tol)) & (s >= np.finfo(float).tiny)
     s_inv = np.zeros_like(s)
     s_inv[keep] = 1.0 / s[keep]
     return (vt.T * s_inv) @ u.T

@@ -36,6 +36,7 @@ from kfusion.numerics import (
     outside_column,
     pinv,
     r_factor,
+    residual_matrix,
     spectral_norm,
 )
 
@@ -94,10 +95,15 @@ class Resolution:
         """The operators as dense matrices, multiplied out on every read."""
         return tuple(left @ right for left, right in self.factors)
 
-    def weighted_sum(self) -> np.ndarray:
-        """Sum of w_i**2 theta_i, as one product of the stacked factors."""
+    def stacked(self) -> tuple:
+        """(lefts, rights): the left factors side by side, the right ones times w_i**2 stacked."""
         lefts = np.hstack([left for left, _ in self.factors])
         rights = np.vstack([w**2 * right for (_, right), w in zip(self.factors, self.weights)])
+        return lefts, rights
+
+    def weighted_sum(self) -> np.ndarray:
+        """Sum of w_i**2 theta_i, as one product of the stacked factors."""
+        lefts, rights = self.stacked()
         return lefts @ rights
 
     def gram_factor(self) -> np.ndarray:
@@ -136,13 +142,14 @@ def verify_resolution(
     lower bound is the largest A with ``A * ||K f||^2`` below the weighted
     square sums for every f, vectors in the kernel of K imposing no
     constraint. Both are read at the size of the gram factor M (see
-    ``numerics.max_rayleigh_gram``), and ||K|| is computed only when the
-    residual fails at K's largest column norm.
+    ``numerics.max_rayleigh_gram``), and the residual through
+    ``numerics.residual_matrix`` of the stacked factors. ||K|| is computed
+    only when the residual fails at K's largest column norm.
     """
     k = as_matrix(k)
     if r.shape != k.shape:
         raise ValueError("operators and K must share one shape")
-    residual = spectral_norm(r.weighted_sum() - k)
+    residual = spectral_norm(residual_matrix(*r.stacked(), k))
     # the gram sum is M* M, whose norm is that of M M*, at most min(sum(d_i), cols) wide
     factor = r.gram_factor()
     upper = spectral_norm(factor @ factor.T)

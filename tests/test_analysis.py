@@ -6,8 +6,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_fusion_system
+from conftest import bisected_synthesis_instance, random_fusion_system
 from kfusion import duality, frames, numerics, resolution
 from kfusion.factorization import x_w
 from kfusion.frames import FusionSystem, Subspace, synthesis, verify_k_fusion
@@ -239,10 +241,10 @@ def _thin_instance(seed=21, n=24, dims=(3, 2, 4, 3), rank=4):
     return w, k
 
 
-def _record_decompositions(monkeypatch):
-    """Shapes of the inputs of every ``eigh`` and SVD made from now on."""
+def _record_decompositions(monkeypatch, names=("eigh", "svd")):
+    """Shapes of the inputs of every ``np.linalg`` decomposition in ``names`` made from now on."""
     shapes = []
-    for name in ("eigh", "svd"):
+    for name in names:
         real = getattr(np.linalg, name)
 
         def recording(m, *args, _real=real, _name=name, **kwargs):
@@ -294,3 +296,115 @@ def test_image_factors_match_the_svd_of_s_times_the_range_projector():
         np.testing.assert_allclose(
             (image.u * image.singular_values) @ image.v.T, s_p, atol=1e-12 * scale
         )
+
+
+def test_the_thin_question_set_decomposes_nothing_n_by_n_but_the_pencils(monkeypatch):
+    """With Σd + rank K < n, the only n x n decompositions are the eigh(S) of the two pencils."""
+    w, k = _thin_instance()
+    n = w.ambient_dim
+    shapes = _record_decompositions(monkeypatch, ("eigh", "svd", "eigvalsh"))
+    out = _questions(w, k)
+    assert out["canonical"][1].passed and out["qk"][2].passed
+    assert all(check.passed for check in out["checks"])
+    square = [(name, shape) for name, shape in shapes if min(shape) >= n]
+    # pencil_ratio of W against K and of the QK-dual against K*
+    assert square == [("eigh", (n, n))] * 2, square
+
+
+# relative Frobenius size of the part of K off the span of T
+OFF_SPAN = [0.0] + [10.0**-p for p in range(15, 5, -1)]
+
+
+def _routes_and_answers(w, k, dense):
+    """(span_coordinates calls as (m, basis, taken), answers); ``dense`` turns the rule off."""
+    calls = []
+    real = numerics.span_coordinates
+
+    def recording(m, basis):
+        coords = None if dense else real(m, basis)
+        calls.append((m, basis, coords is not None))
+        return coords
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "span_coordinates", recording)
+        patch.setattr(frames, "span_coordinates", recording)
+        w = _copy(w)
+        try:
+            verified = verify_k_fusion(w, k).passed
+            answers = _questions(w, k) if verified else {"verify": verify_k_fusion(w, k)}
+        except AgreementError as err:
+            answers = {"error": type(err)}
+        answers["analysis"] = frames.frame_analysis(w, k)
+    return calls, answers
+
+
+def _assert_routes_agree(w, k):
+    """The question set decides the same on both routes, and its numbers agree to 1e-12."""
+    calls, fast = _routes_and_answers(w, k, dense=False)
+    _, dense = _routes_and_answers(w, k, dense=True)
+    limit = numerics.SPAN_ROUNDING
+    for m, basis, taken in calls:
+        assert taken == (np.linalg.norm(m - basis @ (basis.T @ m)) <= limit * np.linalg.norm(m))
+    assert fast.keys() == dense.keys()
+    if "x_w" not in fast:
+        assert fast.get("error") == dense.get("error")
+        assert fast["verify"].passed == dense["verify"].passed
+        return calls
+    scale = 1e-12 * max(dense["analysis"].k_norm, 1.0)
+    one, other = fast["analysis"], dense["analysis"]
+    assert one.k_norm == pytest.approx(other.k_norm, rel=1e-12)
+    assert one.k_factors.singular_values.size == other.k_factors.singular_values.size
+    np.testing.assert_allclose(
+        one.k_factors.singular_values, other.k_factors.singular_values, rtol=0, atol=scale
+    )
+    for got, want in ((one.k_factors, other.k_factors), (one.image_factors, other.image_factors)):
+        np.testing.assert_allclose(got.u @ got.u.T, want.u @ want.u.T, rtol=0, atol=1e-12)
+    assert fast["verify"] == dense["verify"]
+    pairs = [
+        (fast["x_w"], dense["x_w"]),
+        (fast["canonical"][1], dense["canonical"][1]),
+        (fast["qk"][2], dense["qk"][2]),
+        *zip(fast["checks"], dense["checks"]),
+    ]
+    for got, want in pairs:
+        assert abs(got.residual - want.residual) <= scale
+    for flag in ("nullspace_match", "range_containment"):
+        assert getattr(fast["x_w"], flag) == getattr(dense["x_w"], flag)
+    assert [got.passed for got, _ in pairs[1:]] == [want.passed for _, want in pairs[1:]]
+    return calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.lists(st.integers(1, 3), min_size=2, max_size=4),
+    rank=st.integers(1, 4),
+    off=st.sampled_from(OFF_SPAN),
+)
+def test_compressed_and_dense_routes_agree(seed, dims, rank, off):
+    rng = np.random.default_rng(seed)
+    n = sum(dims) + 3
+    w = random_fusion_system(rng, n, dims, list(rng.uniform(0.5, 2.0, len(dims))))
+    span = np.linalg.qr(synthesis(w))[0]
+    k = span[:, : min(rank, sum(dims))] @ rng.standard_normal((min(rank, sum(dims)), n))
+    away = rng.standard_normal((n, n))
+    away -= span @ (span.T @ away)
+    k += off * np.linalg.norm(k) / np.linalg.norm(away) * away
+    calls = _assert_routes_agree(w, k)
+    # the first call decides K against the span of T: inside it when K lies
+    # there, dense when K leaves it by far more than rounding
+    m, basis, taken = calls[0]
+    assert m.shape == (n, n) and basis.shape[1] == sum(dims)
+    if off == 0.0:
+        assert taken
+    if off >= 1e-12:
+        assert not taken
+
+
+def test_the_bisected_instance_takes_the_dense_route_with_the_same_residual():
+    # K leaves the span of T by 2e-9, far more than rounding
+    w, k, _ = bisected_synthesis_instance()
+    calls = _assert_routes_agree(w, k)
+    assert calls and not any(taken for _, _, taken in calls)
+    sol = x_w(_copy(w), k)
+    assert sol.residual == numerics.spectral_norm(synthesis(w) @ sol.x - k)

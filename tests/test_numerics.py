@@ -393,11 +393,14 @@ def test_tolerance_profile_validation():
 # entries 6.08e-129 and 0 at [0, 0]: the pseudo-inverse has entries near 1.6e128
 TINY_WITH_A_ZERO_CORNER = np.full((MATRIX_DIMENSION, MATRIX_DIMENSION), 6.08e-129)
 TINY_WITH_A_ZERO_CORNER[0, 0] = 0.0
+# a subnormal singular value: its reciprocal overflows, so pinv treats it as zero
+SUBNORMAL_DIAGONAL = np.diag([2.2250738585e-309, 0.0, 0.0, 0.0])
 
 
 @seed(1)
 @given(square_matrices)
 @example(TINY_WITH_A_ZERO_CORNER)
+@example(SUBNORMAL_DIAGONAL)
 def test_pinv_satisfies_penrose_identities(m):
     assume(rank_is_well_separated(m))
     p = pinv(m)
@@ -411,6 +414,7 @@ def test_pinv_satisfies_penrose_identities(m):
 
 @seed(1)
 @given(square_matrices)
+@example(SUBNORMAL_DIAGONAL)
 def test_pinv_is_an_involution(m):
     assume(rank_is_well_separated(m))
     scale = max(spectral_norm(m), 1.0)

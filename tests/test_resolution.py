@@ -326,8 +326,10 @@ def test_passing_checks_take_no_norm_of_k_or_of_a_member_operator(monkeypatch):
     taken = _norms_taken(monkeypatch)
     assert verify_resolution(r, k).passed
     assert minimal_norm_check(w, k, r).passed
-    # the two residuals and the upper bound, nothing per member and not ||K||
-    assert [m.shape for m in taken] == [(12, 12), (7, 7), (12, 12)]
+    # the two residuals and the upper bound, nothing per member and not ||K||;
+    # K lies in the span of the 12 x 7 stacked left factors, so the first
+    # residual is taken at 7 x 12
+    assert [m.shape for m in taken] == [(7, 12), (7, 7), (12, 12)]
     assert not any(m is k for m in taken)
 
 
