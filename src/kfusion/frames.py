@@ -23,14 +23,21 @@ from kfusion.numerics import (
     agreement,
     as_matrix,
     at_most,
+    downdated_norm,
+    keeps_rank,
+    kept_eigenpairs,
     max_rayleigh,
     negligible,
     null_basis,
     numerical_rank,
     orthonormal_range,
     outside_column,
+    pencil_top,
     pinv,
     rayleigh_maximizer,
+    rounding_factor,
+    row_downdate,
+    singular_values,
     span_coordinates,
     spectral_norm,
     svd,
@@ -321,35 +328,30 @@ class FrameAnalysis:
     gives the range of T, the upper bound ``sigma_1**2`` and the
     pseudo-inverse route to the lower bound, ``1 / ||Sigma^-1 U* K||**2``.
     The frame operator S = T T* gives the independent pencil route, the
-    largest generalized eigenvalue of (K K*, S) from the eigendecomposition
-    of S. Each ``AgreementError`` compares those two decompositions. The
-    other pieces (the pencil, the SVD of K, the inverse frame operator on
-    the image of range(K)) are computed when first needed. Every piece is a
-    fixed function of (W, K, tol), so answers do not depend on which
-    question came first.
+    largest generalized eigenvalue of (K K*, S) from the eigenpairs of S kept
+    by the rank cutoff. Each ``AgreementError`` compares those two
+    decompositions. The other pieces (the pencil, the SVD of K, the inverse
+    frame operator on the image of range(K)) are computed when first needed.
+    Every piece is a fixed function of (W, K, tol), so answers do not depend
+    on which question came first.
 
-    Obtain it through ``frame_analysis``, or for a system without one member
-    through ``without_block``; the arrays it holds are read-only. T itself
-    is not kept (``synthesis`` rebuilds it cheaply), which keeps the
+    Obtain it through ``frame_analysis``, or for the system without each
+    member through ``without_each``; the arrays it holds are read-only. T
+    itself is not kept (``synthesis`` rebuilds it cheaply), which keeps the
     memoised entry small.
     """
 
     def __init__(
-        self,
-        k: np.ndarray,
-        tol: ToleranceProfile,
-        s: np.ndarray,
-        factors: Svd,
-        has_zero_members: bool = False,
+        self, k: np.ndarray, tol: ToleranceProfile, s: np.ndarray, factors: Svd, zero_members=0
     ) -> None:
         """The analysis from a read-only K, the frame operator S and the truncated SVD of T.
 
-        ``factors`` needs only its left factors and singular values for the
-        certificate; ``frame_analysis`` builds the full one from a system.
+        The certificate reads only the singular values of ``factors``, and its left
+        factors unless ``without_each`` gives the range check and ||pinv(T) K||.
         """
         # no reference back to the system: the system holds its analysis, and
         # a cycle would keep both alive until the cyclic garbage collector runs
-        self.has_zero_members = has_zero_members
+        self.zero_members = zero_members
         self.k = k
         self.tol = tol
         self.s = s
@@ -361,44 +363,36 @@ class FrameAnalysis:
     def of_system(cls, w: FusionSystem, k: np.ndarray, tol: ToleranceProfile):
         """The analysis of (W, K, tol): thin SVD of T truncated at the rank cutoff, and S = T T*."""
         t = synthesis(w)
-        return cls(
-            _read_only(k.copy()),
-            tol,
-            _read_only(t @ t.T),
-            _read_only(svd(t).truncated(tol)),
-            any(sub.is_zero for sub, _ in w.members),
-        )
+        s, factors = _read_only(t @ t.T), _read_only(svd(t).truncated(tol))
+        return cls(_read_only(k.copy()), tol, s, factors, sum(sub.is_zero for sub, _ in w.members))
+
+    @cached_property
+    def pencil_eigenpairs(self) -> tuple:
+        """``kept_eigenpairs(K, S)``: the eigenpairs (E, Lambda) of S that the pencil keeps."""
+        return tuple(_read_only(a) for a in kept_eigenpairs(self.k, self.s, self.tol))
 
     @cached_property
     def pencil_ratio(self) -> float:
-        """Largest generalized eigenvalue of (K K*, S), from the eigendecomposition of S."""
-        return max_rayleigh(self.k, self.s, self.tol)
+        """Largest generalized eigenvalue of (K K*, S), from ``pencil_eigenpairs``."""
+        return pencil_top(self.k, *self.pencil_eigenpairs)
 
     @cached_property
-    def _k_factors_in_span(self):
-        """``k_factors`` from the SVD of U* K when U is n x r, r < n, and K lies in span(U)."""
+    def _k_span(self):
+        """``span_coordinates(K, U)`` when U is n x r with r < n, else None."""
         u = self.factors.u
-        coords = span_coordinates(self.k, u) if u.shape[1] < u.shape[0] else None
-        if coords is None:
-            return None
-        f = svd(coords).truncated(self.tol)
-        return _read_only(Svd(u @ f.u, f.singular_values, f.v))
+        return span_coordinates(self.k, u) if u.shape[1] < u.shape[0] else None
 
     @cached_property
     def k_norm(self) -> float:
-        f = self._k_factors_in_span
-        return spectral_norm(self.k) if f is None else f.top
+        return spectral_norm(self.k) if self._k_span is None else self.k_factors.top
 
     @cached_property
     def k_factors(self):
-        """Thin SVD of K truncated at the rank cutoff; ``u`` spans range(K)."""
-        return self._k_factors_in_span or _read_only(svd(self.k).truncated(self.tol))
-
-    @property
-    def k_projector(self) -> np.ndarray:
-        """Range projector of K, rebuilt from its basis on each use rather than kept."""
-        basis = self.k_factors.u
-        return basis @ basis.T
+        """Truncated thin SVD of K (via U* K when ``_k_span``); ``u`` spans range(K)."""
+        if self._k_span is None:
+            return _read_only(svd(self.k).truncated(self.tol))
+        f = svd(self._k_span[0]).truncated(self.tol)
+        return _read_only(Svd(self.factors.u @ f.u, f.singular_values, f.v))
 
     @cached_property
     def image_factors(self):
@@ -419,10 +413,33 @@ class FrameAnalysis:
         return _read_only((f.v / f.singular_values) @ f.u.T)
 
     @cached_property
+    def _outside(self):
+        """The column of K off the span of T, or None; a ``_k_span`` residual decides a pass."""
+        span = self._k_span
+        if span is not None and negligible(span[1], self.k_norm, self.tol):
+            return None
+        return outside_column(self.k, self.factors.u, self.k_norm, self.tol)
+
+    @property
+    def _pinv_matrix(self) -> np.ndarray:
+        """Sigma^-1 U* K, r x cols(K), with the norm of pinv(T) K = V Sigma^-1 U* K."""
+        return self.factors.u.T @ self.k / self.factors.singular_values[:, None]
+
+    @cached_property
+    def _pinv_norm(self) -> float:
+        return spectral_norm(self._pinv_matrix)
+
+    @cached_property
+    def _lower_factors(self) -> tuple:
+        """``rounding_factor`` of Sigma^-1 U* K and of Lambda^-1/2 E* K, for the drops' updates."""
+        vecs, vals = self.pencil_eigenpairs
+        pencil_matrix = vecs.T @ self.k / np.sqrt(vals)[:, None]
+        return rounding_factor(self._pinv_matrix), rounding_factor(pencil_matrix)
+
+    @cached_property
     def _verdict(self) -> tuple:
         """(lower via pencil, lower via pinv, witness column, message) of the frame condition."""
-        k, tol = self.k, self.tol
-        j = outside_column(k, self.factors.u, self.k_norm, tol)
+        j = self._outside
         if j is not None:
             message = f"range obstruction: column {j} of K leaves the span of the system"
             return None, None, j, message
@@ -430,11 +447,9 @@ class FrameAnalysis:
         if np.isinf(ratio):
             return None, None, None, "no positive lower bound: the pencil is unbounded"
         lower_pencil = np.inf if ratio == 0.0 else 1.0 / ratio
-        # ||pinv(T) K|| = ||V Sigma^-1 U* K|| = ||Sigma^-1 U* K||, an r x cols(K) matrix
-        f = self.factors
-        x_norm = spectral_norm((f.u.T @ k) / f.singular_values[:, None])
+        x_norm = self._pinv_norm
         lower_pinv = np.inf if x_norm == 0.0 else x_norm**-2
-        gap, allowed = agreement(lower_pencil, lower_pinv, tol)
+        gap, allowed = agreement(lower_pencil, lower_pinv, self.tol)
         if gap > allowed:
             raise AgreementError(
                 f"optimal lower bound mismatch: pencil {lower_pencil} vs pinv {lower_pinv},"
@@ -444,7 +459,7 @@ class FrameAnalysis:
 
     def certificate(self) -> Certificate:
         """A new certificate of the frame condition; callers may write into its details."""
-        if self.has_zero_members:
+        if self.zero_members:
             warnings.warn("zero-dimensional members contribute nothing and are skipped")
         lower_pencil, lower_pinv, j, message = self._verdict
         if lower_pencil is None:
@@ -463,38 +478,42 @@ class FrameAnalysis:
             raise ValueError(f"system must be a K-fusion frame: {cert.message}")
         return self
 
-    def without_block(self, rows: slice, block: np.ndarray) -> "FrameAnalysis":
-        """The analysis of the system without one member, downdated from this one.
+    def without_each(self, t: np.ndarray, slices: list):
+        """The analysis of this verified system without each member in turn, for ``certificate``.
 
-        ``rows`` are the member's columns of T and ``block`` their values
-        (weight times basis). With T = U Sigma V* and V_j the member's rows of
-        V, the other rows have Gram matrix M**2, M = I - H H* + H diag(nu) H*,
-        where H holds the right singular vectors of V_j and nu_i = ||V_-j h_i||
-        comes from the other rows, so that values near zero stay accurate.
-        One r x r SVD of Sigma M then gives the singular values and left
-        factors of T without the member; ``factors.v`` is None, because only
-        the certificate reads the result. The pencil route reads the frame
-        operator S - block block*, so the two routes stay independent.
+        ``t`` is the synthesis matrix and ``slices`` the members' columns. Each
+        route updates its own decomposition when the drop keeps its rank and
+        downdates it otherwise (README, Exactness).
         """
-        f = self.factors
-        if block.shape[1] == 0:
-            s_drop, factors = self.s, f
-        else:
-            s_drop = self.s - block @ block.T
-            # exactly symmetric, so max_rayleigh skips its symmetry check
-            s_drop = _read_only(0.5 * (s_drop + s_drop.T))
-            v = f.v
-            h = svd(v[rows]).v
-            nu = np.hypot(
-                np.linalg.norm(v[: rows.start] @ h, axis=0),
-                np.linalg.norm(v[rows.stop :] @ h, axis=0),
-            )
-            m = np.eye(h.shape[0]) + (h * (nu - 1.0)) @ h.T
-            small = svd(f.singular_values[:, None] * m).truncated(self.tol)
-            factors = _read_only(Svd(f.u @ small.u, small.singular_values, None))
-        dropped = FrameAnalysis(self.k, self.tol, s_drop, factors)
-        dropped.k_norm = self.k_norm  # K is shared, and so is its norm
-        return dropped
+        f, tol, total = self.factors, self.tol, t.shape[1]
+        vecs, vals = self.pencil_eigenpairs
+        rows_c = t.T @ (vecs / np.sqrt(vals))
+        for rows in slices:
+            width = rows.stop - rows.start
+            # K is shared, and so is its norm
+            factors, s_drop, known = f, None, {"k_norm": self.k_norm, "_k_span": None}
+            h, s, nu = row_downdate(f.v, rows)
+            sigma_m = f.singular_values[:, None] * (np.eye(h.shape[0]) + (h * (nu - 1.0)) @ h.T)
+            # with fewer other columns than its rank, a route loses rank
+            kept = singular_values(sigma_m) if total - width >= h.shape[0] else None
+            if kept is not None and keeps_rank(kept[-1], kept[0], tol):
+                factors = _read_only(Svd(None, kept, None))
+                pinv_norm = downdated_norm(self._lower_factors[0], h, s, nu)
+                known.update(_outside=None, _pinv_norm=pinv_norm)
+            else:
+                small = svd(sigma_m).truncated(tol)
+                factors = _read_only(Svd(f.u @ small.u, small.singular_values, None))
+            if total - width >= vals.size:
+                h, s, nu = row_downdate(rows_c, rows)
+                if keeps_rank(vals[0] * nu.min(initial=1.0) ** 2, vals[-1], tol):
+                    known["pencil_ratio"] = downdated_norm(self._lower_factors[1], h, s, nu) ** 2
+            if "pencil_ratio" not in known:
+                s_drop = self.s - t[:, rows] @ t[:, rows].T
+                # exactly symmetric, so the pencil skips its symmetry check
+                s_drop = _read_only(0.5 * (s_drop + s_drop.T))
+            dropped = FrameAnalysis(self.k, tol, s_drop, factors, self.zero_members - (width == 0))
+            dropped.__dict__.update(known)
+            yield dropped
 
 
 def frame_analysis(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> FrameAnalysis:
@@ -566,24 +585,20 @@ def is_minimal(w: FusionSystem, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
 def is_exact(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> ExactnessReport:
     """Removability of each member, given that the full system verifies.
 
-    Each member's certificate comes from the shared analysis downdated by
-    that member (``FrameAnalysis.without_block``), so the call takes one SVD
-    of the synthesis matrix, not one per member.
+    Each member's certificate comes from the shared analysis updated by that
+    member (``FrameAnalysis.without_each``), so the call decomposes T and S
+    once, not once per member. A certificate warns about zero-dimensional
+    members exactly when verifying the system without that member would.
     """
     base = verify_k_fusion(w, k, tol)
     if not base.passed:
         raise ValueError("system must verify as a K-fusion frame before exactness")
     analysis = frame_analysis(w, k, tol)
     certificates = tuple(
-        analysis.without_block(rows, weight * sub.basis).certificate()
-        for rows, (sub, weight) in zip(w.block_slices(), w.members)
+        dropped.certificate() for dropped in analysis.without_each(synthesis(w), w.block_slices())
     )
     removable = tuple(cert.passed for cert in certificates)
-    return ExactnessReport(
-        exact=not any(removable),
-        removable=removable,
-        certificates=certificates,
-    )
+    return ExactnessReport(exact=not any(removable), removable=removable, certificates=certificates)
 
 
 def restricted_bounds(s, sub: Subspace, tol: ToleranceProfile = DEFAULT_TOL):

@@ -102,20 +102,21 @@ SPAN_ROUNDING = 64 * np.finfo(float).eps
 
 
 def span_coordinates(m: np.ndarray, basis: np.ndarray):
-    """Q* m when ||m - Q Q* m||_F <= c eps ||m||_F for the orthonormal Q = ``basis``, else None."""
+    """(Q* m, ||m - Q Q* m||_F) when the residual is <= c eps ||m||_F, else None; Q = ``basis``."""
     coords = basis.T @ m
     off = basis @ coords
     off -= m
-    return coords if np.linalg.norm(off) <= SPAN_ROUNDING * np.linalg.norm(m) else None
+    residual = float(np.linalg.norm(off))
+    return (coords, residual) if residual <= SPAN_ROUNDING * np.linalg.norm(m) else None
 
 
 def residual_matrix(l: np.ndarray, r: np.ndarray, k: np.ndarray) -> np.ndarray:
     """L R - K, or R_L R - Q* K (same norm to rounding) when L = Q R_L is tall and K in span(Q)."""
     if l.shape[0] > l.shape[1]:
         q, r_l = np.linalg.qr(l)
-        coords = span_coordinates(k, q)
-        if coords is not None:
-            return r_l @ r - coords
+        span = span_coordinates(k, q)
+        if span is not None:
+            return r_l @ r - span[0]
     return l @ r - k
 
 
@@ -207,6 +208,16 @@ def r_factor(m) -> np.ndarray:
     norm for every ``a`` while R has only ``min(rows, cols)`` rows.
     """
     return np.linalg.qr(as_matrix(m), mode="r")
+
+
+def singular_values(m) -> np.ndarray:
+    """Singular values, sorted nonincreasing, without the factors."""
+    return np.linalg.svd(as_matrix(m), compute_uv=False)
+
+
+def keeps_rank(low: float, top: float, tol: ToleranceProfile) -> bool:
+    """The rank cutoff: ``low`` is kept beside the largest value ``top`` when low > rank_rel top."""
+    return bool(low > tol.rank_rel * top)
 
 
 def _sv_cutoff(s: np.ndarray, tol: ToleranceProfile) -> float:
@@ -327,13 +338,8 @@ def _kept_span(m: np.ndarray, vals: np.ndarray, vecs: np.ndarray, m_norm, tol: T
     return kept, vals[keep]
 
 
-def _scaled_pencil(m, b, tol: ToleranceProfile):
-    """The pencil (m m*, b) on range(b) as one symmetric matrix, and the map of its eigenvectors.
-
-    Returns ``(pencil, back)``: an eigenvector v of ``pencil`` is ``back @ v`` in ambient
-    coordinates. Returns ``(None, f)`` when the columns of m leave the span of b's kept
-    eigenvectors, with f the normalized off-span part of the worst column.
-    """
+def kept_eigenpairs(m, b, tol: ToleranceProfile = DEFAULT_TOL) -> tuple:
+    """``_kept_span`` of the eigenpairs of a symmetric b: the span the pencil (m m*, b) lives on."""
     m = as_matrix(m)
     b = as_matrix(b)
     if b.shape != (m.shape[0],) * 2:
@@ -342,19 +348,17 @@ def _scaled_pencil(m, b, tol: ToleranceProfile):
     # an exactly symmetric input passes without the two norms
     if skew.any() and not negligible(spectral_norm(skew), spectral_norm(b), tol):
         raise ValueError("b is not symmetric within tolerance")
-    b = 0.5 * (b + b.T)
-    vals, vecs = np.linalg.eigh(b)
-    a = m @ m.T
-    # ||m|| squared is the norm of the symmetric a, which needs no Gram of m;
-    # it is computed only when the rank-sized first step fails
-    kept, vals = _kept_span(m, vals, vecs, lambda: np.sqrt(spectral_norm(a)), tol)
-    if kept is None:
-        return None, vals
-    # b is diagonal in its kept eigenbasis, so the restricted pencil reduces
-    # to an ordinary symmetric eigenproblem after diagonal scaling.
-    root = 1.0 / np.sqrt(vals)
-    a_restricted = kept.T @ a @ kept
-    return root[:, None] * a_restricted * root[None, :], kept * root
+    vals, vecs = np.linalg.eigh(0.5 * (b + b.T))
+    # ||m|| is computed only when the rank-sized first step fails
+    return _kept_span(m, vals, vecs, lambda: spectral_norm(m), tol)
+
+
+def pencil_top(m, vecs, vals) -> float:
+    """Top of (m m*, b) from b's kept eigenpairs: ||m* vecs vals^-1/2||**2; inf for vecs None."""
+    if vecs is None:
+        return float("inf")
+    scaled = as_matrix(m).T @ vecs / np.sqrt(vals)
+    return max(float(symmetric_eigenvalues(scaled.T @ scaled).max(initial=0.0)), 0.0)
 
 
 def max_rayleigh(m, b, tol: ToleranceProfile = DEFAULT_TOL) -> float:
@@ -381,10 +385,7 @@ def max_rayleigh(m, b, tol: ToleranceProfile = DEFAULT_TOL) -> float:
     ValueError
         If b is asymmetric beyond tolerance or the shapes differ.
     """
-    pencil, _ = _scaled_pencil(m, b, tol)
-    if pencil is None:
-        return float("inf")
-    return max(float(np.linalg.eigvalsh(pencil)[-1]), 0.0) if pencil.size else 0.0
+    return pencil_top(m, *kept_eigenpairs(m, b, tol))
 
 
 def max_rayleigh_gram(m, g, tol: ToleranceProfile = DEFAULT_TOL) -> float:
@@ -406,10 +407,7 @@ def max_rayleigh_gram(m, g, tol: ToleranceProfile = DEFAULT_TOL) -> float:
         b = g.T @ g
         return max_rayleigh(m, 0.5 * (b + b.T), tol)
     f = svd(g.T)
-    kept, vals = _kept_span(m, f.singular_values**2, f.u, lambda: spectral_norm(m), tol)
-    if kept is None:
-        return float("inf")
-    return spectral_norm((m.T @ kept) / np.sqrt(vals)) ** 2
+    return pencil_top(m, *_kept_span(m, f.singular_values**2, f.u, lambda: spectral_norm(m), tol))
 
 
 def rayleigh_maximizer(m, b, tol: ToleranceProfile = DEFAULT_TOL) -> tuple[float, np.ndarray]:
@@ -418,11 +416,37 @@ def rayleigh_maximizer(m, b, tol: ToleranceProfile = DEFAULT_TOL) -> tuple[float
     An unbounded quotient gives the normalized part of m's worst column off
     range(b); a = b = 0 gives zero.
     """
-    pencil, back = _scaled_pencil(m, b, tol)
-    if pencil is None:
-        return float("inf"), back
-    if not pencil.size:
-        return 0.0, np.zeros(back.shape[0])
-    vals, vecs = np.linalg.eigh(pencil)
-    top = back @ vecs[:, -1]
+    kept, vals = kept_eigenpairs(m, b, tol)
+    if kept is None:
+        return float("inf"), vals
+    if not vals.size:
+        return 0.0, np.zeros(kept.shape[0])
+    m = as_matrix(m)
+    root = 1.0 / np.sqrt(vals)
+    # b is diagonal in its kept eigenbasis, so the pencil there is an ordinary symmetric one
+    vals, vecs = np.linalg.eigh(root[:, None] * (kept.T @ (m @ m.T) @ kept) * root[None, :])
+    top = (kept * root) @ vecs[:, -1]
     return max(float(vals[-1]), 0.0), top / np.linalg.norm(top)
+
+
+def rounding_factor(m) -> np.ndarray:
+    """U diag(s) from the SVD m = U diag(s) W*, less s <= c eps s_1: ||X m|| = ||X U diag(s)||."""
+    f = svd(m)
+    keep = f.singular_values > SPAN_ROUNDING * f.top
+    return f.u[:, keep] * f.singular_values[keep]
+
+
+def row_downdate(q: np.ndarray, rows: slice) -> tuple:
+    """(h, s, nu): the right singular pairs of q[rows], and nu_i = ||q_others h_i||.
+
+    nu comes from the other rows, not as sqrt(1 - s**2), so values near zero stay accurate.
+    """
+    f = svd(q[rows])
+    part = q @ f.v
+    before, after = (np.linalg.norm(p, axis=0) for p in (part[: rows.start], part[rows.stop :]))
+    return f.v, f.singular_values, np.hypot(before, after)
+
+
+def downdated_norm(g: np.ndarray, h: np.ndarray, s: np.ndarray, nu: np.ndarray) -> float:
+    """||M^-1 g|| for M = I - h h* + h diag(nu) h*, s**2 + nu**2 = 1: M^-2 = I + h (s/nu)**2 h*."""
+    return spectral_norm(np.vstack([g, (s / nu)[:, None] * (h.T @ g)]))

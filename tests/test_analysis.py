@@ -103,8 +103,8 @@ def test_failure_witness_is_a_fresh_copy():
 
 def test_pencil_route_is_an_independent_check(monkeypatch):
     w, k = _instance()
-    real = frames.max_rayleigh
-    monkeypatch.setattr(frames, "max_rayleigh", lambda a, b, tol: 1.01 * real(a, b, tol))
+    real = frames.pencil_top
+    monkeypatch.setattr(frames, "pencil_top", lambda m, vecs, vals: 1.01 * real(m, vecs, vals))
     with pytest.raises(AgreementError):
         verify_k_fusion(w, k)
     fresh, _ = _instance()
@@ -131,8 +131,8 @@ def test_svd_route_is_an_independent_check(monkeypatch):
 def test_lower_bound_mismatch_names_both_values_the_gap_and_the_tolerance(monkeypatch):
     w, k = _instance()
     want_pinv = verify_k_fusion(_copy(w), k).details["lower_via_pinv"]
-    real = frames.max_rayleigh
-    monkeypatch.setattr(frames, "max_rayleigh", lambda a, b, tol: 1.01 * real(a, b, tol))
+    real = frames.pencil_top
+    monkeypatch.setattr(frames, "pencil_top", lambda m, vecs, vals: 1.01 * real(m, vecs, vals))
     with pytest.raises(AgreementError) as err:
         verify_k_fusion(w, k)
     found = re.search(
@@ -282,7 +282,7 @@ def test_image_factors_match_the_svd_of_s_times_the_range_projector():
     for w, k in (_thin_instance(), _thin_instance(seed=4, n=10, dims=(4, 4, 3), rank=10), _instance()):
         analysis = frames.frame_analysis(w, k).require()
         image = analysis.image_factors
-        s_p = analysis.s @ analysis.k_projector
+        s_p = analysis.s @ analysis.k_factors.u @ analysis.k_factors.u.T
         old = numerics.svd(s_p).truncated()
         scale = old.top
         np.testing.assert_allclose(image.singular_values, old.singular_values, rtol=1e-12)

@@ -172,7 +172,7 @@ def _system_with_a_zero_member():
 def test_member_basis_constructions_equal_the_projector_formulas():
     w, k = _system_with_a_zero_member()
     analysis = frame_analysis(w, k)
-    p_r, inv_img = analysis.k_projector, analysis.inverse_on_image
+    p_r, inv_img = analysis.k_factors.u @ analysis.k_factors.u.T, analysis.inverse_on_image
     carrier = inv_img.T @ k
     want_b = [p_r @ sub.projector() @ carrier for sub in w.subspaces]
     want_c = [inv_img @ sub.projector() @ k for sub in w.subspaces]
@@ -185,7 +185,7 @@ def test_member_basis_constructions_equal_the_projector_formulas():
 def _built_resolutions(w, k):
     """The three library constructions, each with its operators in the closed form of its docstring."""
     analysis = frame_analysis(w, k)
-    p_r, inv_img = analysis.k_projector, analysis.inverse_on_image
+    p_r, inv_img = analysis.k_factors.u @ analysis.k_factors.u.T, analysis.inverse_on_image
     carrier = inv_img.T @ k
     sol = x_w(w, k)
     return {

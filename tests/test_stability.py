@@ -1,6 +1,5 @@
 """The stability questions in each member's own subspace: member pencils and downdated exactness."""
 
-import sys
 import warnings
 
 import numpy as np
@@ -15,14 +14,13 @@ from kfusion.frames import (
     Subspace,
     is_exact,
     map_subspace,
+    subspace_from_spanning,
     synthesis,
     verify_k_fusion,
 )
 from kfusion.instances import random_instance
 from kfusion.numerics import AgreementError, orthonormal_range
 from kfusion.perturbation import certify_perturbation, member_pencils
-
-SVD_FAMILY = {"svd", "numerical_rank", "pinv", "spectral_norm", "orthonormal_range", "null_basis"}
 
 
 def _planted(n=64, rank=4, seed=21):
@@ -269,56 +267,180 @@ def _redundant(seed_=5, n=8):
     return w, rng.standard_normal((n, n))
 
 
-def test_is_exact_drops_are_cross_checked_by_the_pencil_route(monkeypatch):
+def _is_exact_with_a_skewed_parent(monkeypatch, name, skew):
+    """is_exact after the verified analysis's decomposition ``name`` is replaced by its skew."""
     w, k = _redundant()
     assert verify_k_fusion(w, k).passed  # the base analysis is checked and kept
-    real = frames.max_rayleigh
-    monkeypatch.setattr(frames, "max_rayleigh", lambda a, b, tol: 1.01 * real(a, b, tol))
+    analysis = frames.frame_analysis(w, k)
+    monkeypatch.setattr(analysis, name, skew(getattr(analysis, name)))
+    return is_exact(w, k)
+
+
+def test_is_exact_drops_are_cross_checked_by_the_pencil_route(monkeypatch):
     with pytest.raises(AgreementError):
-        is_exact(w, k)
+        _is_exact_with_a_skewed_parent(
+            monkeypatch, "pencil_eigenpairs", lambda pair: (pair[0], 1.01 * pair[1])
+        )
 
 
 def test_is_exact_drops_are_cross_checked_by_the_svd_route(monkeypatch):
-    w, k = _redundant()
-    assert verify_k_fusion(w, k).passed
-    real = frames.svd
-
-    def skewed(m):
-        f = real(m)
+    def skewed(f):
         return numerics.Svd(u=f.u, singular_values=1.01 * f.singular_values, v=f.v)
 
-    monkeypatch.setattr(frames, "svd", skewed)
     with pytest.raises(AgreementError):
-        is_exact(w, k)
+        _is_exact_with_a_skewed_parent(monkeypatch, "factors", skewed)
+
+
+def _record_linalg(monkeypatch):
+    """(name, shape, with vectors) of every ``np.linalg`` svd and eigh made from now on."""
+    calls = []
+    for name in ("svd", "eigh"):
+        real = getattr(np.linalg, name)
+
+        def recording(m, *args, _real=real, _name=name, **kwargs):
+            calls.append((_name, np.shape(m), kwargs.get("compute_uv", True)))
+            return _real(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return calls
 
 
 def test_is_exact_takes_one_synthesis_svd(monkeypatch):
-    """One n x Σd SVD per call, whatever the member count; one n x n pencil per member."""
+    """Redundant: one n x Σd SVD and one n x n eigh per call, r x r singular values per drop."""
     w, k = _redundant(seed_=9, n=8)
     n, total = w.ambient_dim, synthesis(w).shape[1]
     assert total > n
-    calls = []
-
-    def wrap(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append((name, np.shape(args[0])))
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    wrappers = {
-        getattr(numerics, name): wrap(name, getattr(numerics, name))
-        for name in SVD_FAMILY | {"max_rayleigh"}
-    }
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("kfusion"):
-            for attr, obj in list(vars(module).items()):
-                if callable(obj) and obj in wrappers:
-                    monkeypatch.setattr(module, attr, wrappers[obj])
-
+    calls = _record_linalg(monkeypatch)
     report = is_exact(w, k)
     assert all(report.removable)
-    wide = [shape for name, shape in calls if name in SVD_FAMILY and max(shape) >= total]
+    wide = [shape for name, shape, _ in calls if name == "svd" and max(shape) >= total]
     assert wide == [(n, total)]
-    pencils = [shape for name, shape in calls if name == "max_rayleigh"]
-    assert pencils == [(n, n)] * (len(w) + 1)
+    assert [shape for name, shape, _ in calls if name == "eigh"] == [(n, n)]
+    square = [with_uv for name, shape, with_uv in calls if name == "svd" and shape == (n, n)]
+    # the two rank-sized factors of the lower-bound matrices, once per call
+    assert square.count(True) == 2 and square.count(False) == len(w)
+
+
+def test_is_exact_downdates_when_every_drop_loses_rank(monkeypatch):
+    """Σd = n: each drop takes an r x r SVD and, when K stays in range, an n x n pencil."""
+    rng = np.random.default_rng(3)
+    n = 8
+    w = random_fusion_system(rng, n, [2] * 4, list(rng.uniform(0.5, 2.0, 4)))
+    k = w.members[0][0].basis @ rng.standard_normal((2, n))
+    calls = _record_linalg(monkeypatch)
+    report = is_exact(w, k)
+    assert report.removable == (False, True, True, True)
+    square = [(name, with_uv) for name, shape, with_uv in calls if shape == (n, n)]
+    assert square.count(("svd", False)) == 0
+    # T itself is n x n here
+    assert square.count(("svd", True)) == 1 + len(w)
+    assert square.count(("eigh", True)) == 1 + sum(report.removable)
+
+
+def test_each_drop_warns_about_zero_members_as_verifying_it_would():
+    """R^3 with a plane, two zero members and a line: every drop leaves a zero member behind."""
+    n = 3
+    plane, zero, line = (Subspace(n, np.eye(n)[:, cols]) for cols in ([0, 1], [], [2]))
+    w = FusionSystem(n, ((plane, 1.0), (zero, 1.0), (zero, 1.0), (line, 1.0)))
+    k = np.diag([1.0, 1.0, 0.0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        drops = [verify_k_fusion(w.drop(j), k) for j in range(len(w))]
+    assert len(caught) == len(w)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = is_exact(w, k)
+    # one warning for the full system, one for each drop
+    assert len(caught) == 1 + len(w)
+    assert report.removable == tuple(cert.passed for cert in drops) == (False, True, True, True)
+
+
+# the planted member's part off the span of the others
+PLANTED_DELTAS = [0.0] + [10.0**-p for p in range(12, 0, -1)]
+
+
+def _planted_drop_system(seed_, n, dims, position, delta, k_rank):
+    """Members inside a hyperplane, each direction covered twice, plus one member off it by delta.
+
+    The planted member's first column is a direction of the others plus delta
+    times the normal of the hyperplane. K has rank ``k_rank``; below n its
+    range lies in the hyperplane.
+    """
+    rng = np.random.default_rng(seed_)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    plane, normal = q[:, :-1], q[:, -1]
+    bases = [plane @ rng.standard_normal((n - 1, d)) for d in dims + [n - 1, n - 1]]
+    planted = bases[0] @ rng.standard_normal((bases[0].shape[1], 2))
+    planted[:, 0] += delta * np.linalg.norm(planted[:, 0]) * normal
+    bases.insert(position % (len(bases) + 1), planted)
+    weights = rng.uniform(0.5, 2.0, len(bases))
+    w = FusionSystem(n, tuple((subspace_from_spanning(b.T), wt) for b, wt in zip(bases, weights)))
+    left = q if k_rank == n else plane[:, :k_rank]
+    k = left @ rng.standard_normal((k_rank, n))
+    return w, k
+
+
+def _pencil_floor(w):
+    """The pencil's accuracy floor on w: c eps times the condition number of S on its kept span."""
+    lam = np.linalg.svd(synthesis(w), compute_uv=False) ** 2
+    lam = lam[lam > numerics.DEFAULT_TOL.rank_rel * lam[0]]
+    return numerics.SPAN_ROUNDING * lam[0] / lam[-1]
+
+
+def test_planted_drops_match_verifying_them_on_both_paths():
+    """is_exact equals verifying each drop, whether the drop took the update or the downdate."""
+    paths = set()
+
+    @seed(12)
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 7),
+        st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        st.integers(0, 5),
+        st.sampled_from(PLANTED_DELTAS),
+        st.data(),
+    )
+    def check(seed_, n, dims, position, delta, data):
+        k_rank = data.draw(st.sampled_from([n, 1, n // 2]))
+        w, k = _planted_drop_system(seed_, n, dims, position, delta, k_rank)
+        drops = []
+        for j in range(len(w)):
+            try:
+                drops.append(verify_k_fusion(w.drop(j), k))
+            except AgreementError:
+                drops.append(None)
+        try:
+            assume(verify_k_fusion(w, k).passed)
+        except AgreementError:
+            with pytest.raises(AgreementError):
+                is_exact(w, k)
+            return
+        floors = [_pencil_floor(w.drop(j)) for j in range(len(w))]
+        try:
+            report = is_exact(w, k)
+        except AgreementError:
+            # only where no double-precision pencil can meet the cross-check
+            assert max(floors) >= numerics.DEFAULT_TOL.eq_rel
+            return
+        for got, want, floor in zip(report.certificates, drops, floors):
+            if want is None:
+                continue
+            assert got.passed == want.passed
+            assert got.message == want.message
+            if want.witness is None:
+                assert got.witness is None
+            else:
+                np.testing.assert_array_equal(got.witness, want.witness)
+            if want.passed:
+                pinv = want.details["lower_via_pinv"]
+                assert got.details["lower_via_pinv"] == pytest.approx(pinv, rel=1e-10)
+                assert got.bounds.lower == pytest.approx(want.bounds.lower, rel=1e-10 + floor)
+                assert got.bounds.upper == pytest.approx(want.bounds.upper, rel=1e-10)
+        analysis = frames.frame_analysis(w, k)
+        for dropped in analysis.without_each(synthesis(w), w.block_slices()):
+            paths.add(("svd", dropped.factors.u is None))
+            paths.add(("pencil", dropped.s is None))
+
+    check()
+    assert paths == {(route, updated) for route in ("svd", "pencil") for updated in (True, False)}
