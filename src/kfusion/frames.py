@@ -26,12 +26,15 @@ from kfusion.numerics import (
     downdated_norm,
     keeps_rank,
     kept_eigenpairs,
+    lost_directions,
     max_rayleigh,
     negligible,
     null_basis,
     numerical_rank,
+    off_span,
     orthonormal_range,
     outside_column,
+    outside_without,
     pencil_top,
     pinv,
     rayleigh_maximizer,
@@ -348,6 +351,8 @@ class FrameAnalysis:
 
         The certificate reads only the singular values of ``factors``, and its left
         factors unless ``without_each`` gives the range check and ||pinv(T) K||.
+        ``factors`` is None for a drop that ``without_each`` found off range
+        from the member's own rows; that certificate reads nothing else.
         """
         # no reference back to the system: the system holds its analysis, and
         # a cycle would keep both alive until the cyclic garbage collector runs
@@ -356,8 +361,11 @@ class FrameAnalysis:
         self.tol = tol
         self.s = s
         self.factors = factors
-        # optimal upper bound: the largest eigenvalue of S
-        self.upper = factors.top**2
+
+    @property
+    def upper(self) -> float:
+        """The optimal upper bound: the largest eigenvalue of S."""
+        return self.factors.top**2
 
     @classmethod
     def of_system(cls, w: FusionSystem, k: np.ndarray, tol: ToleranceProfile):
@@ -437,6 +445,11 @@ class FrameAnalysis:
         return rounding_factor(self._pinv_matrix), rounding_factor(pencil_matrix)
 
     @cached_property
+    def _off_span(self) -> tuple:
+        """``off_span(K, U)``: U* K and the squares of each column of K off span(U)."""
+        return tuple(_read_only(a) for a in off_span(self.k, self.factors.u))
+
+    @cached_property
     def _verdict(self) -> tuple:
         """(lower via pencil, lower via pinv, witness column, message) of the frame condition."""
         j = self._outside
@@ -483,37 +496,57 @@ class FrameAnalysis:
 
         ``t`` is the synthesis matrix and ``slices`` the members' columns. Each
         route updates its own decomposition when the drop keeps its rank and
-        downdates it otherwise (README, Exactness).
+        downdates it otherwise. A drop whose lost directions are proven from
+        the member's rows fails its range check there, with no r x r
+        decomposition; only a drop that keeps K in range reaches the pencil
+        (README, Exactness).
         """
-        f, tol, total = self.factors, self.tol, t.shape[1]
         vecs, vals = self.pencil_eigenpairs
         rows_c = t.T @ (vecs / np.sqrt(vals))
         for rows in slices:
-            width = rows.stop - rows.start
-            # K is shared, and so is its norm
-            factors, s_drop, known = f, None, {"k_norm": self.k_norm, "_k_span": None}
-            h, s, nu = row_downdate(f.v, rows)
-            sigma_m = f.singular_values[:, None] * (np.eye(h.shape[0]) + (h * (nu - 1.0)) @ h.T)
-            # with fewer other columns than its rank, a route loses rank
-            kept = singular_values(sigma_m) if total - width >= h.shape[0] else None
-            if kept is not None and keeps_rank(kept[-1], kept[0], tol):
-                factors = _read_only(Svd(None, kept, None))
-                pinv_norm = downdated_norm(self._lower_factors[0], h, s, nu)
-                known.update(_outside=None, _pinv_norm=pinv_norm)
-            else:
-                small = svd(sigma_m).truncated(tol)
-                factors = _read_only(Svd(f.u @ small.u, small.singular_values, None))
-            if total - width >= vals.size:
-                h, s, nu = row_downdate(rows_c, rows)
-                if keeps_rank(vals[0] * nu.min(initial=1.0) ** 2, vals[-1], tol):
-                    known["pencil_ratio"] = downdated_norm(self._lower_factors[1], h, s, nu) ** 2
-            if "pencil_ratio" not in known:
-                s_drop = self.s - t[:, rows] @ t[:, rows].T
-                # exactly symmetric, so the pencil skips its symmetry check
-                s_drop = _read_only(0.5 * (s_drop + s_drop.T))
-            dropped = FrameAnalysis(self.k, tol, s_drop, factors, self.zero_members - (width == 0))
+            factors, s_drop, known = self._drop(t, rows_c, rows)
+            dropped = FrameAnalysis(
+                self.k, self.tol, s_drop, factors, self.zero_members - (rows.start == rows.stop)
+            )
             dropped.__dict__.update(known)
             yield dropped
+
+    def _drop(self, t: np.ndarray, rows_c: np.ndarray, rows: slice) -> tuple:
+        """(factors, S, the pieces it presets) of the analysis without the member at ``rows``."""
+        f, tol = self.factors, self.tol
+        others = t.shape[1] - (rows.stop - rows.start)
+        # K is shared, and so is its norm
+        known = {"k_norm": self.k_norm, "_k_span": None}
+        h, s, nu = row_downdate(f.v, rows)
+        lost = lost_directions(f.singular_values, h, nu, tol)
+        if lost is not None:
+            j = outside_without(*self._off_span, lost, self.k_norm, tol)
+            if j is not None:
+                known["_outside"] = j
+                return None, None, known
+        sigma_m = f.singular_values[:, None] * (np.eye(h.shape[0]) + (h * (nu - 1.0)) @ h.T)
+        # with fewer other columns than its rank, or lost directions, the route loses rank
+        kept = singular_values(sigma_m) if lost is None and others >= h.shape[0] else None
+        if kept is not None and keeps_rank(kept[-1], kept[0], tol):
+            factors = _read_only(Svd(None, kept, None))
+            pinv_norm = downdated_norm(self._lower_factors[0], h, s, nu)
+            known.update(_outside=None, _pinv_norm=pinv_norm)
+        else:
+            small = svd(sigma_m).truncated(tol)
+            factors = _read_only(Svd(f.u @ small.u, small.singular_values, None))
+            known["_outside"] = outside_column(self.k, factors.u, self.k_norm, tol)
+            # off range, the certificate reads no pencil
+            if known["_outside"] is not None:
+                return factors, None, known
+        vecs, vals = self.pencil_eigenpairs
+        if others >= vals.size:
+            h, s, nu = row_downdate(rows_c, rows)
+            if keeps_rank(vals[0] * nu.min(initial=1.0) ** 2, vals[-1], tol):
+                known["pencil_ratio"] = downdated_norm(self._lower_factors[1], h, s, nu) ** 2
+                return factors, None, known
+        s_drop = self.s - t[:, rows] @ t[:, rows].T
+        # exactly symmetric, so the pencil skips its symmetry check
+        return factors, _read_only(0.5 * (s_drop + s_drop.T)), known
 
 
 def frame_analysis(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> FrameAnalysis:
@@ -587,8 +620,12 @@ def is_exact(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> Exactne
 
     Each member's certificate comes from the shared analysis updated by that
     member (``FrameAnalysis.without_each``), so the call decomposes T and S
-    once, not once per member. A certificate warns about zero-dimensional
-    members exactly when verifying the system without that member would.
+    once, not once per member. A drop that loses rank fails its range check
+    from the member's own rows when they prove which directions it loses;
+    it takes an r x r SVD only when they do not, or when K stays in range,
+    and only then an n x n pencil. A certificate warns about
+    zero-dimensional members exactly when verifying the system without that
+    member would.
     """
     base = verify_k_fusion(w, k, tol)
     if not base.passed:

@@ -4,7 +4,8 @@ Every other module routes its linear algebra through here so that rank
 decisions happen once, at SVD truncation, under a single tolerance policy.
 Every other comparison with the tolerance goes through one of three rules
 here: ``negligible`` (a residual counts as zero; ``negligible_lazily`` when
-its scale is costly), ``outside_column`` (columns lie in a span) and
+its scale is costly), ``outside_column`` (columns lie in a span;
+``outside_without`` for a span less some of its directions) and
 ``agreement`` / ``at_most`` (two computations of one number).
 """
 
@@ -71,6 +72,16 @@ def negligible_lazily(residual: float, floor: float, scale, tol: ToleranceProfil
     return negligible(residual, _BELOW_NORM * floor, tol) or negligible(residual, scale(), tol)
 
 
+def off_span(m: np.ndarray, basis: np.ndarray) -> tuple:
+    """(B* m, the squared norm of each column of (I - B B*) m), for B = ``basis``."""
+    coords = basis.T @ m
+    # in place: m can be far wider than it is tall
+    off = basis @ coords
+    off -= m
+    off *= off
+    return coords, off.sum(axis=0)
+
+
 def outside_column(m: np.ndarray, basis: np.ndarray, m_norm, tol: ToleranceProfile):
     """The containment rule: None when the columns of m lie in span(basis), else the worst column.
 
@@ -82,12 +93,7 @@ def outside_column(m: np.ndarray, basis: np.ndarray, m_norm, tol: ToleranceProfi
     then ``negligible_lazily`` with the floor ||B* m||, a norm the size of the
     span, so the callable runs only when the residual fails there.
     """
-    coords = basis.T @ m
-    # in place: m can be far wider than it is tall
-    off = basis @ coords
-    off -= m
-    off *= off
-    squares = off.sum(axis=0)
+    coords, squares = off_span(m, basis)
     residual = float(np.sqrt(squares.sum()))
     if callable(m_norm):
         inside = negligible_lazily(residual, spectral_norm(coords), m_norm, tol)
@@ -445,6 +451,44 @@ def row_downdate(q: np.ndarray, rows: slice) -> tuple:
     part = q @ f.v
     before, after = (np.linalg.norm(p, axis=0) for p in (part[: rows.start], part[rows.stop :]))
     return f.v, f.singular_values, np.hypot(before, after)
+
+
+def lost_directions(sigma: np.ndarray, h: np.ndarray, nu: np.ndarray, tol: ToleranceProfile):
+    """Q factor N of Sigma^-1 h_L when the rank cutoff on diag(sigma) M provably drops just h_L.
+
+    ``sigma`` holds the r kept singular values of T, ``(h, _, nu)`` come from
+    ``row_downdate``, M = I - h h* + h diag(nu) h*, and h_L are the columns
+    with nu <= c eps. The truncated SVD of Sigma M then keeps r - len(h_L)
+    values, and its left factors span the complement of N, to rounding.
+    None when the Weyl and interlacing bounds on those values (README,
+    Exactness) do not clear the cutoff by c eps sigma_1.
+    """
+    lost = nu <= SPAN_ROUNDING
+    if not lost.any() or h.shape[1] >= sigma.size:
+        return None
+    margin = SPAN_ROUNDING * sigma[0]
+    small = sigma[0] * float(nu[lost].max())
+    large = sigma[-1] * float(nu[~lost].min(initial=1.0)) - small
+    # a lost value may reach the cutoff's lower end, rank_rel sigma_(1+k), k the columns of h
+    if keeps_rank(small + margin, sigma[h.shape[1]], tol):
+        return None
+    # a kept value may fall to its upper end, rank_rel sigma_1
+    if not keeps_rank(large - margin, sigma[0], tol):
+        return None
+    return np.linalg.qr(h[:, lost] / sigma[:, None])[0]
+
+
+def outside_without(coords: np.ndarray, squares: np.ndarray, lost: np.ndarray, m_norm: float, tol):
+    """``outside_column(m, U Q, m_norm)``, Q an orthonormal basis of the complement of ``lost``.
+
+    ``(coords, squares)`` is ``off_span(m, U)`` and ``lost`` has orthonormal
+    columns. The residual off span(U Q) adds ||lost* U* m||**2 to each
+    column's squares off span(U), so Q is never formed.
+    """
+    extra = lost.T @ coords
+    squares = squares + (extra * extra).sum(axis=0)
+    inside = negligible(float(np.sqrt(squares.sum())), m_norm, tol)
+    return None if inside else int(np.argmax(squares))
 
 
 def downdated_norm(g: np.ndarray, h: np.ndarray, s: np.ndarray, nu: np.ndarray) -> float:

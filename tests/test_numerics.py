@@ -375,6 +375,79 @@ def test_a_tall_factor_takes_the_dense_route():
         max_rayleigh_gram(m, g.T)
 
 
+CUTOFF, MARGIN = DEFAULT_TOL.rank_rel, numerics.SPAN_ROUNDING
+
+
+def _lost_case(sigma, nu):
+    """(h, Sigma M) for hand-built nu: h has orthonormal columns, M = I - h h* + h diag(nu) h*."""
+    rng = np.random.default_rng(0)
+    sigma, nu = np.array(sigma), np.array(nu)
+    h = np.linalg.qr(rng.standard_normal((sigma.size, nu.size)))[0]
+    return h, sigma[:, None] * (np.eye(sigma.size) - h @ h.T + (h * nu) @ h.T)
+
+
+def _loss_gate_case(where, factor):
+    """(sigma, nu) with the lost or the kept side ``where`` ``factor`` margins off the cutoff.
+
+    Two of the four nu are lost. With sigma_1 = 3, the cutoff's lower end
+    ``rank_rel`` sigma_5 sits at sigma_1 max nu_L + factor c eps sigma_1, or
+    the kept side's lower end sigma_6 min(nu_kept, 1) - sigma_1 max nu_L at
+    ``rank_rel`` sigma_1 + factor c eps sigma_1.
+    """
+    top, margin = 3.0, MARGIN * 3.0
+    if where == "lost":
+        nu = [1e-14, 0.0, 0.6, 0.9]
+        fifth = (top * 1e-14 + factor * margin) / CUTOFF
+        return [top, 2.0, 1.5, 1.0, fifth, 0.8 * fifth], nu
+    nu = [0.0, 0.0, 1.0, 1.0]
+    return [top, 2.0, 1.5, 1.0, 0.5, CUTOFF * top + factor * margin], nu
+
+
+@pytest.mark.parametrize("where", ["lost", "kept"])
+@pytest.mark.parametrize("factor, accepted", [(0.5, False), (1.5, True), (1e3, True)])
+def test_the_loss_gate_falls_back_within_the_margin_of_the_cutoff(where, factor, accepted):
+    sigma, nu = _loss_gate_case(where, factor)
+    h, sigma_m = _lost_case(sigma, nu)
+    lost = numerics.lost_directions(np.array(sigma), h, np.array(nu), DEFAULT_TOL)
+    assert (lost is not None) == accepted
+    if accepted:
+        # N spans the left singular vectors that the truncated SVD drops, to
+        # within the sin-theta bound: the lost part of M and the rounding of
+        # Sigma M, over the gap below the kept values
+        f = svd(sigma_m)
+        rank = f.truncated(DEFAULT_TOL).singular_values.size
+        assert rank == len(sigma) - 2
+        dropped = f.u[:, rank:]
+        small = sigma[0] * max(nu[:2])
+        gap = sigma[-1] * min(min(nu[2:]), 1.0) - small
+        angle = spectral_norm(lost @ lost.T - dropped @ dropped.T)
+        assert angle <= (small + MARGIN * sigma[0]) / gap
+
+
+def test_the_loss_gate_needs_a_lost_direction_and_a_value_left_to_interlace():
+    sigma = np.array([2.0, 1.0, 0.5])
+    h, _ = _lost_case(sigma, [0.5, 0.9])
+    assert numerics.lost_directions(sigma, h, np.array([0.5, 0.9]), DEFAULT_TOL) is None
+    h, _ = _lost_case(sigma, [0.0, 0.0, 0.0])
+    assert numerics.lost_directions(sigma, h, np.zeros(3), DEFAULT_TOL) is None
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-12, 1e-6, 1.0])
+def test_containment_without_lost_directions_matches_the_rule_on_their_complement(scale):
+    rng = np.random.default_rng(7)
+    n, r = 9, 5
+    u = np.linalg.qr(rng.standard_normal((n, r)))[0]
+    lost = np.linalg.qr(rng.standard_normal((r, 2)))[0]
+    rest = null_basis(lost.T)
+    m = u @ rest @ rng.standard_normal((r - 2, 4))
+    normal = np.linalg.qr(np.column_stack([u, rng.standard_normal(n)]))[0][:, r]
+    m[:, 2] += scale * (u @ lost[:, 0] + normal)
+    m_norm = spectral_norm(m)
+    got = numerics.outside_without(*numerics.off_span(m, u), lost, m_norm, DEFAULT_TOL)
+    assert got == numerics.outside_column(m, u @ rest, m_norm, DEFAULT_TOL)
+    assert got == (None if scale <= 1e-12 else 2)
+
+
 def test_tolerance_profile_validation():
     with pytest.raises(ValueError):
         ToleranceProfile(rank_rel=1.5)

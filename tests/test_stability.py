@@ -321,20 +321,41 @@ def test_is_exact_takes_one_synthesis_svd(monkeypatch):
     assert square.count(True) == 2 and square.count(False) == len(w)
 
 
-def test_is_exact_downdates_when_every_drop_loses_rank(monkeypatch):
-    """Σd = n: each drop takes an r x r SVD and, when K stays in range, an n x n pencil."""
+def _exact_system():
+    """Four members of dim 2 in R^8 (Σd = n), and the generator that drew them."""
     rng = np.random.default_rng(3)
-    n = 8
-    w = random_fusion_system(rng, n, [2] * 4, list(rng.uniform(0.5, 2.0, 4)))
+    return random_fusion_system(rng, 8, [2] * 4, list(rng.uniform(0.5, 2.0, 4))), rng
+
+
+def test_is_exact_downdates_when_every_drop_loses_rank(monkeypatch):
+    """Σd = n: a drop that keeps K in range takes an r x r SVD and an n x n pencil."""
+    w, rng = _exact_system()
+    n = w.ambient_dim
     k = w.members[0][0].basis @ rng.standard_normal((2, n))
     calls = _record_linalg(monkeypatch)
     report = is_exact(w, k)
     assert report.removable == (False, True, True, True)
     square = [(name, with_uv) for name, shape, with_uv in calls if shape == (n, n)]
     assert square.count(("svd", False)) == 0
-    # T itself is n x n here
-    assert square.count(("svd", True)) == 1 + len(w)
+    # T itself is n x n here; the drop of member 0 is decided from its own rows
+    assert square.count(("svd", True)) == 1 + sum(report.removable)
     assert square.count(("eigh", True)) == 1 + sum(report.removable)
+
+
+def test_a_drop_that_leaves_k_out_of_range_takes_no_rank_sized_decomposition(monkeypatch):
+    """Σd = n and K of full rank: every drop fails its range check from the member's rows."""
+    w, rng = _exact_system()
+    k = rng.standard_normal((w.ambient_dim, w.ambient_dim))
+    calls = _record_linalg(monkeypatch)
+    report = is_exact(w, k)
+    assert report.removable == (False,) * len(w)
+    assert all("range obstruction" in cert.message for cert in report.certificates)
+    # the SVD of T and the eigh of S, once per call
+    n = w.ambient_dim
+    assert [(name, shape) for name, shape, with_uv in calls if with_uv and shape == (n, n)] == [
+        ("svd", (n, n)),
+        ("eigh", (n, n)),
+    ]
 
 
 def test_each_drop_warns_about_zero_members_as_verifying_it_would():
@@ -355,8 +376,9 @@ def test_each_drop_warns_about_zero_members_as_verifying_it_would():
     assert report.removable == tuple(cert.passed for cert in drops) == (False, True, True, True)
 
 
-# the planted member's part off the span of the others
-PLANTED_DELTAS = [0.0] + [10.0**-p for p in range(12, 0, -1)]
+# the planted member's part off the span of the others; at 3e-2 the planted
+# drop's nu sits at the c eps that marks a lost direction, on either side of it
+PLANTED_DELTAS = [0.0] + [10.0**-p for p in range(12, 0, -1)] + [3e-2]
 
 
 def _planted_drop_system(seed_, n, dims, position, delta, k_rank):
@@ -387,8 +409,15 @@ def _pencil_floor(w):
     return numerics.SPAN_ROUNDING * lam[0] / lam[-1]
 
 
+def _svd_path(dropped):
+    """How a drop's SVD route was decided: updated, from the member's rows, or downdated."""
+    if dropped.factors is None:
+        return "member"
+    return "update" if dropped.factors.u is None else "downdate"
+
+
 def test_planted_drops_match_verifying_them_on_both_paths():
-    """is_exact equals verifying each drop, whether the drop took the update or the downdate."""
+    """is_exact equals verifying each drop, whichever path each route of the drop took."""
     paths = set()
 
     @seed(12)
@@ -439,8 +468,13 @@ def test_planted_drops_match_verifying_them_on_both_paths():
                 assert got.bounds.upper == pytest.approx(want.bounds.upper, rel=1e-10)
         analysis = frames.frame_analysis(w, k)
         for dropped in analysis.without_each(synthesis(w), w.block_slices()):
-            paths.add(("svd", dropped.factors.u is None))
-            paths.add(("pencil", dropped.s is None))
+            paths.add(("svd", _svd_path(dropped)))
+            # a drop that leaves K out of range reads no pencil
+            if dropped._outside is None:
+                paths.add(("pencil", "update" if dropped.s is None else "downdate"))
 
     check()
-    assert paths == {(route, updated) for route in ("svd", "pencil") for updated in (True, False)}
+    assert paths == {("svd", "update"), ("svd", "member"), ("svd", "downdate")} | {
+        ("pencil", "update"),
+        ("pencil", "downdate"),
+    }
