@@ -112,8 +112,8 @@ def _solve_from_factors(l1, l2, l1_factors, l2_factors, alpha_inf, tol) -> Dougl
     ``x = V Sigma^-1 U* L1`` with (U, Sigma, V) the factors of L2. Because V
     has orthonormal columns, the norm, rank and kernel of x are those of the
     small ``Sigma^-1 U* L1``, so no decomposition is made at the size of x.
-    ``alpha_inf``, the pencil constant of (L1 L1*, L2 L2*), comes from an
-    eigendecomposition of L2 L2* and must agree with the SVD route.
+    ``alpha_inf``, the pencil constant of (L1 L1*, L2 L2*), comes from
+    ``max_rayleigh`` and must agree with the SVD route.
     """
     coeff = (l2_factors.u.T @ l1) / l2_factors.singular_values[:, None]
     x = l2_factors.v @ coeff
@@ -185,7 +185,7 @@ def douglas_solve(l1, l2, tol: ToleranceProfile = DEFAULT_TOL) -> DouglasSolutio
         raise ValueError(
             f"range of L1 is not contained in range of L2; witness column {l1[:, j]}"
         )
-    alpha_inf = max_rayleigh(l1, l2 @ l2.T, tol)
+    alpha_inf = max_rayleigh(l1, l2, tol).value
     return _solve_from_factors(l1, l2, l1_factors, l2_factors, alpha_inf, tol)
 
 

@@ -25,7 +25,6 @@ from kfusion.numerics import (
     at_most,
     downdated_norm,
     keeps_rank,
-    kept_eigenpairs,
     lost_directions,
     max_rayleigh,
     negligible,
@@ -35,9 +34,7 @@ from kfusion.numerics import (
     orthonormal_range,
     outside_column,
     outside_without,
-    pencil_top,
     pinv,
-    rayleigh_maximizer,
     rounding_factor,
     row_downdate,
     singular_values,
@@ -317,9 +314,9 @@ def frame_operator(w: FusionSystem) -> np.ndarray:
 
 
 def _read_only(m):
-    """``m`` (an array, or the factors of an Svd) made read-only in place."""
-    for a in (m.u, m.singular_values, m.v) if isinstance(m, Svd) else (m,):
-        if a is not None:
+    """``m`` (an array, or the arrays an Svd or a Pencil holds) made read-only in place."""
+    for a in (m,) if isinstance(m, np.ndarray) else vars(m).values():
+        if isinstance(a, np.ndarray):
             a.flags.writeable = False
     return m
 
@@ -330,36 +327,39 @@ class FrameAnalysis:
     The thin SVD of the synthesis matrix T, truncated at the rank cutoff,
     gives the range of T, the upper bound ``sigma_1**2`` and the
     pseudo-inverse route to the lower bound, ``1 / ||Sigma^-1 U* K||**2``.
-    The frame operator S = T T* gives the independent pencil route, the
-    largest generalized eigenvalue of (K K*, S) from the eigenpairs of S kept
-    by the rank cutoff. Each ``AgreementError`` compares those two
-    decompositions. The other pieces (the pencil, the SVD of K, the inverse
-    frame operator on the image of range(K)) are computed when first needed.
-    Every piece is a fixed function of (W, K, tol), so answers do not depend
-    on which question came first.
+    The pencil ``max_rayleigh(K, T)`` gives the independent route: the
+    eigenpairs (E, Lambda) of S = T T* that its rank cutoff keeps, from the
+    Gram of T's shorter side, and the largest generalized eigenvalue of
+    (K K*, S) on their span. Each ``AgreementError`` compares those two
+    decompositions. The other pieces (the SVD of K, the inverse frame
+    operator on the image of range(K)) are computed when first needed. Every
+    piece is a fixed function of (W, K, tol), so answers do not depend on
+    which question came first.
 
     Obtain it through ``frame_analysis``, or for the system without each
-    member through ``without_each``; the arrays it holds are read-only. T
-    itself is not kept (``synthesis`` rebuilds it cheaply), which keeps the
-    memoised entry small.
+    member through ``without_each``; the arrays it holds are read-only.
+    Neither T nor S is kept (``synthesis`` rebuilds T cheaply), which keeps
+    the memoised entry small.
     """
 
     def __init__(
-        self, k: np.ndarray, tol: ToleranceProfile, s: np.ndarray, factors: Svd, zero_members=0
+        self, k: np.ndarray, tol: ToleranceProfile, pencil, factors: Svd, zero_members=0
     ) -> None:
-        """The analysis from a read-only K, the frame operator S and the truncated SVD of T.
+        """The analysis from a read-only K, the pencil of (K K*, S) and the truncated SVD of T.
 
         The certificate reads only the singular values of ``factors``, and its left
         factors unless ``without_each`` gives the range check and ||pinv(T) K||.
         ``factors`` is None for a drop that ``without_each`` found off range
         from the member's own rows; that certificate reads nothing else.
+        ``pencil`` is None when ``without_each`` gives ``pencil_ratio`` or
+        the certificate reads none.
         """
         # no reference back to the system: the system holds its analysis, and
         # a cycle would keep both alive until the cyclic garbage collector runs
         self.zero_members = zero_members
         self.k = k
         self.tol = tol
-        self.s = s
+        self.pencil = pencil
         self.factors = factors
 
     @property
@@ -369,20 +369,21 @@ class FrameAnalysis:
 
     @classmethod
     def of_system(cls, w: FusionSystem, k: np.ndarray, tol: ToleranceProfile):
-        """The analysis of (W, K, tol): thin SVD of T truncated at the rank cutoff, and S = T T*."""
-        t = synthesis(w)
-        s, factors = _read_only(t @ t.T), _read_only(svd(t).truncated(tol))
-        return cls(_read_only(k.copy()), tol, s, factors, sum(sub.is_zero for sub, _ in w.members))
-
-    @cached_property
-    def pencil_eigenpairs(self) -> tuple:
-        """``kept_eigenpairs(K, S)``: the eigenpairs (E, Lambda) of S that the pencil keeps."""
-        return tuple(_read_only(a) for a in kept_eigenpairs(self.k, self.s, self.tol))
+        """The analysis of (W, K, tol): T's SVD truncated at the rank cutoff, and the pencil."""
+        t, k = synthesis(w), _read_only(k.copy())
+        factors, pencil = _read_only(svd(t).truncated(tol)), _read_only(max_rayleigh(k, t, tol))
+        return cls(k, tol, pencil, factors, sum(sub.is_zero for sub, _ in w.members))
 
     @cached_property
     def pencil_ratio(self) -> float:
-        """Largest generalized eigenvalue of (K K*, S), from ``pencil_eigenpairs``."""
-        return pencil_top(self.k, *self.pencil_eigenpairs)
+        """Largest generalized eigenvalue of (K K*, S) on the pencil's span, for K in range(T).
+
+        ``_outside`` decides K's containment; the pencil is unbounded only
+        when it keeps fewer directions than the SVD route's rank.
+        """
+        if self.pencil.vals.size < self.factors.singular_values.size:
+            return np.inf
+        return self.pencil.top
 
     @cached_property
     def _k_span(self):
@@ -408,10 +409,11 @@ class FrameAnalysis:
 
         With U_K the basis of range(K), S P = (S U_K) U_K*, so the factors
         come from the thin SVD of the n x rank(K) matrix S U_K = U Sigma W*,
-        with v = U_K W; S P itself is never formed.
+        with v = U_K W; S U_K is read as E Lambda E* U_K from the pencil's
+        kept eigenpairs, so neither S nor S P is formed.
         """
-        basis = self.k_factors.u
-        f = svd(self.s @ basis).truncated(self.tol)
+        basis, vecs = self.k_factors.u, self.pencil.vecs
+        f = svd(vecs @ (self.pencil.vals[:, None] * (vecs.T @ basis))).truncated(self.tol)
         return _read_only(Svd(f.u, f.singular_values, basis @ f.v))
 
     @cached_property
@@ -440,9 +442,7 @@ class FrameAnalysis:
     @cached_property
     def _lower_factors(self) -> tuple:
         """``rounding_factor`` of Sigma^-1 U* K and of Lambda^-1/2 E* K, for the drops' updates."""
-        vecs, vals = self.pencil_eigenpairs
-        pencil_matrix = vecs.T @ self.k / np.sqrt(vals)[:, None]
-        return rounding_factor(self._pinv_matrix), rounding_factor(pencil_matrix)
+        return rounding_factor(self._pinv_matrix), rounding_factor(self.pencil.scaled.T)
 
     @cached_property
     def _off_span(self) -> tuple:
@@ -501,18 +501,17 @@ class FrameAnalysis:
         decomposition; only a drop that keeps K in range reaches the pencil
         (README, Exactness).
         """
-        vecs, vals = self.pencil_eigenpairs
-        rows_c = t.T @ (vecs / np.sqrt(vals))
+        rows_c = t.T @ (self.pencil.vecs / np.sqrt(self.pencil.vals))
         for rows in slices:
-            factors, s_drop, known = self._drop(t, rows_c, rows)
+            factors, pencil, known = self._drop(t, rows_c, rows)
             dropped = FrameAnalysis(
-                self.k, self.tol, s_drop, factors, self.zero_members - (rows.start == rows.stop)
+                self.k, self.tol, pencil, factors, self.zero_members - (rows.start == rows.stop)
             )
             dropped.__dict__.update(known)
             yield dropped
 
     def _drop(self, t: np.ndarray, rows_c: np.ndarray, rows: slice) -> tuple:
-        """(factors, S, the pieces it presets) of the analysis without the member at ``rows``."""
+        """(factors, pencil, pieces it presets) of the analysis without the member at ``rows``."""
         f, tol = self.factors, self.tol
         others = t.shape[1] - (rows.stop - rows.start)
         # K is shared, and so is its norm
@@ -538,15 +537,14 @@ class FrameAnalysis:
             # off range, the certificate reads no pencil
             if known["_outside"] is not None:
                 return factors, None, known
-        vecs, vals = self.pencil_eigenpairs
+        vals = self.pencil.vals
         if others >= vals.size:
             h, s, nu = row_downdate(rows_c, rows)
             if keeps_rank(vals[0] * nu.min(initial=1.0) ** 2, vals[-1], tol):
                 known["pencil_ratio"] = downdated_norm(self._lower_factors[1], h, s, nu) ** 2
                 return factors, None, known
-        s_drop = self.s - t[:, rows] @ t[:, rows].T
-        # exactly symmetric, so the pencil skips its symmetry check
-        return factors, _read_only(0.5 * (s_drop + s_drop.T)), known
+        t_drop = np.hstack([t[:, : rows.start], t[:, rows.stop :]])
+        return factors, _read_only(max_rayleigh(self.k, t_drop, tol)), known
 
 
 def frame_analysis(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> FrameAnalysis:
@@ -619,13 +617,13 @@ def is_exact(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> Exactne
     """Removability of each member, given that the full system verifies.
 
     Each member's certificate comes from the shared analysis updated by that
-    member (``FrameAnalysis.without_each``), so the call decomposes T and S
-    once, not once per member. A drop that loses rank fails its range check
-    from the member's own rows when they prove which directions it loses;
-    it takes an r x r SVD only when they do not, or when K stays in range,
-    and only then an n x n pencil. A certificate warns about
-    zero-dimensional members exactly when verifying the system without that
-    member would.
+    member (``FrameAnalysis.without_each``), so the call decomposes T and
+    its pencil once, not once per member. A drop that loses rank fails its
+    range check from the member's own rows when they prove which directions
+    it loses; it takes an r x r SVD only when they do not, or when K stays
+    in range, and only then the pencil of the other members' columns. A
+    certificate warns about zero-dimensional members exactly when verifying
+    the system without that member would.
     """
     base = verify_k_fusion(w, k, tol)
     if not base.passed:
@@ -744,7 +742,7 @@ def weaken_to_q(w: FusionSystem, k, q, tol: ToleranceProfile = DEFAULT_TOL) -> C
     base = verify_k_fusion(w, k, tol)
     if not base.passed:
         return Certificate(passed=False, message=f"not a K-fusion frame: {base.message}")
-    lam_sq = max_rayleigh(q, k @ k.T, tol)
+    lam_sq = max_rayleigh(q, k, tol).value
     guaranteed = np.inf if lam_sq == 0.0 else base.bounds.lower / lam_sq
     qcert = verify_k_fusion(w, q, tol)
     if not qcert.passed:
@@ -799,15 +797,13 @@ def verify_k_frame(f: KFrame, k, tol: ToleranceProfile = DEFAULT_TOL) -> Certifi
     if k.shape[0] != f.ambient_dim:
         raise ValueError("K must have ambient_dim rows")
     mat = f.matrix
-    s_f = mat @ mat.T
-    upper = spectral_norm(s_f)
-    ratio = max_rayleigh(k, s_f, tol)
-    if np.isinf(ratio):
-        _, witness = rayleigh_maximizer(k, s_f, tol)
+    pencil = max_rayleigh(k, mat, tol)
+    if np.isinf(pencil.value):
         return Certificate(
             passed=False,
-            witness=witness,
+            witness=pencil.maximizer,
             message="no positive lower bound: some vector outside the family span meets K",
         )
-    lower = np.inf if ratio == 0.0 else 1.0 / ratio
+    lower = np.inf if pencil.value == 0.0 else 1.0 / pencil.value
+    upper = spectral_norm(mat) ** 2
     return Certificate(passed=True, bounds=FrameBounds(lower=lower, upper=upper, optimal=True))

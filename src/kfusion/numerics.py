@@ -2,16 +2,20 @@
 
 Every other module routes its linear algebra through here so that rank
 decisions happen once, at SVD truncation, under a single tolerance policy.
-Every other comparison with the tolerance goes through one of three rules
-here: ``negligible`` (a residual counts as zero; ``negligible_lazily`` when
-its scale is costly), ``outside_column`` (columns lie in a span;
-``outside_without`` for a span less some of its directions) and
-``agreement`` / ``at_most`` (two computations of one number).
+Every pencil goes through ``max_rayleigh``, which takes the factor g of its
+right side b = g g* and decomposes the Gram of g's shorter side, the rule
+``spectral_norm`` follows too. Every other comparison with the tolerance
+goes through one of three rules here: ``negligible`` (a residual counts as
+zero; ``negligible_lazily`` when its scale is costly), ``outside_column``
+(columns lie in a span; ``outside_without`` for a span less some of its
+directions) and ``agreement`` / ``at_most`` (two computations of one
+number).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -325,114 +329,95 @@ def null_basis(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     return vt[rank:].T
 
 
-def _kept_span(m: np.ndarray, vals: np.ndarray, vecs: np.ndarray, m_norm, tol: ToleranceProfile):
-    """b = vecs diag(vals) vecs*, restricted to the rank cutoff: ``(kept, kept_vals)``.
+@dataclass(frozen=True, eq=False)
+class Pencil:
+    """The pencil (m m*, g g*) on the eigenpairs (E, Lambda) of g g* that the rank cutoff keeps.
 
-    ``vecs`` has orthonormal columns, and b's eigenvalues above
-    ``rank_rel`` times the largest are kept. Returns ``(None, f)`` when the
-    columns of m leave the span of the kept eigenvectors, with f the
-    normalized off-span part of the worst column; ``m_norm`` is the
-    callable that ``outside_column`` asks for ||m|| on a first-step fail.
+    ``vecs`` (E) has orthonormal columns and ``vals`` (Lambda) is ascending.
+    ``value`` is the supremum of <m m* f, f> / <g g* f, f> over f outside
+    the kernel of g g*: inf when the columns of m fail ``outside_column``
+    against E, else ``top``; 0.0 in the vacuous case m = g = 0. The
+    containment and ``maximizer`` are computed on first read.
     """
-    keep = vals > tol.rank_rel * max(float(vals.max(initial=0.0)), 0.0)
-    kept = vecs[:, keep]
-    if kept.shape[1] < m.shape[0]:
-        j = outside_column(m, kept, m_norm, tol)
-        if j is not None:
-            off = m[:, j] - kept @ (kept.T @ m[:, j])
-            return None, off / np.linalg.norm(off)
-    return kept, vals[keep]
+
+    m: np.ndarray
+    vecs: np.ndarray
+    vals: np.ndarray
+    tol: ToleranceProfile
+
+    @cached_property
+    def scaled(self) -> np.ndarray:
+        """m* E Lambda^-1/2: on span(E) the pencil is the ordinary one of its Gram."""
+        return self.m.T @ self.vecs / np.sqrt(self.vals)
+
+    @cached_property
+    def top(self) -> float:
+        """Top generalized eigenvalue on span(E): ||m* E Lambda^-1/2||**2, m's part off it aside."""
+        return spectral_norm(self.scaled) ** 2
+
+    @cached_property
+    def _off(self):
+        """None when the columns of m lie in span(E), else the unit off-span part of the worst."""
+        m, vecs = self.m, self.vecs
+        if vecs.shape[1] == m.shape[0]:
+            return None
+        # ||m|| is computed only when the rank-sized first step fails
+        j = outside_column(m, vecs, lambda: spectral_norm(m), self.tol)
+        if j is None:
+            return None
+        off = m[:, j] - vecs @ (vecs.T @ m[:, j])
+        return off / np.linalg.norm(off)
+
+    @property
+    def value(self) -> float:
+        return np.inf if self._off is not None else self.top
+
+    @cached_property
+    def maximizer(self) -> np.ndarray:
+        """A unit f attaining ``value``: the off-span part when it is inf, zero when E is empty."""
+        if self._off is not None:
+            return self._off
+        if not self.vals.size:
+            return np.zeros(self.m.shape[0])
+        top = np.linalg.eigh(self.scaled.T @ self.scaled)[1][:, -1]
+        top = (self.vecs / np.sqrt(self.vals)) @ top
+        return top / np.linalg.norm(top)
 
 
-def kept_eigenpairs(m, b, tol: ToleranceProfile = DEFAULT_TOL) -> tuple:
-    """``_kept_span`` of the eigenpairs of a symmetric b: the span the pencil (m m*, b) lives on."""
-    m = as_matrix(m)
-    b = as_matrix(b)
-    if b.shape != (m.shape[0],) * 2:
-        raise ValueError("b must be square with as many rows as m")
-    skew = b - b.T
-    # an exactly symmetric input passes without the two norms
-    if skew.any() and not negligible(spectral_norm(skew), spectral_norm(b), tol):
-        raise ValueError("b is not symmetric within tolerance")
-    vals, vecs = np.linalg.eigh(0.5 * (b + b.T))
-    # ||m|| is computed only when the rank-sized first step fails
-    return _kept_span(m, vals, vecs, lambda: spectral_norm(m), tol)
-
-
-def pencil_top(m, vecs, vals) -> float:
-    """Top of (m m*, b) from b's kept eigenpairs: ||m* vecs vals^-1/2||**2; inf for vecs None."""
-    if vecs is None:
-        return float("inf")
-    scaled = as_matrix(m).T @ vecs / np.sqrt(vals)
-    return max(float(symmetric_eigenvalues(scaled.T @ scaled).max(initial=0.0)), 0.0)
-
-
-def max_rayleigh(m, b, tol: ToleranceProfile = DEFAULT_TOL) -> float:
-    """Supremum of ``<a f, f> / <b f, f>`` with a = m m* over f outside the kernel of b.
+def max_rayleigh(m, g, tol: ToleranceProfile = DEFAULT_TOL) -> Pencil:
+    """The pencil (a, b) = (m m*, g g*), from the factors of both sides.
 
     Parameters
     ----------
-    m, b : array_like
-        The factor of a = m m*, and a symmetric PSD b with as many rows.
+    m, g : array_like
+        The factors of a = m m* and of the PSD b = g g*, with as many rows.
     tol : ToleranceProfile
-        Rank cutoff for the restriction of the pencil to ``range(b)``, the
-        symmetry check on b and the containment of m in ``range(b)``.
+        Rank cutoff of b's eigenvalues (those above ``rank_rel`` times the
+        largest are kept) and the containment of m in their span.
 
     Returns
     -------
-    float
-        The largest generalized eigenvalue of the pencil restricted to
-        ``range(b)``; ``inf`` when the columns of m fail ``outside_column``
-        against b's kept eigenvectors (the quotient is then unbounded); 0.0
-        in the vacuous case a = b = 0.
+    Pencil
+        Its ``value`` is the largest generalized eigenvalue of the pencil
+        restricted to ``range(b)``; ``inf`` when the columns of m leave the
+        kept eigenvectors; 0.0 in the vacuous case a = b = 0.
 
     Raises
     ------
     ValueError
-        If b is asymmetric beyond tolerance or the shapes differ.
+        If m and g have different row counts.
     """
-    return pencil_top(m, *kept_eigenpairs(m, b, tol))
-
-
-def max_rayleigh_gram(m, g, tol: ToleranceProfile = DEFAULT_TOL) -> float:
-    """``max_rayleigh(m, b)`` with b = g* g given by its factor g.
-
-    A g wider than tall has rank at most its row count, so b is never
-    formed: range(b) and b's eigenvalues there are the left singular
-    vectors and squared singular values of the thin SVD of g* (columns x
-    rows of g). The rank cutoff, the containment of m and the pencil are
-    then decided on that span, as ``max_rayleigh`` decides them on b's
-    eigenvectors; the pencil's top value is ||m* U Sigma^-1||**2 over the
-    kept factors. Any other g takes the eigendecomposition of b.
-    """
-    m = as_matrix(m)
-    g = as_matrix(g)
-    if g.shape[1] != m.shape[0]:
-        raise ValueError("g must have as many columns as m has rows")
-    if g.shape[0] >= g.shape[1]:
-        b = g.T @ g
-        return max_rayleigh(m, 0.5 * (b + b.T), tol)
-    f = svd(g.T)
-    return pencil_top(m, *_kept_span(m, f.singular_values**2, f.u, lambda: spectral_norm(m), tol))
-
-
-def rayleigh_maximizer(m, b, tol: ToleranceProfile = DEFAULT_TOL) -> tuple[float, np.ndarray]:
-    """``max_rayleigh``, from ``eigh`` (so equal up to the last digits), and a unit maximizer.
-
-    An unbounded quotient gives the normalized part of m's worst column off
-    range(b); a = b = 0 gives zero.
-    """
-    kept, vals = kept_eigenpairs(m, b, tol)
-    if kept is None:
-        return float("inf"), vals
-    if not vals.size:
-        return 0.0, np.zeros(kept.shape[0])
-    m = as_matrix(m)
-    root = 1.0 / np.sqrt(vals)
-    # b is diagonal in its kept eigenbasis, so the pencil there is an ordinary symmetric one
-    vals, vecs = np.linalg.eigh(root[:, None] * (kept.T @ (m @ m.T) @ kept) * root[None, :])
-    top = (kept * root) @ vecs[:, -1]
-    return max(float(vals[-1]), 0.0), top / np.linalg.norm(top)
+    m, g = as_matrix(m), as_matrix(g)
+    if g.shape[0] != m.shape[0]:
+        raise ValueError("g must have as many rows as m")
+    # the Gram of the shorter side: a tall g = Q R has g g* = Q (R R*) Q*
+    q = None
+    if g.shape[0] > g.shape[1]:
+        q, g = np.linalg.qr(g)
+    vals, vecs = np.linalg.eigh(g @ g.T)
+    keep = vals > tol.rank_rel * max(float(vals.max(initial=0.0)), 0.0)
+    vecs = vecs[:, keep] if q is None else q @ vecs[:, keep]
+    return Pencil(m, vecs, vals[keep], tol)
 
 
 def rounding_factor(m) -> np.ndarray:

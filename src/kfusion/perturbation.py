@@ -32,7 +32,6 @@ from kfusion.numerics import (
     negligible,
     orthonormal_range,
     r_factor,
-    rayleigh_maximizer,
     spectral_norm,
 )
 
@@ -58,7 +57,7 @@ def analysis_epsilon(
         if w_weight != z_weight or not np.array_equal(w_sub.basis, z_sub.basis)
     )
     images = np.hstack([np.zeros((w.ambient_dim, 0)), *(y @ gap.T for y, gap in gaps)])
-    ratio = max_rayleigh(images, k @ k.T, tol)
+    ratio = max_rayleigh(images, k, tol).value
     return float(np.sqrt(ratio)) if np.isfinite(ratio) else np.inf
 
 
@@ -116,8 +115,8 @@ def member_pencils(
             lambda2 * z_weight * y_q[w_sub.dim :],
             epsilon * w_weight * r_factor(k.T @ q),
         )
-        stacked = np.vstack(terms)
-        mu, g = rayleigh_maximizer(a.T, stacked.T @ stacked, tol)
+        pencil = max_rayleigh(a.T, np.vstack(terms).T, tol)
+        mu, g = pencil.value, pencil.maximizer
         rhs = sum(np.linalg.norm(t @ g) for t in terms)
         yield mu, q @ g, not at_most(np.linalg.norm(a @ g), rhs, tol)
 

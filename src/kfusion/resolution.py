@@ -30,7 +30,7 @@ from kfusion.numerics import (
     as_matrix,
     at_most,
     cross_allowance,
-    max_rayleigh_gram,
+    max_rayleigh,
     negligible,
     negligible_lazily,
     outside_column,
@@ -107,22 +107,13 @@ class Resolution:
         return lefts @ rights
 
     def gram_factor(self) -> np.ndarray:
-        """M with M* M the weighted gram sum, at most cols rows tall.
+        """M with M* M the weighted gram sum, sum(d_i) x cols.
 
-        M stacks w_i R_i right_i, with R_i the R-factor of left_i, so it has
-        sum(d_i) rows; a stack taller than it is wide is replaced by its own
-        R-factor.
+        M stacks w_i R_i right_i, with R_i the R-factor of left_i.
         """
-        m = np.vstack(
+        return np.vstack(
             [w * (r_factor(left) @ right) for (left, right), w in zip(self.factors, self.weights)]
         )
-        return r_factor(m) if m.shape[0] > m.shape[1] else m
-
-    def gram(self) -> np.ndarray:
-        """Sum of w_i**2 theta_i* theta_i, from ``gram_factor``; exactly symmetric."""
-        m = self.gram_factor()
-        g = m.T @ m
-        return 0.5 * (g + g.T)
 
 
 @dataclass(frozen=True)
@@ -141,8 +132,9 @@ def verify_resolution(
     The upper bound is the largest eigenvalue of the weighted gram sum; the
     lower bound is the largest A with ``A * ||K f||^2`` below the weighted
     square sums for every f, vectors in the kernel of K imposing no
-    constraint. Both are read at the size of the gram factor M (see
-    ``numerics.max_rayleigh_gram``), and the residual through
+    constraint. Both are read from the gram factor M: the upper bound as
+    ||M||**2 and the lower one from ``numerics.max_rayleigh(K*, M*)``; the
+    residual through
     ``numerics.residual_matrix`` of the stacked factors. ||K|| is computed
     only when the residual fails at K's largest column norm.
     """
@@ -150,10 +142,9 @@ def verify_resolution(
     if r.shape != k.shape:
         raise ValueError("operators and K must share one shape")
     residual = spectral_norm(residual_matrix(*r.stacked(), k))
-    # the gram sum is M* M, whose norm is that of M M*, at most min(sum(d_i), cols) wide
     factor = r.gram_factor()
-    upper = spectral_norm(factor @ factor.T)
-    ratio = max_rayleigh_gram(k.T, factor, tol)
+    upper = spectral_norm(factor) ** 2
+    ratio = max_rayleigh(k.T, factor.T, tol).value
     lower = 0.0 if np.isinf(ratio) else (np.inf if ratio == 0.0 else 1.0 / ratio)
     return ResolutionCheck(
         passed=_reproduces(residual, k, tol),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kfusion.frames import FusionSystem, subspace_from_spanning, verify_k_fusion
+from kfusion.numerics import Pencil
 
 ACCEPTANCE_LINES = []
 
@@ -26,6 +27,11 @@ def make_system(ambient_dim, spans, weights=None):
 def random_fusion_system(rng, ambient_dim, member_dims, weights=None):
     spans = [rng.standard_normal((ambient_dim, d)).T for d in member_dims]
     return make_system(ambient_dim, spans, weights)
+
+
+def skewed(pencil, factor=1.01):
+    """``pencil`` with its kept eigenvalues divided by ``factor``, so that its values grow by it."""
+    return Pencil(pencil.m, pencil.vecs, pencil.vals / factor, pencil.tol)
 
 
 def bisected_synthesis_instance(cols=5):

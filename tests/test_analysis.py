@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bisected_synthesis_instance, random_fusion_system
+from conftest import bisected_synthesis_instance, random_fusion_system, skewed
 from kfusion import duality, frames, numerics, resolution
 from kfusion.factorization import x_w
 from kfusion.frames import FusionSystem, Subspace, synthesis, verify_k_fusion
@@ -103,8 +103,8 @@ def test_failure_witness_is_a_fresh_copy():
 
 def test_pencil_route_is_an_independent_check(monkeypatch):
     w, k = _instance()
-    real = frames.pencil_top
-    monkeypatch.setattr(frames, "pencil_top", lambda m, vecs, vals: 1.01 * real(m, vecs, vals))
+    real = frames.max_rayleigh
+    monkeypatch.setattr(frames, "max_rayleigh", lambda m, g, tol: skewed(real(m, g, tol)))
     with pytest.raises(AgreementError):
         verify_k_fusion(w, k)
     fresh, _ = _instance()
@@ -131,8 +131,8 @@ def test_svd_route_is_an_independent_check(monkeypatch):
 def test_lower_bound_mismatch_names_both_values_the_gap_and_the_tolerance(monkeypatch):
     w, k = _instance()
     want_pinv = verify_k_fusion(_copy(w), k).details["lower_via_pinv"]
-    real = frames.pencil_top
-    monkeypatch.setattr(frames, "pencil_top", lambda m, vecs, vals: 1.01 * real(m, vecs, vals))
+    real = frames.max_rayleigh
+    monkeypatch.setattr(frames, "max_rayleigh", lambda m, g, tol: skewed(real(m, g, tol)))
     with pytest.raises(AgreementError) as err:
         verify_k_fusion(w, k)
     found = re.search(
@@ -227,7 +227,9 @@ def test_cost_model_of_the_question_set(monkeypatch):
 
     square = [(name, shape) for name, shape in calls if min(shape) >= total]
     assert not square, f"decompositions of Σd x Σd inputs: {square}"
-    wide = [(name, shape) for name, shape in calls if name in SVD_FAMILY and max(shape) > n]
+    # spectral_norm takes no SVD: it decomposes the Gram of its shorter side, bounded above
+    svds = SVD_FAMILY - {"spectral_norm"}
+    wide = [(name, shape) for name, shape in calls if name in svds and max(shape) > n]
     assert len(wide) <= len(keys), f"{len(wide)} n x Σd SVDs for {len(keys)} keys: {wide}"
     assert all(max(shape) == n for name, shape in calls if name == "max_rayleigh")
 
@@ -282,7 +284,8 @@ def test_image_factors_match_the_svd_of_s_times_the_range_projector():
     for w, k in (_thin_instance(), _thin_instance(seed=4, n=10, dims=(4, 4, 3), rank=10), _instance()):
         analysis = frames.frame_analysis(w, k).require()
         image = analysis.image_factors
-        s_p = analysis.s @ analysis.k_factors.u @ analysis.k_factors.u.T
+        t = synthesis(w)
+        s_p = t @ (t.T @ analysis.k_factors.u) @ analysis.k_factors.u.T
         old = numerics.svd(s_p).truncated()
         scale = old.top
         np.testing.assert_allclose(image.singular_values, old.singular_values, rtol=1e-12)
@@ -298,17 +301,17 @@ def test_image_factors_match_the_svd_of_s_times_the_range_projector():
         )
 
 
-def test_the_thin_question_set_decomposes_nothing_n_by_n_but_the_pencils(monkeypatch):
-    """With Σd + rank K < n, the only n x n decompositions are the eigh(S) of the two pencils."""
+def test_the_thin_question_set_decomposes_nothing_n_by_n(monkeypatch):
+    """With Σd + rank K < n, no decomposition is n x n: the pencils QR-compress the tall T."""
     w, k = _thin_instance()
     n = w.ambient_dim
-    shapes = _record_decompositions(monkeypatch, ("eigh", "svd", "eigvalsh"))
+    shapes = _record_decompositions(monkeypatch, ("eigh", "svd", "eigvalsh", "qr"))
     out = _questions(w, k)
-    assert out["canonical"][1].passed and out["qk"][2].passed
+    assert out["verify"].passed and out["canonical"][1].passed and out["qk"][2].passed
     assert all(check.passed for check in out["checks"])
+    assert shapes, "no decomposition was recorded"
     square = [(name, shape) for name, shape in shapes if min(shape) >= n]
-    # pencil_ratio of W against K and of the QK-dual against K*
-    assert square == [("eigh", (n, n))] * 2, square
+    assert not square, square
 
 
 # relative Frobenius size of the part of K off the span of T
@@ -399,6 +402,24 @@ def test_compressed_and_dense_routes_agree(seed, dims, rank, off):
         assert taken
     if off >= 1e-12:
         assert not taken
+
+
+def test_just_past_the_bisected_edge_the_range_check_decides():
+    """K's containment is decided once, by the range check: past the edge it names a column.
+
+    The pencil does not decide containment again, so it cannot turn the
+    range obstruction into an unbounded pencil with no witness.
+    """
+    w, k, q = bisected_synthesis_instance()
+    d = float(q[:, 4] @ k[:, 4])
+    past = q[:, :4] @ np.eye(4, 5) + d * (1 + 1e-9) * q[:, 4:5] @ np.ones((1, 5))
+    cert = verify_k_fusion(w, past)
+    assert not cert.passed
+    found = re.fullmatch(
+        r"range obstruction: column (\d) of K leaves the span of the system", cert.message
+    )
+    assert found, cert.message
+    np.testing.assert_array_equal(cert.witness, past[:, int(found.group(1))])
 
 
 def test_the_bisected_instance_takes_the_dense_route_with_the_same_residual():

@@ -28,7 +28,7 @@ from kfusion.frames import (
     verify_k_fusion,
     weaken_to_q,
 )
-from kfusion.numerics import pinv, spectral_norm
+from kfusion.numerics import DEFAULT_TOL, max_rayleigh, pinv, spectral_norm
 
 ABS_TOLERANCE = 1e-9
 BOUND_TOLERANCE = 1e-8
@@ -447,6 +447,24 @@ def test_verify_k_frame_projected_basis_matches_fusion_bounds(r3_system, r3_k):
     assert cert.passed
     assert cert.bounds.lower == pytest.approx(base.bounds.lower, rel=1e-8)
     assert cert.bounds.upper == pytest.approx(base.bounds.upper, rel=1e-8)
+
+
+def test_a_tall_family_keeps_a_direction_just_above_the_pencil_cutoff():
+    """Vectors q_0 and sqrt(5e-10) q_1 with K = q_1: the pencil is 2e9 and the lower bound 5e-10.
+
+    ``eigh`` of the 4 x 4 frame operator returns q_1 only to about
+    eps / 5e-10, so K seemed to leave the kept span and the family had "no
+    positive lower bound". The 4 x 2 family matrix is taller than wide; its
+    QR factor keeps both directions, so the kept span is range(Q) itself.
+    """
+    q = np.linalg.qr(np.random.default_rng(1).standard_normal((4, 4)))[0]
+    family = q[:, :2] * np.array([1.0, np.sqrt(5e-10)])
+    k = q[:, 1:2]
+    cert = verify_k_frame(KFrame(4, tuple(family.T)), k)
+    assert cert.passed, cert.message
+    assert cert.bounds.lower == pytest.approx(5e-10, rel=DEFAULT_TOL.eq_rel)
+    assert cert.bounds.upper == pytest.approx(1.0, rel=DEFAULT_TOL.eq_rel)
+    assert max_rayleigh(k, family).value == pytest.approx(2e9, rel=DEFAULT_TOL.eq_rel)
 
 
 def test_subspace_intersection_planes():

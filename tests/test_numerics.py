@@ -12,12 +12,10 @@ from kfusion.numerics import (
     DEFAULT_TOL,
     ToleranceProfile,
     max_rayleigh,
-    max_rayleigh_gram,
     null_basis,
     numerical_rank,
     orthonormal_range,
     pinv,
-    rayleigh_maximizer,
     spectral_norm,
     svd,
     symmetric_eigenvalues,
@@ -151,7 +149,7 @@ def test_orthonormal_range_and_null_basis_partition():
 
 
 def test_max_rayleigh_identity_pencil():
-    assert max_rayleigh(np.eye(3), np.eye(3)) == pytest.approx(1.0, abs=ABS_TOLERANCE)
+    assert max_rayleigh(np.eye(3), np.eye(3)).value == pytest.approx(1.0, abs=ABS_TOLERANCE)
 
 
 def test_max_rayleigh_synthesis_pencil():
@@ -164,7 +162,7 @@ def test_max_rayleigh_synthesis_pencil():
             [0.0, 1.0, 1.0, 0.0],
         ]
     )
-    assert max_rayleigh(k, t @ t.T) == pytest.approx(1.0, abs=ABS_TOLERANCE)
+    assert max_rayleigh(k, t).value == pytest.approx(1.0, abs=ABS_TOLERANCE)
 
 
 def test_max_rayleigh_commuting_diagonal_brute_force():
@@ -175,16 +173,21 @@ def test_max_rayleigh_commuting_diagonal_brute_force():
         beta[rng.integers(0, MATRIX_DIMENSION)] = 0.0
         alpha[beta == 0.0] = 0.0
         expected = np.max(alpha[beta > 0.0] / beta[beta > 0.0])
-        got = max_rayleigh(np.diag(np.sqrt(alpha)), np.diag(beta))
+        got = max_rayleigh(np.diag(np.sqrt(alpha)), np.diag(np.sqrt(beta))).value
         assert got == pytest.approx(expected, rel=REL_TOLERANCE, abs=ABS_TOLERANCE)
 
 
 def test_max_rayleigh_unbounded_direction():
-    assert max_rayleigh(np.diag([1.0, 1.0]), np.diag([1.0, 0.0])) == np.inf
+    assert max_rayleigh(np.diag([1.0, 1.0]), np.diag([1.0, 0.0])).value == np.inf
 
 
 def test_max_rayleigh_zero_pencil():
-    assert max_rayleigh(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
+    assert max_rayleigh(np.zeros((2, 2)), np.zeros((2, 2))).value == 0.0
+
+
+def _definite_factor(h):
+    """[h, c I], a factor of the positive definite h h* + c**2 I, c**2 = 1e-3."""
+    return np.hstack([h, np.sqrt(1e-3) * np.eye(h.shape[0])])
 
 
 @seed(1)
@@ -192,25 +195,24 @@ def test_max_rayleigh_zero_pencil():
 @given(square_matrices, square_matrices)
 def test_rayleigh_maximizer_attains_max_rayleigh(g, h):
     a = g @ g.T
-    b = h @ h.T + 1e-3 * np.eye(MATRIX_DIMENSION)
-    value, f = rayleigh_maximizer(g, b)
-    assert value == pytest.approx(max_rayleigh(g, b), rel=REL_TOLERANCE, abs=ABS_TOLERANCE)
+    factor = _definite_factor(h)
+    b = factor @ factor.T
+    pencil = max_rayleigh(g, factor)
+    value, f = pencil.value, pencil.maximizer
+    # the top eigenvalue of b^-1 a, in plain numpy
+    want = float(np.linalg.eigvals(np.linalg.solve(b, a)).real.max())
+    assert value == pytest.approx(want, rel=REL_TOLERANCE, abs=ABS_TOLERANCE)
     assert np.linalg.norm(f) == pytest.approx(1.0, rel=1e-12)
     assert f @ a @ f == pytest.approx(value * (f @ b @ f), rel=REL_TOLERANCE, abs=ABS_TOLERANCE)
 
 
 def test_rayleigh_maximizer_unbounded_and_vacuous_pencils():
-    value, f = rayleigh_maximizer(np.diag([1.0, 1.0]), np.diag([1.0, 0.0]))
-    assert value == np.inf
-    np.testing.assert_allclose(np.abs(f), [0.0, 1.0], atol=1e-15)
-    value, f = rayleigh_maximizer(np.zeros((2, 2)), np.zeros((2, 2)))
-    assert value == 0.0
-    assert not f.any()
-
-
-def test_max_rayleigh_rejects_asymmetric_input():
-    with pytest.raises(ValueError):
-        max_rayleigh(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
+    pencil = max_rayleigh(np.diag([1.0, 1.0]), np.diag([1.0, 0.0]))
+    assert pencil.value == np.inf
+    np.testing.assert_allclose(np.abs(pencil.maximizer), [0.0, 1.0], atol=1e-15)
+    pencil = max_rayleigh(np.zeros((2, 2)), np.zeros((2, 2)))
+    assert pencil.value == 0.0
+    assert not pencil.maximizer.any()
 
 
 def _one_step_unbounded(m, b, tol):
@@ -223,7 +225,7 @@ def _one_step_unbounded(m, b, tol):
 
 @st.composite
 def pencils_near_the_containment_threshold(draw):
-    """(m, b, tol): a rank-deficient PSD b and an m whose part off range(b) is drawn or bisected.
+    """(m, g, tol): g factors a rank-deficient b = g g*; m's part off range(b) is drawn or bisected.
 
     With ``place`` "inside" or "outside", the off-range part is scaled to
     one part in a million below or above the threshold of the one-step
@@ -236,13 +238,13 @@ def pencils_near_the_containment_threshold(draw):
     cols = draw(st.integers(1, 7))
     tol = ToleranceProfile(eq_abs=draw(st.sampled_from([1e-9, 1e-3, 0.5])))
     q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    b = (q[:, :rank] * rng.uniform(0.1, 3.0, rank)) @ q[:, :rank].T
-    b = 0.5 * (b + b.T)
+    g = q[:, :rank] * np.sqrt(rng.uniform(0.1, 3.0, rank))
+    b = g @ g.T
     inside = q[:, :rank] @ rng.standard_normal((rank, cols)) * 10.0 ** draw(st.integers(-3, 3))
     away = q[:, rank:] @ rng.standard_normal((n - rank, cols))
     place = draw(st.sampled_from(["drawn", "inside", "outside"]))
     if place == "drawn":
-        return inside + 10.0 ** draw(st.integers(-14, 1)) * away, b, tol
+        return inside + 10.0 ** draw(st.integers(-14, 1)) * away, g, tol
     low, high = 0.0, 1.0
     while not _one_step_unbounded(inside + high * away, b, tol):
         high *= 2.0
@@ -250,33 +252,32 @@ def pencils_near_the_containment_threshold(draw):
         mid = 0.5 * (low + high)
         low, high = (low, mid) if _one_step_unbounded(inside + mid * away, b, tol) else (mid, high)
     t = low * (1.0 - 1e-6) if place == "inside" else high * (1.0 + 1e-6)
-    return inside + t * away, b, tol
+    return inside + t * away, g, tol
 
 
 @seed(2)
 @settings(max_examples=200, deadline=None)
 @given(pencils_near_the_containment_threshold())
 def test_two_step_containment_decides_like_the_one_step_rule(case):
-    m, b, tol = case
-    assert np.isinf(max_rayleigh(m, b, tol)) == _one_step_unbounded(m, b, tol)
+    m, g, tol = case
+    assert np.isinf(max_rayleigh(m, g, tol).value) == _one_step_unbounded(m, g @ g.T, tol)
 
 
 def test_containment_failed_at_the_range_part_is_decided_again_at_the_full_norm():
     # ||P m|| = 1 gives the threshold 0.5 * 2 = 1 < 1.1; ||m|| = sqrt(2.21) gives 1.24 > 1.1
     tol = ToleranceProfile(eq_abs=0.5)
     m = np.array([[1.0], [1.1]])
-    b = np.diag([1.0, 0.0])
-    assert not _one_step_unbounded(m, b, tol)
-    assert max_rayleigh(m, b, tol) == pytest.approx(1.0)
+    g = np.array([[1.0], [0.0]])
+    assert not _one_step_unbounded(m, g @ g.T, tol)
+    assert max_rayleigh(m, g, tol).value == pytest.approx(1.0)
 
 
 def test_a_contained_pencil_takes_no_n_by_n_norm(monkeypatch):
-    """With b rank-deficient and m inside range(b), containment reads only a rank-sized norm."""
+    """With b = g g* rank-deficient and m inside range(b), the pencil reads only rank-sized norms."""
     rng = np.random.default_rng(12)
     n, rank = 40, 6
     q = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :rank]
-    b = (q * rng.uniform(0.5, 2.0, rank)) @ q.T
-    b = 0.5 * (b + b.T)
+    g = q * np.sqrt(rng.uniform(0.5, 2.0, rank))
     m = q @ rng.standard_normal((rank, n))
     shapes = []
     real = numerics.spectral_norm
@@ -286,19 +287,20 @@ def test_a_contained_pencil_takes_no_n_by_n_norm(monkeypatch):
         return real(x)
 
     monkeypatch.setattr(numerics, "spectral_norm", recording)
-    assert np.isfinite(max_rayleigh(m, b))
-    assert shapes == [(rank, n)]
+    assert np.isfinite(max_rayleigh(m, g).value)
+    # the containment's first step at ||E* m|| and the value ||m* E Lambda^-1/2||
+    assert shapes == [(rank, n), (n, rank)]
 
 
 @st.composite
-def wide_factors_around_the_cutoff(draw):
-    """(m, g): a g wider than tall whose squared singular values straddle ``rank_rel``.
+def tall_factors_around_the_cutoff(draw):
+    """(m, g): a g taller than wide whose squared singular values straddle ``rank_rel``.
 
     Each singular value of g is 1 or in [0.3, 1] ("big"), has its square
     2 to 10 times the cutoff ``rank_rel * sigma_1**2`` ("kept"), 0.1 to 0.5
     times it ("dropped"), or is zero. m lies in the span of the big
     directions, plus a part of drawn size along the kept, the dropped, or
-    the kernel directions of g* g. Along kept directions that part stays
+    the kernel directions of g g*. Along kept directions that part stays
     below 1e-7: the eigenvectors that ``eigh`` returns for eigenvalues
     within a factor 10 of the cutoff are only accurate to about
     eps / 1e-9 = 1e-7, so a larger part makes the dense route itself wrong
@@ -306,46 +308,50 @@ def wide_factors_around_the_cutoff(draw):
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(3, 12))
-    rows = draw(st.integers(1, n - 1))
+    width = draw(st.integers(1, n - 1))
     q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    kinds = np.array([draw(st.sampled_from(["big", "kept", "dropped", "zero"])) for _ in range(rows)])
+    kinds = np.array([draw(st.sampled_from(["big", "kept", "dropped", "zero"])) for _ in range(width)])
     kinds[0] = "big"
     cutoff = DEFAULT_TOL.rank_rel
     s = np.select(
         [kinds == "big", kinds == "kept", kinds == "dropped"],
         [
-            rng.uniform(0.3, 1.0, rows),
-            np.sqrt(cutoff * rng.uniform(2.0, 10.0, rows)),
-            np.sqrt(cutoff * rng.uniform(0.1, 0.5, rows)),
+            rng.uniform(0.3, 1.0, width),
+            np.sqrt(cutoff * rng.uniform(2.0, 10.0, width)),
+            np.sqrt(cutoff * rng.uniform(0.1, 0.5, width)),
         ],
         0.0,
     )
     s[0] = 1.0
-    left = np.linalg.qr(rng.standard_normal((rows, rows)))[0]
-    g = 10.0 ** draw(st.integers(-3, 3)) * (left * s) @ q[:, :rows].T
+    left = np.linalg.qr(rng.standard_normal((width, width)))[0]
+    g = 10.0 ** draw(st.integers(-3, 3)) * q[:, :width] @ (left * s).T
     cols = draw(st.integers(1, 5))
-    big = q[:, :rows][:, kinds == "big"]
+    big = q[:, :width][:, kinds == "big"]
     m = big @ rng.standard_normal((big.shape[1], cols))
     place = draw(st.sampled_from(["inside", "kept", "dropped", "kernel"]))
     if place == "kept":
-        extra, size = q[:, :rows][:, kinds == "kept"], 10.0 ** draw(st.integers(-14, -7))
+        extra, size = q[:, :width][:, kinds == "kept"], 10.0 ** draw(st.integers(-14, -7))
     elif place == "dropped":
-        extra, size = q[:, :rows][:, kinds == "dropped"], 10.0 ** draw(st.integers(-14, 1))
+        extra, size = q[:, :width][:, kinds == "dropped"], 10.0 ** draw(st.integers(-14, 1))
     else:
-        extra, size = q[:, rows:], 10.0 ** draw(st.integers(-14, 1))
+        extra, size = q[:, width:], 10.0 ** draw(st.integers(-14, 1))
     if place != "inside":
         m = m + size * extra @ rng.standard_normal((extra.shape[1], cols))
     return m * 10.0 ** draw(st.integers(-3, 3)), g
 
 
+def _square(g):
+    """g padded with zero columns to a square factor of the same g g*, so the pencil forms it."""
+    return np.hstack([g, np.zeros((g.shape[0], g.shape[0] - g.shape[1]))])
+
+
 @seed(3)
 @settings(max_examples=300, deadline=None)
-@given(wide_factors_around_the_cutoff())
+@given(tall_factors_around_the_cutoff())
 def test_the_factored_pencil_matches_the_dense_one(case):
     m, g = case
-    b = g.T @ g
-    dense = max_rayleigh(m, 0.5 * (b + b.T))
-    factored = max_rayleigh_gram(m, g)
+    dense = max_rayleigh(m, _square(g)).value
+    factored = max_rayleigh(m, g).value
     assert np.isinf(factored) == np.isinf(dense)
     if np.isfinite(dense):
         assert abs(factored - dense) <= 1e-10 * dense
@@ -354,25 +360,36 @@ def test_the_factored_pencil_matches_the_dense_one(case):
 def test_the_factored_pencil_keeps_a_near_cutoff_direction_eigh_blurs():
     """m along g's direction with squared singular value 5 rank_rel: the pencil is 1 / (5 rank_rel).
 
-    ``eigh`` of g* g returns that eigenvector with an error near eps / 5e-10,
-    so m seems to leave the kept span and the dense route reports an
-    unbounded pencil; the SVD of g* resolves the direction and the value.
+    ``eigh`` of the n x n g g* returns that eigenvector with an error near
+    eps / 5e-10, so m seems to leave the kept span and the dense route
+    reports an unbounded pencil. The tall g = Q R keeps both directions of
+    R R*, so the kept span is range(Q) itself, and m lies in it.
     """
     q = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))[0]
     s = np.array([1.0, np.sqrt(5.0 * DEFAULT_TOL.rank_rel)])
-    g = s[:, None] * q[:, :2].T
+    g = q[:, :2] * s
     m = q[:, 1:2]
-    b = g.T @ g
-    assert max_rayleigh(m, 0.5 * (b + b.T)) == np.inf
-    assert max_rayleigh_gram(m, g) == pytest.approx(1.0 / s[1] ** 2, rel=1e-12)
+    assert max_rayleigh(m, _square(g)).value == np.inf
+    assert max_rayleigh(m, g).value == pytest.approx(1.0 / s[1] ** 2, rel=1e-12)
 
 
-def test_a_tall_factor_takes_the_dense_route():
-    g = np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+def test_the_pencil_decomposes_the_gram_of_the_shorter_side(monkeypatch):
+    """A wide g takes eigh of g g*, a tall one = Q R of R R*; both give the same pencil."""
+    g = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
     m = np.array([[1.0], [1.0]])
-    assert max_rayleigh_gram(m, g) == max_rayleigh(m, g.T @ g) == pytest.approx(0.75)
+    shapes = []
+    real = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    assert max_rayleigh(m, g).value == pytest.approx(0.75)
+    assert max_rayleigh(np.vstack([m, m]), np.vstack([g, g])).value == pytest.approx(0.75)
+    assert shapes == [(2, 2), (3, 3)]
     with pytest.raises(ValueError):
-        max_rayleigh_gram(m, g.T)
+        max_rayleigh(m, g.T)
 
 
 CUTOFF, MARGIN = DEFAULT_TOL.rank_rel, numerics.SPAN_ROUNDING
@@ -506,9 +523,9 @@ def test_spectral_norm_transpose_invariant(m):
 @settings(deadline=None)
 @given(square_matrices, square_matrices, st.floats(min_value=0.1, max_value=10.0))
 def test_max_rayleigh_scale_covariance(g, h, c):
-    b = h @ h.T + 1e-3 * np.eye(MATRIX_DIMENSION)
-    base = max_rayleigh(g, b)
-    scaled = max_rayleigh(np.sqrt(c) * g, b)
+    factor = _definite_factor(h)
+    base = max_rayleigh(g, factor).value
+    scaled = max_rayleigh(np.sqrt(c) * g, factor).value
     assert scaled == pytest.approx(c * base, rel=REL_TOLERANCE, abs=ABS_TOLERANCE)
 
 

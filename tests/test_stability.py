@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import random_fusion_system
+from conftest import random_fusion_system, skewed
 from kfusion import frames, numerics, perturbation
 from kfusion.frames import (
     FusionSystem,
@@ -107,14 +107,14 @@ def test_pencils_live_in_each_members_subspace(monkeypatch):
     """Each pencil is dim S_i x dim S_i, never n x n, and the walk stops at the planted member."""
     w, z, k, _, _ = _planted()
     n = w.ambient_dim
-    real = perturbation.rayleigh_maximizer
+    real = perturbation.max_rayleigh
     shapes = []
 
-    def recording(a, b, tol):
-        shapes.append((np.shape(a), np.shape(b)))
-        return real(a, b, tol)
+    def recording(a, g, tol):
+        shapes.append((np.shape(a), np.shape(g)))
+        return real(a, g, tol)
 
-    monkeypatch.setattr(perturbation, "rayleigh_maximizer", recording)
+    monkeypatch.setattr(perturbation, "max_rayleigh", recording)
     report = certify_perturbation(w, z, k, 0.5, 0.5, 1.0)
     k_range = orthonormal_range(k)
     dims = [
@@ -122,8 +122,8 @@ def test_pencils_live_in_each_members_subspace(monkeypatch):
         for (ws, _), (zs, _) in zip(w.members, z.members)
     ]
     assert report.decided_by == "falsifier"
-    # the pencil takes the factor of its left side, which has dim S_i rows
-    assert [(m[0], b) for m, b in shapes] == [(dim, (dim, dim)) for dim in dims[:4]]
+    # the pencil takes the factors of both sides, which have dim S_i rows
+    assert [(m[0], g[0]) for m, g in shapes] == [(dim, dim) for dim in dims[:4]]
     assert dims[3] == 6 and max(dims) < n
 
 
@@ -278,9 +278,7 @@ def _is_exact_with_a_skewed_parent(monkeypatch, name, skew):
 
 def test_is_exact_drops_are_cross_checked_by_the_pencil_route(monkeypatch):
     with pytest.raises(AgreementError):
-        _is_exact_with_a_skewed_parent(
-            monkeypatch, "pencil_eigenpairs", lambda pair: (pair[0], 1.01 * pair[1])
-        )
+        _is_exact_with_a_skewed_parent(monkeypatch, "pencil", skewed)
 
 
 def test_is_exact_drops_are_cross_checked_by_the_svd_route(monkeypatch):
@@ -328,7 +326,10 @@ def _exact_system():
 
 
 def test_is_exact_downdates_when_every_drop_loses_rank(monkeypatch):
-    """Σd = n: a drop that keeps K in range takes an r x r SVD and an n x n pencil."""
+    """Σd = n: a drop that keeps K in range takes an r x r SVD and the pencil of the other columns.
+
+    Those are n x (n - 2), taller than wide, so that pencil decomposes their (n - 2) x (n - 2) Gram.
+    """
     w, rng = _exact_system()
     n = w.ambient_dim
     k = w.members[0][0].basis @ rng.standard_normal((2, n))
@@ -339,7 +340,8 @@ def test_is_exact_downdates_when_every_drop_loses_rank(monkeypatch):
     assert square.count(("svd", False)) == 0
     # T itself is n x n here; the drop of member 0 is decided from its own rows
     assert square.count(("svd", True)) == 1 + sum(report.removable)
-    assert square.count(("eigh", True)) == 1 + sum(report.removable)
+    assert square.count(("eigh", True)) == 1
+    assert [shape for name, shape, _ in calls if name == "eigh"][1:] == [(n - 2, n - 2)] * 3
 
 
 def test_a_drop_that_leaves_k_out_of_range_takes_no_rank_sized_decomposition(monkeypatch):
@@ -471,7 +473,7 @@ def test_planted_drops_match_verifying_them_on_both_paths():
             paths.add(("svd", _svd_path(dropped)))
             # a drop that leaves K out of range reads no pencil
             if dropped._outside is None:
-                paths.add(("pencil", "update" if dropped.s is None else "downdate"))
+                paths.add(("pencil", "update" if dropped.pencil is None else "downdate"))
 
     check()
     assert paths == {("svd", "update"), ("svd", "member"), ("svd", "downdate")} | {
