@@ -114,7 +114,7 @@ def local_frame_system(
             raise ValueError(f"member {idx} is zero-dimensional and has no local frame")
         frame = KFrame(fusion.ambient_dim, tuple(vectors))
         mat = frame.matrix
-        if mat.shape[1] == 0 or outside_column(mat, sub.basis, spectral_norm(mat), tol) is not None:
+        if mat.shape[1] == 0 or outside_column(mat, sub.basis, tol) is not None:
             raise ValueError(f"local frame {idx} does not lie inside its subspace")
         if numerical_rank(mat, tol) < sub.dim:
             raise ValueError(f"local frame {idx} fails to span its subspace")
@@ -180,11 +180,11 @@ def is_qk_dual(
     """
     q = as_matrix(q)
     k = as_matrix(k)
-    return _qk_certificate(w, v, q, k, spectral_norm(k), lambda: spectral_norm(q), tol)
+    return _qk_certificate(w, v, q, k, spectral_norm(k), q, tol)
 
 
-def _qk_certificate(w, v, q, k, k_norm, q_norm, tol) -> DualCertificate:
-    """``is_qk_dual`` given the norm of K, and the norm of Q by a callable called only on a pass."""
+def _qk_certificate(w, v, q, k, k_norm, q_like, tol) -> DualCertificate:
+    """``is_qk_dual`` given ||K||, and ``q_like`` with the norm of Q, taken only on a pass."""
     t_w = synthesis(w)
     t_v = synthesis(v)
     if q.shape != (t_v.shape[1], t_w.shape[1]):
@@ -201,7 +201,7 @@ def _qk_certificate(w, v, q, k, k_norm, q_norm, tol) -> DualCertificate:
     adjoint_cert = verify_k_fusion(v, k.T, tol)
     cert.details["adjoint_frame"] = adjoint_cert
     base = verify_k_fusion(w, k, tol)
-    q_norm = q_norm()
+    q_norm = spectral_norm(q_like)
     if adjoint_cert.passed and base.passed and q_norm > 0.0:
         inv_qn = q_norm**-2
         c_floor = inv_qn / base.bounds.upper if base.bounds.upper > 0.0 else np.inf
@@ -239,9 +239,7 @@ def qk_dual_from_x(
     # ||K|| from the analysis solution_matrix read; ||Q|| = ||X U Sigma^-1||,
     # and the R-factor of X has the norms of X
     k_norm = frame_analysis(w, k, tol).k_norm
-    cert = _qk_certificate(
-        w, dual, q, k, k_norm, lambda: spectral_norm(r_factor(x_mat) @ scaled), tol
-    )
+    cert = _qk_certificate(w, dual, q, k, k_norm, r_factor(x_mat) @ scaled, tol)
     return dual, q, cert
 
 

@@ -28,7 +28,9 @@ from kfusion.numerics import (
     max_rayleigh,
     negligible,
     numerical_rank,
+    off_span,
     orthonormal_range,
+    outside,
     outside_column,
     residual_matrix,
     spectral_norm,
@@ -90,14 +92,14 @@ def range_included(l1, l2, tol: ToleranceProfile = DEFAULT_TOL):
     """Whether the column space of L1 lies inside that of L2.
 
     Returns (included, witness). Inclusion is ``numerics.outside_column``,
-    the rule ``douglas_solve`` applies; on failure the witness is the column
-    of L1 farthest from the range of L2, else None.
+    the containment rule ``douglas_solve`` applies; on failure the witness is
+    the column of L1 farthest from the range of L2, else None.
     """
     l1 = as_matrix(l1)
     l2 = as_matrix(l2)
     if l1.shape[0] != l2.shape[0]:
         raise ValueError("L1 and L2 must have the same number of rows")
-    j = outside_column(l1, orthonormal_range(l2, tol), spectral_norm(l1), tol)
+    j = outside_column(l1, orthonormal_range(l2, tol), tol)
     return j is None, None if j is None else l1[:, j]
 
 
@@ -136,7 +138,7 @@ def _solve_from_factors(l1, l2, l1_factors, l2_factors, alpha_inf, tol) -> Dougl
         spectral_norm(coeff - (coeff @ row) @ row.T), x_norm, tol
     )
     nullspace_match = kernel_contained and numerical_rank(coeff, tol) == row.shape[1]
-    range_containment = outside_column(x, l2_factors.v, x_norm, tol) is None
+    range_containment = outside(x_norm, off_span(x, l2_factors.v)[1], tol) is None
     return DouglasSolution(
         x=x,
         norm_sq=norm_sq,
@@ -169,7 +171,7 @@ def douglas_solve(l1, l2, tol: ToleranceProfile = DEFAULT_TOL) -> DouglasSolutio
     ------
     ValueError
         If the range inclusion fails: L1 leaves the range of L2 by
-        ``numerics.outside_column``.
+        ``numerics.outside``.
     AgreementError
         If the factorization residual exceeds tolerance or the two norm
         computations disagree.
@@ -180,7 +182,7 @@ def douglas_solve(l1, l2, tol: ToleranceProfile = DEFAULT_TOL) -> DouglasSolutio
         raise ValueError("L1 and L2 must have the same number of rows")
     l1_factors = svd(l1).truncated(tol)
     l2_factors = svd(l2).truncated(tol)
-    j = outside_column(l1, l2_factors.u, l1_factors.top, tol)
+    j = outside(l1_factors.top, off_span(l1, l2_factors.u)[1], tol)
     if j is not None:
         raise ValueError(
             f"range of L1 is not contained in range of L2; witness column {l1[:, j]}"

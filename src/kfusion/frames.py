@@ -32,6 +32,7 @@ from kfusion.numerics import (
     numerical_rank,
     off_span,
     orthonormal_range,
+    outside,
     outside_column,
     outside_without,
     pinv,
@@ -387,9 +388,9 @@ class FrameAnalysis:
 
     @cached_property
     def _k_span(self):
-        """``span_coordinates(K, U)`` when U is n x r with r < n, else None."""
+        """U* K from ``_off_span`` when U is n x r, r < n, and K is in span(U) by the span rule."""
         u = self.factors.u
-        return span_coordinates(self.k, u) if u.shape[1] < u.shape[0] else None
+        return span_coordinates(self.k, *self._off_span) if u.shape[1] < u.shape[0] else None
 
     @cached_property
     def k_norm(self) -> float:
@@ -400,7 +401,7 @@ class FrameAnalysis:
         """Truncated thin SVD of K (via U* K when ``_k_span``); ``u`` spans range(K)."""
         if self._k_span is None:
             return _read_only(svd(self.k).truncated(self.tol))
-        f = svd(self._k_span[0]).truncated(self.tol)
+        f = svd(self._k_span).truncated(self.tol)
         return _read_only(Svd(self.factors.u @ f.u, f.singular_values, f.v))
 
     @cached_property
@@ -424,11 +425,8 @@ class FrameAnalysis:
 
     @cached_property
     def _outside(self):
-        """The column of K off the span of T, or None; a ``_k_span`` residual decides a pass."""
-        span = self._k_span
-        if span is not None and negligible(span[1], self.k_norm, self.tol):
-            return None
-        return outside_column(self.k, self.factors.u, self.k_norm, self.tol)
+        """The column of K off the span of T, or None, by ``outside`` at ``k_norm``."""
+        return outside(self.k_norm, self._off_span[1], self.tol)
 
     @property
     def _pinv_matrix(self) -> np.ndarray:
@@ -533,7 +531,8 @@ class FrameAnalysis:
         else:
             small = svd(sigma_m).truncated(tol)
             factors = _read_only(Svd(f.u @ small.u, small.singular_values, None))
-            known["_outside"] = outside_column(self.k, factors.u, self.k_norm, tol)
+            # ||U_drop* K|| <= ||U* K|| <= k_norm: the parent's norm serves the drop
+            known["_outside"] = outside(self.k_norm, off_span(self.k, factors.u)[1], tol)
             # off range, the certificate reads no pencil
             if known["_outside"] is not None:
                 return factors, None, known
@@ -732,7 +731,7 @@ def weaken_to_q(w: FusionSystem, k, q, tol: ToleranceProfile = DEFAULT_TOL) -> C
     q = as_matrix(q)
     if k.shape[0] != w.ambient_dim or q.shape[0] != w.ambient_dim:
         raise ValueError("K and Q must have ambient_dim rows")
-    j = outside_column(q, orthonormal_range(k, tol), spectral_norm(q), tol)
+    j = outside_column(q, orthonormal_range(k, tol), tol)
     if j is not None:
         return Certificate(
             passed=False,
@@ -778,8 +777,7 @@ def k_image_frame(
     else:
         base = wrel
         for idx, (sub, _) in enumerate(base.members):
-            # an orthonormal basis has spectral norm 1
-            if outside_column(sub.basis, row_space.basis, 1.0, tol) is not None:
+            if outside_column(sub.basis, row_space.basis, tol) is not None:
                 raise ValueError(f"member {idx} leaves the row space of K")
     lower, upper, complete = restricted_bounds(frame_operator(base), row_space, tol)
     if not complete or lower <= 0.0:

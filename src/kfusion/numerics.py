@@ -6,10 +6,10 @@ Every pencil goes through ``max_rayleigh``, which takes the factor g of its
 right side b = g g* and decomposes the Gram of g's shorter side, the rule
 ``spectral_norm`` follows too. Every other comparison with the tolerance
 goes through one of three rules here: ``negligible`` (a residual counts as
-zero; ``negligible_lazily`` when its scale is costly), ``outside_column``
-(columns lie in a span; ``outside_without`` for a span less some of its
-directions) and ``agreement`` / ``at_most`` (two computations of one
-number).
+zero), ``outside`` (columns lie in a span, judged by ``negligible`` at a
+scale the containment step computes itself; ``outside_column`` against a
+basis, ``outside_without`` for a span less some of its directions) and
+``agreement`` / ``at_most`` (two computations of one number).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class ToleranceProfile:
         Relative singular-value cutoff for rank decisions.
     eq_abs : float
         Absolute tolerance of the zero rule (``negligible``) and the
-        containment rule (``outside_column``).
+        containment rule (``outside``).
     eq_rel : float
         Relative tolerance of the cross-check rule (``agreement``, ``at_most``).
     """
@@ -59,23 +59,6 @@ def negligible(residual: float, scale: float, tol: ToleranceProfile) -> bool:
     return bool(residual <= tol.eq_abs * (1.0 + scale))
 
 
-# A floor below a norm (||B* m|| <= ||m||, a column norm <= ||m||) holds
-# exactly; the computed values can cross by rounding when they are equal.
-# Shrinking the floor by far more than that rounding keeps every first-step
-# pass a pass of the one-step rule.
-_BELOW_NORM = 1.0 - 1e-8
-
-
-def negligible_lazily(residual: float, floor: float, scale, tol: ToleranceProfile) -> bool:
-    """``negligible(residual, scale(), tol)``, where ``floor`` is at most the value of ``scale()``.
-
-    ``negligible`` accepts more as its scale grows, so the rule is first
-    decided at ``floor``: a pass there is a pass at ``scale()``. The callable
-    runs only on a fail, and the rule is decided again at its value.
-    """
-    return negligible(residual, _BELOW_NORM * floor, tol) or negligible(residual, scale(), tol)
-
-
 def off_span(m: np.ndarray, basis: np.ndarray) -> tuple:
     """(B* m, the squared norm of each column of (I - B B*) m), for B = ``basis``."""
     coords = basis.T @ m
@@ -86,24 +69,29 @@ def off_span(m: np.ndarray, basis: np.ndarray) -> tuple:
     return coords, off.sum(axis=0)
 
 
-def outside_column(m: np.ndarray, basis: np.ndarray, m_norm, tol: ToleranceProfile):
-    """The containment rule: None when the columns of m lie in span(basis), else the worst column.
+def outside(c: float, squares: np.ndarray, tol: ToleranceProfile):
+    """The containment rule: None when the columns of m lie in span(B), else the worst column.
 
-    ``basis`` has orthonormal columns and ``m_norm`` is the spectral norm of m.
-    The columns lie in the span when the Frobenius norm of (I - B B*) m is
-    ``negligible`` at scale ``m_norm``; it bounds the spectral norm from above.
-
-    ``m_norm`` may instead be a callable that computes that norm. The rule is
-    then ``negligible_lazily`` with the floor ||B* m||, a norm the size of the
-    span, so the callable runs only when the residual fails there.
+    ``squares`` come from ``off_span(m, B)``, and ``c`` is any value between
+    ||B* m|| and ||m||. The residual r = ||(I - B B*) m||_F is ``negligible``
+    at s = hypot(c, r), and ||m|| <= s <= hypot(||m||, r), with s = ||m|| for
+    one column: the decision is the one at ||m|| but in a band of eq_abs
+    times at most min(r, r**2 / 2 ||m||).
     """
-    coords, squares = off_span(m, basis)
     residual = float(np.sqrt(squares.sum()))
-    if callable(m_norm):
-        inside = negligible_lazily(residual, spectral_norm(coords), m_norm, tol)
-    else:
-        inside = negligible(residual, m_norm, tol)
+    inside = negligible(residual, float(np.hypot(c, residual)), tol)
     return None if inside else int(np.argmax(squares))
+
+
+def outside_column(m: np.ndarray, basis: np.ndarray, tol: ToleranceProfile):
+    """``outside`` for the columns of m against span(basis), at c = ||B* m||, a rank-sized norm.
+
+    ``basis`` has orthonormal columns; a full-width basis contains everything.
+    """
+    if basis.shape[1] == m.shape[0]:
+        return None
+    coords, squares = off_span(m, basis)
+    return outside(spectral_norm(coords), squares, tol)
 
 
 # c eps of the span rule, c = 64 units of rounding: it picks an algorithm,
@@ -111,22 +99,18 @@ def outside_column(m: np.ndarray, basis: np.ndarray, m_norm, tol: ToleranceProfi
 SPAN_ROUNDING = 64 * np.finfo(float).eps
 
 
-def span_coordinates(m: np.ndarray, basis: np.ndarray):
-    """(Q* m, ||m - Q Q* m||_F) when the residual is <= c eps ||m||_F, else None; Q = ``basis``."""
-    coords = basis.T @ m
-    off = basis @ coords
-    off -= m
-    residual = float(np.linalg.norm(off))
-    return (coords, residual) if residual <= SPAN_ROUNDING * np.linalg.norm(m) else None
+def span_coordinates(m: np.ndarray, coords: np.ndarray, squares: np.ndarray):
+    """``coords`` when ``(coords, squares) = off_span(m, Q)`` puts m in span(Q) to c eps ||m||_F."""
+    return coords if np.sqrt(squares.sum()) <= SPAN_ROUNDING * np.linalg.norm(m) else None
 
 
 def residual_matrix(l: np.ndarray, r: np.ndarray, k: np.ndarray) -> np.ndarray:
     """L R - K, or R_L R - Q* K (same norm to rounding) when L = Q R_L is tall and K in span(Q)."""
     if l.shape[0] > l.shape[1]:
         q, r_l = np.linalg.qr(l)
-        span = span_coordinates(k, q)
-        if span is not None:
-            return r_l @ r - span[0]
+        coords = span_coordinates(k, *off_span(k, q))
+        if coords is not None:
+            return r_l @ r - coords
     return l @ r - k
 
 
@@ -337,7 +321,7 @@ class Pencil:
     ``value`` is the supremum of <m m* f, f> / <g g* f, f> over f outside
     the kernel of g g*: inf when the columns of m fail ``outside_column``
     against E, else ``top``; 0.0 in the vacuous case m = g = 0. The
-    containment and ``maximizer`` are computed on first read.
+    containment, ``m_scale`` and ``maximizer`` are computed on first read.
     """
 
     m: np.ndarray
@@ -356,16 +340,27 @@ class Pencil:
         return spectral_norm(self.scaled) ** 2
 
     @cached_property
+    def _step(self):
+        """``outside_column``'s step on E: (||E* m||, squares), or None; kept for ``m_scale``."""
+        if self.vecs.shape[1] == self.m.shape[0]:
+            return None
+        coords, squares = off_span(self.m, self.vecs)
+        return spectral_norm(coords), squares
+
+    @cached_property
+    def m_scale(self) -> float:
+        """hypot(||E* m||, ||(I - E E*) m||_F) >= ||m||, the ``outside`` scale; ||m|| if E = I."""
+        if self._step is None:
+            return spectral_norm(self.m)
+        return float(np.hypot(self._step[0], np.sqrt(self._step[1].sum())))
+
+    @cached_property
     def _off(self):
         """None when the columns of m lie in span(E), else the unit off-span part of the worst."""
-        m, vecs = self.m, self.vecs
-        if vecs.shape[1] == m.shape[0]:
-            return None
-        # ||m|| is computed only when the rank-sized first step fails
-        j = outside_column(m, vecs, lambda: spectral_norm(m), self.tol)
+        j = None if self._step is None else outside(*self._step, self.tol)
         if j is None:
             return None
-        off = m[:, j] - vecs @ (vecs.T @ m[:, j])
+        off = self.m[:, j] - self.vecs @ (self.vecs.T @ self.m[:, j])
         return off / np.linalg.norm(off)
 
     @property
@@ -463,17 +458,16 @@ def lost_directions(sigma: np.ndarray, h: np.ndarray, nu: np.ndarray, tol: Toler
     return np.linalg.qr(h[:, lost] / sigma[:, None])[0]
 
 
-def outside_without(coords: np.ndarray, squares: np.ndarray, lost: np.ndarray, m_norm: float, tol):
-    """``outside_column(m, U Q, m_norm)``, Q an orthonormal basis of the complement of ``lost``.
+def outside_without(coords: np.ndarray, squares: np.ndarray, lost: np.ndarray, c: float, tol):
+    """``outside`` for m against span(U Q), Q an orthonormal basis of the complement of ``lost``.
 
-    ``(coords, squares)`` is ``off_span(m, U)`` and ``lost`` has orthonormal
-    columns. The residual off span(U Q) adds ||lost* U* m||**2 to each
-    column's squares off span(U), so Q is never formed.
+    ``(coords, squares)`` is ``off_span(m, U)``, ``lost`` has orthonormal
+    columns, and ``c`` lies between ||U* m|| >= ||(U Q)* m|| and ||m||. The
+    residual off span(U Q) adds ||lost* U* m||**2 to each column's squares
+    off span(U), so Q is never formed.
     """
     extra = lost.T @ coords
-    squares = squares + (extra * extra).sum(axis=0)
-    inside = negligible(float(np.sqrt(squares.sum())), m_norm, tol)
-    return None if inside else int(np.argmax(squares))
+    return outside(c, squares + (extra * extra).sum(axis=0), tol)
 
 
 def downdated_norm(g: np.ndarray, h: np.ndarray, s: np.ndarray, nu: np.ndarray) -> float:

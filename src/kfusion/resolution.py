@@ -32,7 +32,6 @@ from kfusion.numerics import (
     cross_allowance,
     max_rayleigh,
     negligible,
-    negligible_lazily,
     outside_column,
     pinv,
     r_factor,
@@ -133,10 +132,10 @@ def verify_resolution(
     lower bound is the largest A with ``A * ||K f||^2`` below the weighted
     square sums for every f, vectors in the kernel of K imposing no
     constraint. Both are read from the gram factor M: the upper bound as
-    ||M||**2 and the lower one from ``numerics.max_rayleigh(K*, M*)``; the
-    residual through
-    ``numerics.residual_matrix`` of the stacked factors. ||K|| is computed
-    only when the residual fails at K's largest column norm.
+    ||M||**2 and the lower one from the pencil ``numerics.max_rayleigh(K*, M*)``.
+    The residual of the stacked factors, through ``numerics.residual_matrix``,
+    is ``negligible`` at that pencil's ``m_scale``, the scale of its
+    containment step; it takes ||K|| only when the pencil spans every row.
     """
     k = as_matrix(k)
     if r.shape != k.shape:
@@ -144,24 +143,15 @@ def verify_resolution(
     residual = spectral_norm(residual_matrix(*r.stacked(), k))
     factor = r.gram_factor()
     upper = spectral_norm(factor) ** 2
-    ratio = max_rayleigh(k.T, factor.T, tol).value
+    pencil = max_rayleigh(k.T, factor.T, tol)
+    ratio = pencil.value
     lower = 0.0 if np.isinf(ratio) else (np.inf if ratio == 0.0 else 1.0 / ratio)
     return ResolutionCheck(
-        passed=_reproduces(residual, k, tol),
+        passed=negligible(residual, pencil.m_scale, tol),
         residual=residual,
         lower=lower,
         upper=upper,
     )
-
-
-def _reproduces(residual: float, k: np.ndarray, tol: ToleranceProfile) -> bool:
-    """Whether a residual against K is ``negligible`` at scale ||K||.
-
-    No column of K is longer than ||K||, so the rule is decided first at the
-    largest column norm and ||K|| is computed only on a fail there.
-    """
-    floor = float(np.sqrt((k * k).sum(axis=0).max(initial=0.0)))
-    return negligible_lazily(residual, floor, lambda: spectral_norm(k), tol)
 
 
 def resolution_from_x(
@@ -258,14 +248,12 @@ def minimal_norm_check(
         raise ValueError("one operator per member is required")
     thetas = r.thetas
     for idx, (theta, (sub, _)) in enumerate(zip(thetas, w.members)):
-        # ||theta|| is computed only when the member-sized first step fails
-        if outside_column(theta, sub.basis, lambda: spectral_norm(theta), tol) is not None:
+        if outside_column(theta, sub.basis, tol) is not None:
             raise ValueError(f"operator {idx} does not map into member {idx}")
     lifted = sum(weight * theta for theta, weight in zip(thetas, w.weights))
-    if not _reproduces(spectral_norm(lifted - k), k, tol):
-        raise ValueError(
-            "resolution must reproduce K with one factor of the system weights"
-        )
+    # ||K|| from the analysis x_w reads below
+    if not negligible(spectral_norm(lifted - k), frame_analysis(w, k, tol).k_norm, tol):
+        raise ValueError("resolution must reproduce K with one factor of the system weights")
     x_mat = x_w(w, k, tol).x
     projectors = [sub.projector() for sub, _ in w.members]
     rng = np.random.default_rng(2)

@@ -319,14 +319,14 @@ OFF_SPAN = [0.0] + [10.0**-p for p in range(15, 5, -1)]
 
 
 def _routes_and_answers(w, k, dense):
-    """(span_coordinates calls as (m, basis, taken), answers); ``dense`` turns the rule off."""
+    """(span_coordinates calls as (m, coords, squares, taken), answers); ``dense`` turns the rule off."""
     calls = []
     real = numerics.span_coordinates
 
-    def recording(m, basis):
-        coords = None if dense else real(m, basis)
-        calls.append((m, basis, coords is not None))
-        return coords
+    def recording(m, coords, squares):
+        taken = None if dense else real(m, coords, squares)
+        calls.append((m, coords, squares, taken is not None))
+        return taken
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(numerics, "span_coordinates", recording)
@@ -346,8 +346,8 @@ def _assert_routes_agree(w, k):
     calls, fast = _routes_and_answers(w, k, dense=False)
     _, dense = _routes_and_answers(w, k, dense=True)
     limit = numerics.SPAN_ROUNDING
-    for m, basis, taken in calls:
-        assert taken == (np.linalg.norm(m - basis @ (basis.T @ m)) <= limit * np.linalg.norm(m))
+    for m, _, squares, taken in calls:
+        assert taken == (np.sqrt(squares.sum()) <= limit * np.linalg.norm(m))
     assert fast.keys() == dense.keys()
     if "x_w" not in fast:
         assert fast.get("error") == dense.get("error")
@@ -396,8 +396,8 @@ def test_compressed_and_dense_routes_agree(seed, dims, rank, off):
     calls = _assert_routes_agree(w, k)
     # the first call decides K against the span of T: inside it when K lies
     # there, dense when K leaves it by far more than rounding
-    m, basis, taken = calls[0]
-    assert m.shape == (n, n) and basis.shape[1] == sum(dims)
+    m, coords, _, taken = calls[0]
+    assert m.shape == (n, n) and coords.shape == (sum(dims), n)
     if off == 0.0:
         assert taken
     if off >= 1e-12:
@@ -426,6 +426,6 @@ def test_the_bisected_instance_takes_the_dense_route_with_the_same_residual():
     # K leaves the span of T by 2e-9, far more than rounding
     w, k, _ = bisected_synthesis_instance()
     calls = _assert_routes_agree(w, k)
-    assert calls and not any(taken for _, _, taken in calls)
+    assert calls and not any(taken for *_, taken in calls)
     sol = x_w(_copy(w), k)
     assert sol.residual == numerics.spectral_norm(synthesis(w) @ sol.x - k)

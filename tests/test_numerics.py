@@ -215,22 +215,34 @@ def test_rayleigh_maximizer_unbounded_and_vacuous_pencils():
     assert not pencil.maximizer.any()
 
 
-def _one_step_unbounded(m, b, tol):
-    """The containment rule decided once, at ||m||, in plain numpy: True when m leaves range(b)."""
+def _containment_terms(m, b, tol):
+    """(r, ||E* m||, ||m||) in plain numpy: E spans b's kept eigenvectors, r = ||(I - E E*) m||_F."""
     vals, vecs = np.linalg.eigh(b)
     kept = vecs[:, vals > tol.rank_rel * vals[-1]]
     off = np.linalg.norm(m - kept @ (kept.T @ m))
-    return bool(off > tol.eq_abs * (1.0 + np.linalg.norm(m, 2)))
+    return off, np.linalg.norm(kept.T @ m, 2), np.linalg.norm(m, 2)
+
+
+def _one_step_unbounded(m, b, tol):
+    """The containment rule judged at ||m||, in plain numpy: True when m leaves range(b)."""
+    off, _, m_norm = _containment_terms(m, b, tol)
+    return bool(off > tol.eq_abs * (1.0 + m_norm))
+
+
+def _hypot_unbounded(m, b, tol):
+    """``numerics.outside`` in plain numpy: r judged at s = hypot(||E* m||, r)."""
+    off, c, _ = _containment_terms(m, b, tol)
+    return bool(off > tol.eq_abs * (1.0 + np.hypot(c, off)))
 
 
 @st.composite
-def pencils_near_the_containment_threshold(draw):
+def pencils_near_the_containment_threshold(draw, unbounded):
     """(m, g, tol): g factors a rank-deficient b = g g*; m's part off range(b) is drawn or bisected.
 
     With ``place`` "inside" or "outside", the off-range part is scaled to
-    one part in a million below or above the threshold of the one-step
-    rule, found by bisection; large ``eq_abs`` makes ||m|| clearly exceed
-    the norm of its part in range(b), so the first step fails there.
+    one part in a million below or above the threshold of the rule
+    ``unbounded``, found by bisection; large ``eq_abs`` makes ||m|| clearly
+    exceed the norm of its part in range(b), so the scales of the rules part.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 7))
@@ -246,21 +258,54 @@ def pencils_near_the_containment_threshold(draw):
     if place == "drawn":
         return inside + 10.0 ** draw(st.integers(-14, 1)) * away, g, tol
     low, high = 0.0, 1.0
-    while not _one_step_unbounded(inside + high * away, b, tol):
+    while not unbounded(inside + high * away, b, tol):
         high *= 2.0
     for _ in range(200):
         mid = 0.5 * (low + high)
-        low, high = (low, mid) if _one_step_unbounded(inside + mid * away, b, tol) else (mid, high)
+        low, high = (low, mid) if unbounded(inside + mid * away, b, tol) else (mid, high)
     t = low * (1.0 - 1e-6) if place == "inside" else high * (1.0 + 1e-6)
     return inside + t * away, g, tol
 
 
 @seed(2)
 @settings(max_examples=200, deadline=None)
-@given(pencils_near_the_containment_threshold())
-def test_two_step_containment_decides_like_the_one_step_rule(case):
+@given(pencils_near_the_containment_threshold(_hypot_unbounded))
+def test_containment_decides_at_the_hypot_of_its_own_terms(case):
     m, g, tol = case
-    assert np.isinf(max_rayleigh(m, g, tol).value) == _one_step_unbounded(m, g @ g.T, tol)
+    assert np.isinf(max_rayleigh(m, g, tol).value) == _hypot_unbounded(m, g @ g.T, tol)
+
+
+@seed(3)
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([_one_step_unbounded, _hypot_unbounded]).flatmap(
+        pencils_near_the_containment_threshold
+    )
+)
+def test_containment_decides_like_the_norm_rule_outside_its_band(case):
+    """One column, or r outside [eq_abs (1 + ||m||), eq_abs (1 + s)]: the scales cannot part the rules."""
+    m, g, tol = case
+    b = g @ g.T
+    off, c, m_norm = _containment_terms(m, b, tol)
+    band = tol.eq_abs * (1.0 + m_norm), tol.eq_abs * (1.0 + np.hypot(c, off))
+    # 1e-9 relative: the bisected cases sit 1e-6 from one end or the other
+    between = band[0] * (1.0 - 1e-9) <= off <= band[1] * (1.0 + 1e-9)
+    if m.shape[1] == 1 or not between:
+        assert np.isinf(max_rayleigh(m, g, tol).value) == _one_step_unbounded(m, b, tol)
+
+
+@seed(4)
+@settings(max_examples=100, deadline=None)
+@given(pencils_near_the_containment_threshold(_hypot_unbounded))
+def test_the_pencil_scale_lies_between_the_norm_and_its_hypot_with_the_residual(case):
+    m, g, tol = case
+    off, _, m_norm = _containment_terms(m, g @ g.T, tol)
+    scale = max_rayleigh(m, g, tol).m_scale
+    assert m_norm * (1.0 - 1e-12) <= scale <= np.hypot(m_norm, off) * (1.0 + 1e-12)
+    if m.shape[1] == 1:
+        assert scale == pytest.approx(m_norm, rel=1e-12)
+    # a pencil that keeps every direction has no off-span step: its scale is ||m||
+    assert max_rayleigh(m, np.eye(m.shape[0]), tol).m_scale == spectral_norm(m)
 
 
 def test_containment_failed_at_the_range_part_is_decided_again_at_the_full_norm():
@@ -459,9 +504,10 @@ def test_containment_without_lost_directions_matches_the_rule_on_their_complemen
     m = u @ rest @ rng.standard_normal((r - 2, 4))
     normal = np.linalg.qr(np.column_stack([u, rng.standard_normal(n)]))[0][:, r]
     m[:, 2] += scale * (u @ lost[:, 0] + normal)
-    m_norm = spectral_norm(m)
-    got = numerics.outside_without(*numerics.off_span(m, u), lost, m_norm, DEFAULT_TOL)
-    assert got == numerics.outside_column(m, u @ rest, m_norm, DEFAULT_TOL)
+    # a value between ||U* m|| and ||m||, so also above ||(U Q)* m||
+    c = spectral_norm(u.T @ m)
+    got = numerics.outside_without(*numerics.off_span(m, u), lost, c, DEFAULT_TOL)
+    assert got == numerics.outside(c, numerics.off_span(m, u @ rest)[1], DEFAULT_TOL)
     assert got == (None if scale <= 1e-12 else 2)
 
 
@@ -726,3 +772,58 @@ def test_the_tolerance_scan_sees_the_reads_in_numerics():
     reads = _tolerance_reads(ast.parse(path.read_text()))
     assert {("negligible", "eq_abs"), ("cross_allowance", "eq_rel")} <= set(reads)
     assert {name for _, name in reads} == TOLERANCE_FIELDS
+
+
+def _lambdas_passed_to_numerics(tree, is_numerics=False):
+    """(enclosing top-level function or None, callee) of every lambda passed to a numerics function.
+
+    Numerics functions are those imported from ``kfusion.numerics``, called as
+    ``numerics.<name>``, or, in numerics itself, defined at its top level.
+    """
+    names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "kfusion.numerics"
+        for alias in node.names
+    }
+    if is_numerics:
+        names |= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found = []
+    for owner, call in _calls(tree):
+        func = call.func
+        if isinstance(func, ast.Name) and func.id in names:
+            callee = func.id
+        elif isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "numerics":
+            callee = func.attr
+        else:
+            continue
+        args = call.args + [kw.value for kw in call.keywords]
+        found += [(owner, callee) for arg in args if isinstance(arg, ast.Lambda)]
+    return found
+
+
+def test_no_module_passes_a_lambda_to_numerics():
+    """Every scale the tolerance rules read is a value, never a callable evaluated on demand."""
+    package = Path(__file__).resolve().parents[1] / "src" / "kfusion"
+    offenders = [
+        f"{path.stem}.{owner}: lambda passed to {callee}"
+        for path in sorted(package.glob("*.py"))
+        for owner, callee in _lambdas_passed_to_numerics(
+            ast.parse(path.read_text(), filename=str(path)), path.stem == "numerics"
+        )
+    ]
+    assert not offenders, offenders
+
+
+def test_the_lambda_scan_sees_each_form_of_call():
+    source = (
+        "from kfusion.numerics import negligible as zero\n"
+        "from kfusion import numerics\n"
+        "def f(r, k, tol):\n"
+        "    return zero(r, lambda: 1.0, tol) or numerics.outside_column(k, k, tol=lambda: tol)\n"
+        "def own(r, tol):\n"
+        "    return own(r, lambda: tol)\n"
+    )
+    tree = ast.parse(source)
+    assert _lambdas_passed_to_numerics(tree) == [("f", "zero"), ("f", "outside_column")]
+    assert ("own", "own") in _lambdas_passed_to_numerics(tree, is_numerics=True)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from kfusion import resolution
+from kfusion import frames, numerics, resolution
 from kfusion.factorization import x_w
 from kfusion.frames import (
     FusionSystem,
@@ -15,7 +15,7 @@ from kfusion.frames import (
     synthesis,
     verify_k_fusion,
 )
-from kfusion.numerics import DEFAULT_TOL, numerical_rank, pinv, spectral_norm
+from kfusion.numerics import DEFAULT_TOL, ToleranceProfile, numerical_rank, pinv, spectral_norm
 from kfusion.resolution import (
     Resolution,
     frame_from_resolution,
@@ -325,6 +325,9 @@ def test_passing_checks_take_no_norm_of_k_or_of_a_member_operator(monkeypatch):
     k = synthesis(w) @ rng.standard_normal((7, 12))
     r = resolution_from_x(w, k, x_w(w, k))
     taken = _norms_taken(monkeypatch)
+    inner = []
+    for module in (numerics, frames):
+        monkeypatch.setattr(module, "spectral_norm", lambda m: inner.append(m) or spectral_norm(m))
     assert verify_resolution(r, k).passed
     assert minimal_norm_check(w, k, r).passed
     # the two residuals and the upper bound, nothing per member and not ||K||;
@@ -332,13 +335,25 @@ def test_passing_checks_take_no_norm_of_k_or_of_a_member_operator(monkeypatch):
     # residual is taken at 7 x 12
     assert [m.shape for m in taken] == [(7, 12), (7, 12), (12, 12)]
     assert not any(m is k for m in taken)
+    # the pencil's scale, the members' containment and ||K|| are rank-sized
+    assert inner and all(min(m.shape) <= 7 for m in inner), [m.shape for m in inner]
 
 
-def test_a_residual_failing_at_the_largest_column_norm_is_decided_again_at_the_norm():
-    # 2.5e-9 fails at the column norm sqrt(2) (allowance 2.41e-9), passes at ||K|| = 2 (3e-9)
-    k = np.array([[1.0, 1.0], [1.0, 1.0]])
-    assert resolution._reproduces(2.5e-9, k, DEFAULT_TOL)
-    assert not resolution._reproduces(3.5e-9, k, DEFAULT_TOL)
+@pytest.mark.parametrize("a, passed", [(1.1, True), (1.4, False)])
+def test_the_resolution_residual_is_decided_at_the_pencils_scale(a, passed):
+    """theta = e1 e1*, K = diag(1, a): the residual is a, and so is K*'s part off theta's row space.
+
+    The pencil's containment step gives s = hypot(||E* K*||, a) = hypot(1, a)
+    while ||K|| = a. At eq_abs = 0.5, a = 1.1 fails at ||K|| (allowance 1.05)
+    and passes at s (1.24); a = 1.4 fails at both (1.2 and 1.36). The pencil
+    judges K*'s containment from the same r and s, so it is bounded, with
+    lower bound 1, exactly when the residual passes.
+    """
+    tol = ToleranceProfile(eq_abs=0.5)
+    check = verify_resolution(Resolution((np.diag([1.0, 0.0]),), (1.0,)), np.diag([1.0, a]), tol)
+    assert check.residual == pytest.approx(a, rel=1e-15)
+    assert check.passed is passed
+    assert check.lower == (1.0 if passed else 0.0)
 
 
 def test_minimal_norm_rejects_range_violation(r3_system, r3_k):
