@@ -34,6 +34,7 @@ from .instances import (
     canonical_text,
     document_digest,
     instance_from_document,
+    parse_int,
     parse_number,
     random_instance,
     read_document,
@@ -283,10 +284,12 @@ def enlarge_dual_cmd(instance, tol):
         raise ValueError("instance option 'enlarge' is required for this command")
     base = instance.system(opts.get("system", "V"))
     try:
-        index = int(opts["index"])
+        index = parse_int(opts["index"], "options.enlarge.index")
         span = opts["span"]
     except KeyError as exc:
         raise ValueError(f"options.enlarge: missing field {exc.args[0]!r}") from exc
+    if not isinstance(span, list) or not all(isinstance(vec, list) for vec in span):
+        raise ValueError("options.enlarge.span: expected a list of vectors")
     vectors = [
         np.array([parse_number(x, f"options.enlarge span vector {j}") for x in vec])
         for j, vec in enumerate(span)

@@ -287,12 +287,6 @@ def is_k_dual(
     )
 
 
-def _frame_operator_norm(w: FusionSystem) -> float:
-    """||T T*|| for the synthesis matrix T, from the smaller of the Grams T* T and T T*."""
-    t = synthesis(w)
-    return spectral_norm(t) ** 2 if t.shape[1] < t.shape[0] else spectral_norm(t @ t.T)
-
-
 def canonical_k_dual(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL):
     """Canonical K-dual with certificate and Bessel bound report.
 
@@ -322,9 +316,10 @@ def canonical_k_dual(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL):
             for sub, weight in w.members
         ),
     )
-    bessel = _frame_operator_norm(dual)
+    # ||T T*|| = ||T||**2, and spectral_norm decomposes the Gram of T's shorter side
+    bessel = spectral_norm(synthesis(dual)) ** 2
     estimate = (
-        _frame_operator_norm(projected)
+        spectral_norm(synthesis(projected)) ** 2
         * analysis.k_norm**2
         * analysis.k_factors.pinv_norm**2
         * analysis.upper**2

@@ -14,6 +14,7 @@ import numpy as np
 
 from kfusion.frames import (
     BlockVector,
+    FrameAnalysis,
     FusionSystem,
     frame_analysis,
     synthesis,
@@ -25,16 +26,12 @@ from kfusion.numerics import (
     agreement,
     as_matrix,
     cross_allowance,
-    max_rayleigh,
     negligible,
     numerical_rank,
     off_span,
-    orthonormal_range,
     outside,
-    outside_column,
     residual_matrix,
     spectral_norm,
-    svd,
 )
 
 
@@ -88,19 +85,25 @@ class XwSolution(DouglasSolution):
         ]
 
 
+def _pair(l1, l2, tol: ToleranceProfile) -> FrameAnalysis:
+    """The analysis of the pair (L2, L1): L2 plays T and L1 plays K."""
+    l1, l2 = as_matrix(l1), as_matrix(l2)
+    if l1.shape[0] != l2.shape[0]:
+        raise ValueError("L1 and L2 must have the same number of rows")
+    return FrameAnalysis.of_pair(l2, l1, tol)
+
+
 def range_included(l1, l2, tol: ToleranceProfile = DEFAULT_TOL):
     """Whether the column space of L1 lies inside that of L2.
 
-    Returns (included, witness). Inclusion is ``numerics.outside_column``,
-    the containment rule ``douglas_solve`` applies; on failure the witness is
-    the column of L1 farthest from the range of L2, else None.
+    Returns (included, witness). Inclusion is the range check of the pair's
+    analysis, ``FrameAnalysis.range_obstruction``, which ``douglas_solve``
+    applies too; on failure the witness is the column of L1 farthest from
+    the range of L2, else None.
     """
-    l1 = as_matrix(l1)
-    l2 = as_matrix(l2)
-    if l1.shape[0] != l2.shape[0]:
-        raise ValueError("L1 and L2 must have the same number of rows")
-    j = outside_column(l1, orthonormal_range(l2, tol), tol)
-    return j is None, None if j is None else l1[:, j]
+    analysis = _pair(l1, l2, tol)
+    j = analysis.range_obstruction
+    return j is None, None if j is None else analysis.k[:, j].copy()
 
 
 def _residual(l2, x, l1, l1_norm: float, tol: ToleranceProfile):
@@ -108,18 +111,20 @@ def _residual(l2, x, l1, l1_norm: float, tol: ToleranceProfile):
     return spectral_norm(residual_matrix(l2, x, l1)), cross_allowance(l1_norm, tol)
 
 
-def _solve_from_factors(l1, l2, l1_factors, l2_factors, alpha_inf, tol) -> DouglasSolution:
-    """Minimal-norm solution of ``L2 @ x = L1`` from truncated thin SVDs of both.
+def _solve(analysis: FrameAnalysis, l2: np.ndarray, alpha_inf: float) -> DouglasSolution:
+    """Minimal-norm solution of ``L2 @ x = L1`` from the analysis of the pair (L2, L1).
 
-    ``x = V Sigma^-1 U* L1`` with (U, Sigma, V) the factors of L2. Because V
-    has orthonormal columns, the norm, rank and kernel of x are those of the
-    small ``Sigma^-1 U* L1``, so no decomposition is made at the size of x.
-    ``alpha_inf``, the pencil constant of (L1 L1*, L2 L2*), comes from
-    ``max_rayleigh`` and must agree with the SVD route.
+    ``x = V Sigma^-1 U* L1`` with (U, Sigma, V) the analysis's truncated
+    factors of L2. Because V has orthonormal columns, the norm, rank and
+    kernel of x are those of the small ``Sigma^-1 U* L1``, so no
+    decomposition is made at the size of x. ``alpha_inf``, the pencil
+    constant of (L1 L1*, L2 L2*), comes from the analysis's pencil and must
+    agree with the SVD route.
     """
-    coeff = (l2_factors.u.T @ l1) / l2_factors.singular_values[:, None]
-    x = l2_factors.v @ coeff
-    residual, allowed = _residual(l2, x, l1, l1_factors.top, tol)
+    l1, f, tol = analysis.k, analysis.factors, analysis.tol
+    coeff = (f.u.T @ l1) / f.singular_values[:, None]
+    x = f.v @ coeff
+    residual, allowed = _residual(l2, x, l1, analysis.k_factors.top, tol)
     if residual > allowed:
         raise AgreementError(
             f"factorization residual ||L2 x - L1|| = {residual} exceeds tolerance {allowed}"
@@ -133,12 +138,12 @@ def _solve_from_factors(l1, l2, l1_factors, l2_factors, alpha_inf, tol) -> Dougl
         )
     x_norm = np.sqrt(norm_sq)
     # x kills the kernel of L1 exactly when coeff vanishes off the row space of L1
-    row = l1_factors.v
+    row = analysis.k_factors.v
     kernel_contained = row.shape[1] == l1.shape[1] or negligible(
         spectral_norm(coeff - (coeff @ row) @ row.T), x_norm, tol
     )
     nullspace_match = kernel_contained and numerical_rank(coeff, tol) == row.shape[1]
-    range_containment = outside(x_norm, off_span(x, l2_factors.v)[1], tol) is None
+    range_containment = outside(x_norm, off_span(x, f.v)[1], tol) is None
     return DouglasSolution(
         x=x,
         norm_sq=norm_sq,
@@ -165,30 +170,25 @@ def douglas_solve(l1, l2, tol: ToleranceProfile = DEFAULT_TOL) -> DouglasSolutio
     DouglasSolution
         ``x = pinv(L2) @ L1`` along with the squared norm, the infimum
         constant of the operator inequality, and the kernel/range
-        certificates that pin the solution uniquely.
+        certificates that pin the solution uniquely; all read the analysis
+        of the pair (L2, L1).
 
     Raises
     ------
     ValueError
-        If the range inclusion fails: L1 leaves the range of L2 by
-        ``numerics.outside``.
+        If the range inclusion fails: L1 leaves the range of L2 by the
+        pair's range check.
     AgreementError
         If the factorization residual exceeds tolerance or the two norm
         computations disagree.
     """
-    l1 = as_matrix(l1)
-    l2 = as_matrix(l2)
-    if l1.shape[0] != l2.shape[0]:
-        raise ValueError("L1 and L2 must have the same number of rows")
-    l1_factors = svd(l1).truncated(tol)
-    l2_factors = svd(l2).truncated(tol)
-    j = outside(l1_factors.top, off_span(l1, l2_factors.u)[1], tol)
+    analysis = _pair(l1, l2, tol)
+    j = analysis.range_obstruction
     if j is not None:
         raise ValueError(
-            f"range of L1 is not contained in range of L2; witness column {l1[:, j]}"
+            f"range of L1 is not contained in range of L2; witness column {analysis.k[:, j]}"
         )
-    alpha_inf = max_rayleigh(l1, l2, tol).value
-    return _solve_from_factors(l1, l2, l1_factors, l2_factors, alpha_inf, tol)
+    return _solve(analysis, as_matrix(l2), analysis.pencil.value)
 
 
 def solution_matrix(w: FusionSystem, k: np.ndarray, x: DouglasSolution, tol) -> np.ndarray:
@@ -217,8 +217,6 @@ def x_w(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> XwSolution:
     and the pencil constant that verified the frame condition.
     """
     analysis = frame_analysis(w, k, tol).require()
-    base = _solve_from_factors(
-        analysis.k, synthesis(w), analysis.k_factors, analysis.factors, analysis.pencil_ratio, tol
-    )
+    base = _solve(analysis, synthesis(w), analysis.pencil_ratio)
     base.x.flags.writeable = False
     return XwSolution(**vars(base), system=w, k=analysis.k, tol=tol)

@@ -322,39 +322,63 @@ def _read_only(m):
     return m
 
 
+def _verdict(k, tol, zero_members, j, ratio=None, pinv_norm=None, upper=None) -> Certificate:
+    """The certificate of the frame condition, for every analysis and every drop.
+
+    ``j`` is the range check's column of K, None when K lies in range(T);
+    only then are the pencil's ratio, ||pinv(T) K|| and the upper bound read,
+    and the two lower bounds must agree by ``numerics.agreement``.
+    """
+    if zero_members:
+        warnings.warn("zero-dimensional members contribute nothing and are skipped")
+    if j is not None:
+        message = f"range obstruction: column {j} of K leaves the span of the system"
+        return Certificate(passed=False, witness=k[:, j].copy(), message=message)
+    if np.isinf(ratio):
+        return Certificate(passed=False, message="no positive lower bound: the pencil is unbounded")
+    lower_pencil = np.inf if ratio == 0.0 else 1.0 / ratio
+    lower_pinv = np.inf if pinv_norm == 0.0 else pinv_norm**-2
+    gap, allowed = agreement(lower_pencil, lower_pinv, tol)
+    if gap > allowed:
+        raise AgreementError(
+            f"optimal lower bound mismatch: pencil {lower_pencil} vs pinv {lower_pinv},"
+            f" gap {gap} exceeds tolerance {allowed}"
+        )
+    return Certificate(
+        passed=True,
+        bounds=FrameBounds(lower=lower_pencil, upper=upper, optimal=True),
+        details={"lower_via_pencil": lower_pencil, "lower_via_pinv": lower_pinv},
+    )
+
+
+def _ratio(pencil, rank: int) -> float:
+    """The pencil's top value for K in range(T); inf if it keeps fewer than ``rank`` directions."""
+    return np.inf if pencil.vals.size < rank else pencil.top
+
+
 class FrameAnalysis:
-    """One factorization of (W, K, tol), shared by every question about it.
+    """One factorization of a pair (T, K) under tol, shared by every question about it.
 
-    The thin SVD of the synthesis matrix T, truncated at the rank cutoff,
-    gives the range of T, the upper bound ``sigma_1**2`` and the
-    pseudo-inverse route to the lower bound, ``1 / ||Sigma^-1 U* K||**2``.
-    The pencil ``max_rayleigh(K, T)`` gives the independent route: the
-    eigenpairs (E, Lambda) of S = T T* that its rank cutoff keeps, from the
-    Gram of T's shorter side, and the largest generalized eigenvalue of
-    (K K*, S) on their span. Each ``AgreementError`` compares those two
-    decompositions. The other pieces (the SVD of K, the inverse frame
-    operator on the image of range(K)) are computed when first needed. Every
-    piece is a fixed function of (W, K, tol), so answers do not depend on
-    which question came first.
+    T synthesizes a fusion system, the vectors of a K-frame, or the L2 of a
+    Douglas factorization, and K is the operator whose range it must hold.
+    The thin SVD of T, truncated at the rank cutoff, gives the range of T,
+    the upper bound ``sigma_1**2`` and the pseudo-inverse route to the lower
+    bound, ``1 / ||Sigma^-1 U* K||**2``. The pencil ``max_rayleigh(K, T)``
+    gives the independent route: the eigenpairs (E, Lambda) of S = T T*
+    that its rank cutoff keeps, from the Gram of T's shorter side, and the
+    largest generalized eigenvalue of (K K*, S) on their span. Each
+    ``AgreementError`` compares those two decompositions. The other pieces
+    (the SVD of K, the inverse frame operator on the image of range(K)) are
+    computed when first needed. Every piece is a fixed function of
+    (T, K, tol), so answers do not depend on which question came first.
 
-    Obtain it through ``frame_analysis``, or for the system without each
-    member through ``without_each``; the arrays it holds are read-only.
-    Neither T nor S is kept (``synthesis`` rebuilds T cheaply), which keeps
-    the memoised entry small.
+    Obtain it through ``of_pair``, or for a system through
+    ``frame_analysis``; the arrays it holds are read-only. Neither T nor S
+    is kept (``synthesis`` rebuilds T cheaply), which keeps the memoised
+    entry small.
     """
 
-    def __init__(
-        self, k: np.ndarray, tol: ToleranceProfile, pencil, factors: Svd, zero_members=0
-    ) -> None:
-        """The analysis from a read-only K, the pencil of (K K*, S) and the truncated SVD of T.
-
-        The certificate reads only the singular values of ``factors``, and its left
-        factors unless ``without_each`` gives the range check and ||pinv(T) K||.
-        ``factors`` is None for a drop that ``without_each`` found off range
-        from the member's own rows; that certificate reads nothing else.
-        ``pencil`` is None when ``without_each`` gives ``pencil_ratio`` or
-        the certificate reads none.
-        """
+    def __init__(self, k: np.ndarray, tol: ToleranceProfile, pencil, factors: Svd, zero_members):
         # no reference back to the system: the system holds its analysis, and
         # a cycle would keep both alive until the cyclic garbage collector runs
         self.zero_members = zero_members
@@ -363,28 +387,29 @@ class FrameAnalysis:
         self.pencil = pencil
         self.factors = factors
 
+    @classmethod
+    def of_pair(cls, t: np.ndarray, k: np.ndarray, tol: ToleranceProfile, zero_members=0):
+        """The analysis of (T, K, tol): T's SVD truncated at the rank cutoff, and the pencil.
+
+        Its certificates warn about ``zero_members``, the empty members of T's system.
+        """
+        k = _read_only(k.copy())
+        factors, pencil = _read_only(svd(t).truncated(tol)), _read_only(max_rayleigh(k, t, tol))
+        return cls(k, tol, pencil, factors, zero_members)
+
     @property
     def upper(self) -> float:
         """The optimal upper bound: the largest eigenvalue of S."""
         return self.factors.top**2
 
-    @classmethod
-    def of_system(cls, w: FusionSystem, k: np.ndarray, tol: ToleranceProfile):
-        """The analysis of (W, K, tol): T's SVD truncated at the rank cutoff, and the pencil."""
-        t, k = synthesis(w), _read_only(k.copy())
-        factors, pencil = _read_only(svd(t).truncated(tol)), _read_only(max_rayleigh(k, t, tol))
-        return cls(k, tol, pencil, factors, sum(sub.is_zero for sub, _ in w.members))
-
     @cached_property
     def pencil_ratio(self) -> float:
         """Largest generalized eigenvalue of (K K*, S) on the pencil's span, for K in range(T).
 
-        ``_outside`` decides K's containment; the pencil is unbounded only
-        when it keeps fewer directions than the SVD route's rank.
+        ``range_obstruction`` decides K's containment; the pencil is unbounded
+        only when it keeps fewer directions than the SVD route's rank.
         """
-        if self.pencil.vals.size < self.factors.singular_values.size:
-            return np.inf
-        return self.pencil.top
+        return _ratio(self.pencil, self.factors.singular_values.size)
 
     @cached_property
     def _k_span(self):
@@ -424,8 +449,8 @@ class FrameAnalysis:
         return _read_only((f.v / f.singular_values) @ f.u.T)
 
     @cached_property
-    def _outside(self):
-        """The column of K off the span of T, or None, by ``outside`` at ``k_norm``."""
+    def range_obstruction(self):
+        """The range check: the column of K off the span of T, or None, by ``outside``."""
         return outside(self.k_norm, self._off_span[1], self.tol)
 
     @property
@@ -447,40 +472,11 @@ class FrameAnalysis:
         """``off_span(K, U)``: U* K and the squares of each column of K off span(U)."""
         return tuple(_read_only(a) for a in off_span(self.k, self.factors.u))
 
-    @cached_property
-    def _verdict(self) -> tuple:
-        """(lower via pencil, lower via pinv, witness column, message) of the frame condition."""
-        j = self._outside
-        if j is not None:
-            message = f"range obstruction: column {j} of K leaves the span of the system"
-            return None, None, j, message
-        ratio = self.pencil_ratio
-        if np.isinf(ratio):
-            return None, None, None, "no positive lower bound: the pencil is unbounded"
-        lower_pencil = np.inf if ratio == 0.0 else 1.0 / ratio
-        x_norm = self._pinv_norm
-        lower_pinv = np.inf if x_norm == 0.0 else x_norm**-2
-        gap, allowed = agreement(lower_pencil, lower_pinv, self.tol)
-        if gap > allowed:
-            raise AgreementError(
-                f"optimal lower bound mismatch: pencil {lower_pencil} vs pinv {lower_pinv},"
-                f" gap {gap} exceeds tolerance {allowed}"
-            )
-        return lower_pencil, lower_pinv, None, ""
-
     def certificate(self) -> Certificate:
         """A new certificate of the frame condition; callers may write into its details."""
-        if self.zero_members:
-            warnings.warn("zero-dimensional members contribute nothing and are skipped")
-        lower_pencil, lower_pinv, j, message = self._verdict
-        if lower_pencil is None:
-            witness = None if j is None else self.k[:, j].copy()
-            return Certificate(passed=False, witness=witness, message=message)
-        return Certificate(
-            passed=True,
-            bounds=FrameBounds(lower=lower_pencil, upper=self.upper, optimal=True),
-            details={"lower_via_pencil": lower_pencil, "lower_via_pinv": lower_pinv},
-        )
+        j = self.range_obstruction
+        bounds = () if j is not None else (self.pencil_ratio, self._pinv_norm, self.upper)
+        return _verdict(self.k, self.tol, self.zero_members, j, *bounds)
 
     def require(self) -> "FrameAnalysis":
         """This analysis, or ValueError when the system is not a K-fusion frame."""
@@ -489,8 +485,8 @@ class FrameAnalysis:
             raise ValueError(f"system must be a K-fusion frame: {cert.message}")
         return self
 
-    def without_each(self, t: np.ndarray, slices: list):
-        """The analysis of this verified system without each member in turn, for ``certificate``.
+    def drop_certificates(self, t: np.ndarray, slices: list):
+        """The certificate of this verified system without each member in turn.
 
         ``t`` is the synthesis matrix and ``slices`` the members' columns. Each
         route updates its own decomposition when the drop keeps its rank and
@@ -501,53 +497,46 @@ class FrameAnalysis:
         """
         rows_c = t.T @ (self.pencil.vecs / np.sqrt(self.pencil.vals))
         for rows in slices:
-            factors, pencil, known = self._drop(t, rows_c, rows)
-            dropped = FrameAnalysis(
-                self.k, self.tol, pencil, factors, self.zero_members - (rows.start == rows.stop)
-            )
-            dropped.__dict__.update(known)
-            yield dropped
+            zeros = self.zero_members - (rows.start == rows.stop)
+            yield _verdict(self.k, self.tol, zeros, *self._drop(t, rows_c, rows))
 
     def _drop(self, t: np.ndarray, rows_c: np.ndarray, rows: slice) -> tuple:
-        """(factors, pencil, pieces it presets) of the analysis without the member at ``rows``."""
+        """``_verdict``'s (j, ratio, ||pinv(T) K||, upper) without the member at ``rows``."""
         f, tol = self.factors, self.tol
         others = t.shape[1] - (rows.stop - rows.start)
-        # K is shared, and so is its norm
-        known = {"k_norm": self.k_norm, "_k_span": None}
         h, s, nu = row_downdate(f.v, rows)
         lost = lost_directions(f.singular_values, h, nu, tol)
+        # K is shared, and so is its norm
         if lost is not None:
             j = outside_without(*self._off_span, lost, self.k_norm, tol)
             if j is not None:
-                known["_outside"] = j
-                return None, None, known
+                return (j,)
         sigma_m = f.singular_values[:, None] * (np.eye(h.shape[0]) + (h * (nu - 1.0)) @ h.T)
         # with fewer other columns than its rank, or lost directions, the route loses rank
         kept = singular_values(sigma_m) if lost is None and others >= h.shape[0] else None
         if kept is not None and keeps_rank(kept[-1], kept[0], tol):
-            factors = _read_only(Svd(None, kept, None))
             pinv_norm = downdated_norm(self._lower_factors[0], h, s, nu)
-            known.update(_outside=None, _pinv_norm=pinv_norm)
         else:
             small = svd(sigma_m).truncated(tol)
-            factors = _read_only(Svd(f.u @ small.u, small.singular_values, None))
+            u, kept = f.u @ small.u, small.singular_values
             # ||U_drop* K|| <= ||U* K|| <= k_norm: the parent's norm serves the drop
-            known["_outside"] = outside(self.k_norm, off_span(self.k, factors.u)[1], tol)
-            # off range, the certificate reads no pencil
-            if known["_outside"] is not None:
-                return factors, None, known
-        vals = self.pencil.vals
+            j = outside(self.k_norm, off_span(self.k, u)[1], tol)
+            if j is not None:
+                return (j,)
+            pinv_norm = spectral_norm(u.T @ self.k / kept[:, None])
+        upper, vals = float(kept.max(initial=0.0)) ** 2, self.pencil.vals
         if others >= vals.size:
             h, s, nu = row_downdate(rows_c, rows)
             if keeps_rank(vals[0] * nu.min(initial=1.0) ** 2, vals[-1], tol):
-                known["pencil_ratio"] = downdated_norm(self._lower_factors[1], h, s, nu) ** 2
-                return factors, None, known
+                ratio = downdated_norm(self._lower_factors[1], h, s, nu) ** 2
+                return None, ratio, pinv_norm, upper
         t_drop = np.hstack([t[:, : rows.start], t[:, rows.stop :]])
-        return factors, _read_only(max_rayleigh(self.k, t_drop, tol)), known
+        ratio = _ratio(max_rayleigh(self.k, t_drop, tol), kept.size)
+        return None, ratio, pinv_norm, upper
 
 
 def frame_analysis(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> FrameAnalysis:
-    """The shared analysis of (W, K, tol), memoised on the system.
+    """The shared analysis of (W, K, tol), memoised on the system: ``of_pair`` of its synthesis.
 
     A system keeps a single entry, found again by the tolerance and the
     value of K; asking about another pair replaces it.
@@ -557,7 +546,8 @@ def frame_analysis(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> F
         raise ValueError("K must have ambient_dim rows")
     analysis = w._analysis
     if analysis is None or analysis.tol != tol or not np.array_equal(analysis.k, k):
-        analysis = FrameAnalysis.of_system(w, k, tol)
+        zeros = sum(sub.is_zero for sub, _ in w.members)
+        analysis = FrameAnalysis.of_pair(synthesis(w), k, tol, zeros)
         object.__setattr__(w, "_analysis", analysis)
     return analysis
 
@@ -616,7 +606,7 @@ def is_exact(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> Exactne
     """Removability of each member, given that the full system verifies.
 
     Each member's certificate comes from the shared analysis updated by that
-    member (``FrameAnalysis.without_each``), so the call decomposes T and
+    member (``FrameAnalysis.drop_certificates``), so the call decomposes T and
     its pencil once, not once per member. A drop that loses rank fails its
     range check from the member's own rows when they prove which directions
     it loses; it takes an r x r SVD only when they do not, or when K stays
@@ -628,9 +618,7 @@ def is_exact(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> Exactne
     if not base.passed:
         raise ValueError("system must verify as a K-fusion frame before exactness")
     analysis = frame_analysis(w, k, tol)
-    certificates = tuple(
-        dropped.certificate() for dropped in analysis.without_each(synthesis(w), w.block_slices())
-    )
+    certificates = tuple(analysis.drop_certificates(synthesis(w), w.block_slices()))
     removable = tuple(cert.passed for cert in certificates)
     return ExactnessReport(exact=not any(removable), removable=removable, certificates=certificates)
 
@@ -725,13 +713,14 @@ def weaken_to_q(w: FusionSystem, k, q, tol: ToleranceProfile = DEFAULT_TOL) -> C
     Requires the range of Q inside the range of K; the certified lower
     bound must dominate ``A / lambda**2`` where A is the optimal K-fusion
     lower bound and lambda**2 the largest Rayleigh quotient of Q Q*
-    against K K*.
+    against K K*; the range check and lambda**2 read the pair (K, Q).
     """
     k = as_matrix(k)
     q = as_matrix(q)
     if k.shape[0] != w.ambient_dim or q.shape[0] != w.ambient_dim:
         raise ValueError("K and Q must have ambient_dim rows")
-    j = outside_column(q, orthonormal_range(k, tol), tol)
+    pair = FrameAnalysis.of_pair(k, q, tol)
+    j = pair.range_obstruction
     if j is not None:
         return Certificate(
             passed=False,
@@ -741,7 +730,7 @@ def weaken_to_q(w: FusionSystem, k, q, tol: ToleranceProfile = DEFAULT_TOL) -> C
     base = verify_k_fusion(w, k, tol)
     if not base.passed:
         return Certificate(passed=False, message=f"not a K-fusion frame: {base.message}")
-    lam_sq = max_rayleigh(q, k, tol).value
+    lam_sq = pair.pencil.value
     guaranteed = np.inf if lam_sq == 0.0 else base.bounds.lower / lam_sq
     qcert = verify_k_fusion(w, q, tol)
     if not qcert.passed:
@@ -790,18 +779,8 @@ def k_image_frame(
 
 
 def verify_k_frame(f: KFrame, k, tol: ToleranceProfile = DEFAULT_TOL) -> Certificate:
-    """Certify the discrete K-frame condition with optimal bounds."""
+    """Certify the discrete K-frame condition with optimal bounds: the pair (family matrix, K)."""
     k = as_matrix(k)
     if k.shape[0] != f.ambient_dim:
         raise ValueError("K must have ambient_dim rows")
-    mat = f.matrix
-    pencil = max_rayleigh(k, mat, tol)
-    if np.isinf(pencil.value):
-        return Certificate(
-            passed=False,
-            witness=pencil.maximizer,
-            message="no positive lower bound: some vector outside the family span meets K",
-        )
-    lower = np.inf if pencil.value == 0.0 else 1.0 / pencil.value
-    upper = spectral_norm(mat) ** 2
-    return Certificate(passed=True, bounds=FrameBounds(lower=lower, upper=upper, optimal=True))
+    return FrameAnalysis.of_pair(f.matrix, k, tol).certificate()

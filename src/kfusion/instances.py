@@ -35,6 +35,14 @@ def parse_number(value, where: str) -> float:
     raise ValueError(f"{where}: expected a number, got {type(value).__name__}")
 
 
+def parse_int(value, where: str) -> int:
+    """Parse one integer field; a value ``int`` cannot take, such as a list, is an input error."""
+    try:
+        return int(value)
+    except TypeError:
+        raise ValueError(f"{where}: expected an integer, got {type(value).__name__}") from None
+
+
 def _parse_vector(entries, length: int, where: str) -> np.ndarray:
     if not isinstance(entries, list) or len(entries) != length:
         raise ValueError(f"{where}: expected {length} entries")
@@ -58,7 +66,7 @@ class ProblemInstance:
     document: dict
 
     def system(self, name: str) -> FusionSystem:
-        if name not in self.systems:
+        if not isinstance(name, str) or name not in self.systems:
             raise ValueError(f"instance has no system named {name!r}")
         return self.systems[name]
 
@@ -67,7 +75,7 @@ def _parse_k(doc_k, ambient_dim: int) -> np.ndarray:
     if not isinstance(doc_k, dict):
         raise ValueError("k_matrix: expected an object with rows, cols, entries")
     try:
-        rows, cols = int(doc_k["rows"]), int(doc_k["cols"])
+        rows, cols = (parse_int(doc_k[name], f"k_matrix.{name}") for name in ("rows", "cols"))
         entries = doc_k["entries"]
     except KeyError as exc:
         raise ValueError(f"k_matrix: missing field {exc.args[0]!r}") from exc
@@ -81,11 +89,13 @@ def _parse_k(doc_k, ambient_dim: int) -> np.ndarray:
 
 
 def _parse_system(name: str, body, ambient_dim: int, tol: ToleranceProfile):
-    if not isinstance(body, dict) or "members" not in body:
+    if not isinstance(body, dict) or not isinstance(body.get("members"), list):
         raise ValueError(f"system {name!r}: expected an object with a members list")
     members = []
     for i, member in enumerate(body["members"]):
         where = f"system {name!r} member {i}"
+        if not isinstance(member, dict):
+            raise ValueError(f"{where}: expected an object")
         weight = parse_number(member.get("weight", 1), f"{where} weight")
         if weight <= 0.0:
             raise ValueError(f"{where}: weight must be positive")
@@ -104,10 +114,9 @@ def instance_from_document(doc, tol: ToleranceProfile = DEFAULT_TOL) -> ProblemI
     """Validate a parsed document and build the working instance."""
     if not isinstance(doc, dict):
         raise ValueError("instance document must be an object")
-    try:
-        ambient_dim = int(doc["ambient_dim"])
-    except KeyError:
-        raise ValueError("missing field 'ambient_dim'") from None
+    if "ambient_dim" not in doc:
+        raise ValueError("missing field 'ambient_dim'")
+    ambient_dim = parse_int(doc["ambient_dim"], "ambient_dim")
     if ambient_dim <= 0:
         raise ValueError("ambient_dim must be positive")
     if "k_matrix" not in doc:

@@ -1,12 +1,14 @@
 """The shared analysis of (W, K, tol): safety, independence of the cross-checks, cost."""
 
+import ast
 import hashlib
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import bisected_synthesis_instance, random_fusion_system, skewed
@@ -377,15 +379,16 @@ def _assert_routes_agree(w, k):
     return calls
 
 
+@seed(1)
 @settings(max_examples=40, deadline=None)
 @given(
-    seed=st.integers(0, 2**32 - 1),
+    seed_=st.integers(0, 2**32 - 1),
     dims=st.lists(st.integers(1, 3), min_size=2, max_size=4),
     rank=st.integers(1, 4),
     off=st.sampled_from(OFF_SPAN),
 )
-def test_compressed_and_dense_routes_agree(seed, dims, rank, off):
-    rng = np.random.default_rng(seed)
+def test_compressed_and_dense_routes_agree(seed_, dims, rank, off):
+    rng = np.random.default_rng(seed_)
     n = sum(dims) + 3
     w = random_fusion_system(rng, n, dims, list(rng.uniform(0.5, 2.0, len(dims))))
     span = np.linalg.qr(synthesis(w))[0]
@@ -429,3 +432,64 @@ def test_the_bisected_instance_takes_the_dense_route_with_the_same_residual():
     assert calls and not any(taken for *_, taken in calls)
     sol = x_w(_copy(w), k)
     assert sol.residual == numerics.spectral_norm(synthesis(w) @ sol.x - k)
+
+
+def _decorator_names(func):
+    """The names a function's decorators call or name: ``seed`` for ``@seed(1)``."""
+    names = set()
+    for node in func.decorator_list:
+        node = node.func if isinstance(node, ast.Call) else node
+        names.add(node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None))
+    return names
+
+
+def _unseeded_hypothesis_tests(paths):
+    """``module.function`` of each ``@given`` function in ``paths``, nested too, with no ``@seed``."""
+    return [
+        f"{path.stem}.{node.name}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef)
+        and "given" in _decorator_names(node)
+        and "seed" not in _decorator_names(node)
+    ]
+
+
+def test_every_hypothesis_test_draws_from_a_fixed_seed():
+    """No Hypothesis profile is set, so an unseeded test draws new examples on every run."""
+    tests = sorted(Path(__file__).resolve().parent.glob("*.py"))
+    assert _unseeded_hypothesis_tests(tests) == []
+
+
+# the decompositions a reader of a pair's analysis leaves to ``FrameAnalysis.of_pair``
+PAIR_DECOMPOSITIONS = {"svd", "orthonormal_range", "max_rayleigh"}
+PAIR_READERS = {
+    "factorization": {"douglas_solve", "range_included", "_pair", "_solve", "x_w"},
+    "frames": {"verify_k_frame", "weaken_to_q"},
+}
+
+
+def _called_names(node):
+    return {
+        call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+    }
+
+
+def _functions(module):
+    path = Path(__file__).resolve().parents[1] / "src" / "kfusion" / f"{module}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
+def test_the_readers_of_a_pair_decompose_nothing_of_their_own():
+    found = {
+        name: _called_names(node) & PAIR_DECOMPOSITIONS
+        for module, names in PAIR_READERS.items()
+        for name, node in _functions(module).items()
+        if name in names
+    }
+    assert found == {name: set() for names in PAIR_READERS.values() for name in names}
+    # the scan sees the calls the analysis makes for them
+    assert _called_names(_functions("frames")["of_pair"]) >= {"svd", "max_rayleigh"}

@@ -120,6 +120,33 @@ def test_non_finite_tolerance_is_an_input_error(runner, tmp_path, value):
     assert "input error" in result.output
 
 
+# (command, path to the field in example_r3.json, a value of the wrong type)
+MALFORMED = {
+    "member-number": ("verify", ("systems", "W", "members", 0), 5),
+    "members-number": ("verify", ("systems", "W", "members"), 5),
+    "ambient-dim-list": ("verify", ("ambient_dim",), [3]),
+    "rows-list": ("verify", ("k_matrix", "rows"), [3]),
+    "span-number": ("enlarge-dual", ("options", "enlarge", "span"), 5),
+    "system-list": ("enlarge-dual", ("options", "enlarge", "system"), ["V0"]),
+    "index-list": ("enlarge-dual", ("options", "enlarge", "index"), [2]),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_a_malformed_field_is_an_input_error(runner, tmp_path, case):
+    command, (*keys, last), value = MALFORMED[case]
+    doc = json.loads((DATA / "example_r3.json").read_text())
+    field = doc
+    for key in keys:
+        field = field[key]
+    field[last] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    result = invoke(runner, command, "--in", str(path))
+    assert result.exit_code == 2, result.output
+    assert "input error" in result.output
+
+
 # --------------------------------------------------------------- factorization
 
 

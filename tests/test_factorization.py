@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import bisected_synthesis_instance, make_system, random_fusion_system, skewed
-from kfusion import factorization
+from kfusion import factorization, frames
 from kfusion.duality import qk_dual_from_x
 from kfusion.factorization import DouglasSolution, douglas_solve, range_included, x_w
 from kfusion.frames import (
@@ -170,7 +170,7 @@ def _composed_pair():
 
 def test_residual_disagreement_names_the_residual_and_the_tolerance(monkeypatch):
     l1, l2 = _composed_pair()
-    real = factorization.svd
+    real = frames.svd
 
     def skewed(m):
         f = real(m)
@@ -178,7 +178,7 @@ def test_residual_disagreement_names_the_residual_and_the_tolerance(monkeypatch)
             return f
         return Svd(u=f.u, singular_values=1.01 * f.singular_values, v=f.v)
 
-    monkeypatch.setattr(factorization, "svd", skewed)
+    monkeypatch.setattr(frames, "svd", skewed)
     with pytest.raises(AgreementError) as err:
         douglas_solve(l1, l2)
     found = re.search(r"\|\|L2 x - L1\|\| = (\S+) exceeds tolerance (\S+)$", str(err.value))
@@ -189,8 +189,8 @@ def test_residual_disagreement_names_the_residual_and_the_tolerance(monkeypatch)
 
 def test_norm_disagreement_names_both_values_the_gap_and_the_tolerance(monkeypatch):
     l1, l2 = _composed_pair()
-    real = factorization.max_rayleigh
-    monkeypatch.setattr(factorization, "max_rayleigh", lambda a, g, tol: skewed(real(a, g, tol)))
+    real = frames.max_rayleigh
+    monkeypatch.setattr(frames, "max_rayleigh", lambda a, g, tol: skewed(real(a, g, tol)))
     with pytest.raises(AgreementError) as err:
         douglas_solve(l1, l2)
     found = re.search(
@@ -218,6 +218,14 @@ def test_douglas_solution_is_minimal_among_alternatives():
     for _ in range(20):
         alternative = sol.x + slack @ rng.standard_normal((4, 3))
         assert spectral_norm(alternative) >= np.sqrt(sol.norm_sq) - ABS_TOLERANCE
+
+
+def test_douglas_solve_through_the_synthesis_matrix_is_x_w(r3_system, r3_k):
+    rng = np.random.default_rng(71)
+    w = random_fusion_system(rng, 5, [2, 2, 2])
+    k = range_projector(synthesis(w)) @ rng.standard_normal((5, 5))
+    for w, k in ((r3_system, r3_k), (w, k)):
+        np.testing.assert_array_equal(douglas_solve(k, synthesis(w)).x, x_w(w, k).x)
 
 
 def test_x_w_blocks_match_closed_form(r3_system, r3_k):

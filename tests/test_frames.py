@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import make_system, random_fusion_system
+from conftest import make_system, random_fusion_system, skewed
+from kfusion import frames
 from kfusion.frames import (
     BlockVector,
     FrameBounds,
@@ -28,7 +29,7 @@ from kfusion.frames import (
     verify_k_fusion,
     weaken_to_q,
 )
-from kfusion.numerics import DEFAULT_TOL, max_rayleigh, pinv, spectral_norm
+from kfusion.numerics import DEFAULT_TOL, AgreementError, max_rayleigh, pinv, spectral_norm
 
 ABS_TOLERANCE = 1e-9
 BOUND_TOLERANCE = 1e-8
@@ -434,6 +435,21 @@ def test_verify_k_frame_diagonal_projection_failure():
     assert not cert.passed
     assert cert.witness is not None
     assert np.linalg.norm(k.T @ cert.witness) > 1e-6
+
+
+def test_a_failing_k_frame_names_the_column_of_k_farthest_from_its_span():
+    k = np.array([[0.5, 0.0], [0.5, 1.0]])
+    cert = verify_k_frame(KFrame(2, (np.array([1.0, 0.0]),)), k)
+    assert not cert.passed
+    assert cert.message == "range obstruction: column 1 of K leaves the span of the system"
+    np.testing.assert_array_equal(cert.witness, k[:, 1])
+
+
+def test_a_k_frame_pencil_is_cross_checked_by_the_svd_route(monkeypatch):
+    real = frames.max_rayleigh
+    monkeypatch.setattr(frames, "max_rayleigh", lambda m, g, tol: skewed(real(m, g, tol)))
+    with pytest.raises(AgreementError):
+        verify_k_frame(KFrame(3, tuple(np.eye(3))), np.eye(3))
 
 
 def test_verify_k_frame_projected_basis_matches_fusion_bounds(r3_system, r3_k):

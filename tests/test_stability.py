@@ -411,11 +411,24 @@ def _pencil_floor(w):
     return numerics.SPAN_ROUNDING * lam[0] / lam[-1]
 
 
-def _svd_path(dropped):
-    """How a drop's SVD route was decided: updated, from the member's rows, or downdated."""
-    if dropped.factors is None:
-        return "member"
-    return "update" if dropped.factors.u is None else "downdate"
+DROP_CALLS = ("row_downdate", "singular_values", "svd", "max_rayleigh")
+
+
+def _drop_paths(calls):
+    """The paths one drop took, from the ``DROP_CALLS`` it made in order.
+
+    The SVD route is updated from the values of Sigma M alone, decided from
+    the member's rows, or downdated by an SVD. A drop that reaches the pencil
+    downdates it by ``max_rayleigh``, or updates it after a second
+    ``row_downdate``; a drop that leaves K out of range reaches neither.
+    """
+    updated = "update" if "singular_values" in calls else "member"
+    paths = {("svd", "downdate" if "svd" in calls else updated)}
+    if "max_rayleigh" in calls:
+        paths.add(("pencil", "downdate"))
+    elif calls.count("row_downdate") == 2:
+        paths.add(("pencil", "update"))
+    return paths
 
 
 def test_planted_drops_match_verifying_them_on_both_paths():
@@ -468,12 +481,21 @@ def test_planted_drops_match_verifying_them_on_both_paths():
                 assert got.details["lower_via_pinv"] == pytest.approx(pinv, rel=1e-10)
                 assert got.bounds.lower == pytest.approx(want.bounds.lower, rel=1e-10 + floor)
                 assert got.bounds.upper == pytest.approx(want.bounds.upper, rel=1e-10)
-        analysis = frames.frame_analysis(w, k)
-        for dropped in analysis.without_each(synthesis(w), w.block_slices()):
-            paths.add(("svd", _svd_path(dropped)))
-            # a drop that leaves K out of range reads no pencil
-            if dropped._outside is None:
-                paths.add(("pencil", "update" if dropped.pencil is None else "downdate"))
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            for name in DROP_CALLS:
+                real = getattr(frames, name)
+
+                def recording(*args, _real=real, _name=name):
+                    calls.append(_name)
+                    return _real(*args)
+
+                patch.setattr(frames, name, recording)
+            drops = frames.frame_analysis(w, k).drop_certificates(synthesis(w), w.block_slices())
+            for _ in w.members:
+                calls.clear()
+                next(drops)
+                paths.update(_drop_paths(calls))
 
     check()
     assert paths == {("svd", "update"), ("svd", "member"), ("svd", "downdate")} | {
