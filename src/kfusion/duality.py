@@ -43,7 +43,6 @@ from kfusion.numerics import (
     numerical_rank,
     outside_column,
     pinv,
-    r_factor,
     residual_matrix,
     spectral_norm,
     symmetric_eigenvalues,
@@ -234,12 +233,12 @@ def qk_dual_from_x(
     dual = FusionSystem(w.ambient_dim, members)
     # pinv(T_V*) = U Sigma^-1 V* from the analysis the adjoint certificate reads
     f = frame_analysis(dual, k.T, tol).factors
-    scaled = f.u / f.singular_values
-    q = (x_mat @ scaled @ f.v.T).T
+    x_scaled = x_mat @ (f.u / f.singular_values)
+    q = (x_scaled @ f.v.T).T
     # ||K|| from the analysis solution_matrix read; ||Q|| = ||X U Sigma^-1||,
-    # and the R-factor of X has the norms of X
+    # since V has orthonormal columns
     k_norm = frame_analysis(w, k, tol).k_norm
-    cert = _qk_certificate(w, dual, q, k, k_norm, r_factor(x_mat) @ scaled, tol)
+    cert = _qk_certificate(w, dual, q, k, k_norm, x_scaled, tol)
     return dual, q, cert
 
 
@@ -309,17 +308,18 @@ def canonical_k_dual(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL):
     cert = is_k_dual(w, dual, k, tol)
     image = analysis.image_factors
     u = image.u
-    projected = FusionSystem(
-        w.ambient_dim,
-        tuple(
-            (subspace_from_columns(u @ (u.T @ sub.basis), tol), weight)
-            for sub, weight in w.members
-        ),
-    )
+    if u.shape[1] == u.shape[0]:
+        # S(range K) is all of R^n, so P = u u* = I: the projected family is W
+        projected_bessel = analysis.upper
+    else:
+        projected = tuple(
+            (subspace_from_columns(u @ (u.T @ sub.basis), tol), weight) for sub, weight in w.members
+        )
+        projected_bessel = spectral_norm(synthesis(FusionSystem(w.ambient_dim, projected))) ** 2
     # ||T T*|| = ||T||**2, and spectral_norm decomposes the Gram of T's shorter side
     bessel = spectral_norm(synthesis(dual)) ** 2
     estimate = (
-        spectral_norm(synthesis(projected)) ** 2
+        projected_bessel
         * analysis.k_norm**2
         * analysis.k_factors.pinv_norm**2
         * analysis.upper**2

@@ -188,7 +188,7 @@ def douglas_solve(l1, l2, tol: ToleranceProfile = DEFAULT_TOL) -> DouglasSolutio
         raise ValueError(
             f"range of L1 is not contained in range of L2; witness column {analysis.k[:, j]}"
         )
-    return _solve(analysis, as_matrix(l2), analysis.pencil.value)
+    return _solve(analysis, as_matrix(l2), analysis.pencil_ratio)
 
 
 def solution_matrix(w: FusionSystem, k: np.ndarray, x: DouglasSolution, tol) -> np.ndarray:

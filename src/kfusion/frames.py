@@ -713,7 +713,7 @@ def weaken_to_q(w: FusionSystem, k, q, tol: ToleranceProfile = DEFAULT_TOL) -> C
     Requires the range of Q inside the range of K; the certified lower
     bound must dominate ``A / lambda**2`` where A is the optimal K-fusion
     lower bound and lambda**2 the largest Rayleigh quotient of Q Q*
-    against K K*; the range check and lambda**2 read the pair (K, Q).
+    against K K*, the ``pencil_ratio`` of the pair (K, Q) after its range check.
     """
     k = as_matrix(k)
     q = as_matrix(q)
@@ -730,7 +730,7 @@ def weaken_to_q(w: FusionSystem, k, q, tol: ToleranceProfile = DEFAULT_TOL) -> C
     base = verify_k_fusion(w, k, tol)
     if not base.passed:
         return Certificate(passed=False, message=f"not a K-fusion frame: {base.message}")
-    lam_sq = pair.pencil.value
+    lam_sq = pair.pencil_ratio
     guaranteed = np.inf if lam_sq == 0.0 else base.bounds.lower / lam_sq
     qcert = verify_k_fusion(w, q, tol)
     if not qcert.passed:

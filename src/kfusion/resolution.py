@@ -131,8 +131,8 @@ def verify_resolution(
     The upper bound is the largest eigenvalue of the weighted gram sum; the
     lower bound is the largest A with ``A * ||K f||^2`` below the weighted
     square sums for every f, vectors in the kernel of K imposing no
-    constraint. Both are read from the gram factor M: the upper bound as
-    ||M||**2 and the lower one from the pencil ``numerics.max_rayleigh(K*, M*)``.
+    constraint. Both are read from the pencil ``numerics.max_rayleigh(K*, M*)`` of the gram
+    factor M: ||M||**2 as the top eigenvalue of M* M it keeps, the lower bound from its value.
     The residual of the stacked factors, through ``numerics.residual_matrix``,
     is ``negligible`` at that pencil's ``m_scale``, the scale of its
     containment step; it takes ||K|| only when the pencil spans every row.
@@ -142,8 +142,8 @@ def verify_resolution(
         raise ValueError("operators and K must share one shape")
     residual = spectral_norm(residual_matrix(*r.stacked(), k))
     factor = r.gram_factor()
-    upper = spectral_norm(factor) ** 2
     pencil = max_rayleigh(k.T, factor.T, tol)
+    upper = float(pencil.vals[-1]) if pencil.vals.size else 0.0
     ratio = pencil.value
     lower = 0.0 if np.isinf(ratio) else (np.inf if ratio == 0.0 else 1.0 / ratio)
     return ResolutionCheck(

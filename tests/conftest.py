@@ -34,16 +34,17 @@ def skewed(pencil, factor=1.01):
     return Pencil(pencil.m, pencil.vecs, pencil.vals / factor, pencil.tol)
 
 
-def bisected_synthesis_instance(cols=5):
+def bisected_synthesis_instance(cols=5, seed=0):
     """(W, K, q): K leaves the span of four rotated lines in R^5 by just under the containment threshold.
 
     W holds the lines spanned by the first four columns of the orthogonal q,
-    and K (5 x cols) is those columns plus d times the fifth one in every
-    column. d is bisected so that ``verify_k_fusion`` still passes, which
-    leaves ``x_w`` a residual just above ``eq_abs (1 + ||K||)``, yet within
-    its own allowance. With cols = 4 the kernel of K is trivial.
+    drawn from ``seed``, and K (5 x cols) is those columns plus d times the
+    fifth one in every column. d is bisected so that ``verify_k_fusion``
+    still passes, which leaves ``x_w`` a residual just above
+    ``eq_abs (1 + ||K||)``, yet within its own allowance. With cols = 4 the
+    kernel of K is trivial.
     """
-    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((5, 5)))
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((5, 5)))
     w = FusionSystem(5, tuple((subspace_from_spanning([q[:, i]]), 1.0) for i in range(4)))
 
     def k_at(d):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
+from kfusion import frames
 from kfusion.duality import (
     _block_diag,
     canonical_k_dual,
@@ -26,6 +27,7 @@ from kfusion.frames import (
     FusionSystem,
     KFrame,
     Subspace,
+    frame_analysis,
     frame_operator,
     map_subspace,
     same_subspace,
@@ -157,6 +159,26 @@ def test_qk_dual_from_x_reconstructs_any_compatible_target(entropy, n):
     assert cert.details["adjoint_frame"].passed
 
 
+def _dense_and_thin_instances():
+    """(W, K): sum(d) > n with a full-rank K, and sum(d) < n with K of rank 5 inside span T."""
+    rng = np.random.default_rng(5)
+    dense = random_fusion_system(rng, 8, [3, 4, 2, 3])
+    thin = random_fusion_system(rng, 12, [2, 3, 2])
+    k_thin = synthesis(thin) @ rng.standard_normal((7, 5)) @ rng.standard_normal((5, 12))
+    return [(dense, rng.standard_normal((8, 8))), (thin, k_thin)]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["dense", "thin"])
+def test_qk_dual_bound_floors_read_the_norm_of_the_returned_q(case):
+    w, k = _dense_and_thin_instances()[case]
+    _, q, cert = qk_dual_from_x(w, k, x_w(w, k))
+    assert cert.passed
+    base = verify_k_fusion(w, k)
+    inv_qn = spectral_norm(q) ** -2
+    assert cert.details["lower_bound_floor"] == pytest.approx(inv_qn / base.bounds.upper, rel=1e-12)
+    assert cert.details["upper_bound_floor"] == pytest.approx(inv_qn / base.bounds.lower, rel=1e-12)
+
+
 # -------------------------------------------------------------------- K-duals
 
 
@@ -227,6 +249,54 @@ def test_canonical_dual_passes_and_respects_bessel_estimate(entropy, n):
     dual, cert, report = canonical_k_dual(w, k)
     assert cert.passed
     assert report["within_estimate"]
+
+
+def _orthonormal_columns(m):
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    return u[:, s > 1e-10 * s.max(initial=0.0)]
+
+
+def _bessel_estimate_of_the_projected_family(w, k):
+    """The canonical dual's Bessel estimate, with numpy, from the family projected onto S(range K)."""
+    s = frame_operator(w)
+    image = _orthonormal_columns(s @ k)
+    projected = np.hstack(
+        [weight * _orthonormal_columns(image @ (image.T @ sub.basis)) for sub, weight in w.members]
+    )
+    p_k = _orthonormal_columns(k)
+    factors = (projected, k, np.linalg.pinv(k, rcond=1e-10), s)
+    norm_sq = np.prod([np.linalg.norm(m, 2) ** 2 for m in factors])
+    return norm_sq * np.linalg.norm(np.linalg.pinv(s @ p_k @ p_k.T, rcond=1e-10), 2) ** 2
+
+
+def _full_and_low_rank_targets():
+    """(W, K) in R^6, four members: K of full rank, then K of rank 2 inside span T."""
+    rng = np.random.default_rng(4)
+    w = random_fusion_system(rng, 6, [3, 2, 3, 1])
+    full = np.linalg.qr(rng.standard_normal((6, 6)))[0] * rng.uniform(0.5, 2.0, 6)
+    low = synthesis(w) @ rng.standard_normal((9, 2)) @ rng.standard_normal((2, 6))
+    return [(w, full), (w, low)]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["full-rank", "rank-2"])
+def test_the_bessel_estimate_is_that_of_the_projected_family(case):
+    w, k = _full_and_low_rank_targets()[case]
+    _, cert, report = canonical_k_dual(w, k)
+    assert cert.passed
+    expected = _bessel_estimate_of_the_projected_family(w, k)
+    assert report["bessel_estimate"] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("case, per_member", [(0, 1), (1, 2)], ids=["full-rank", "rank-2"])
+def test_only_a_rank_deficient_k_builds_the_projected_family(monkeypatch, case, per_member):
+    # for a full-rank K the projected family is W, whose Bessel bound the analysis holds
+    w, k = _full_and_low_rank_targets()[case]
+    frame_analysis(w, k).require()
+    taken = []
+    real = frames.orthonormal_range
+    monkeypatch.setattr(frames, "orthonormal_range", lambda m, tol: taken.append(m) or real(m, tol))
+    canonical_k_dual(w, k)
+    assert len(taken) == per_member * len(w)
 
 
 # ----------------------------------------------------------------- enlargement

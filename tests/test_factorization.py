@@ -102,6 +102,22 @@ def test_x_w_solves_the_synthesis_equation_it_is_checked_against():
     resolution_from_x(w, k, x)
 
 
+@pytest.mark.parametrize("cols", [4, 5])
+def test_pairs_the_range_check_accepts_just_inside_its_edge_give_a_bounded_pencil(cols):
+    # douglas_solve and weaken_to_q read pencil_ratio, as x_w does: containment is the
+    # range check's alone, and the pencil's own step against its eigenvectors, at its
+    # own scale, would call many of these pairs unbounded
+    lines = FusionSystem(5, tuple((subspace_from_spanning([e]), 1.0) for e in np.eye(5)))
+    for seed in range(40):
+        w, k, _ = bisected_synthesis_instance(cols, seed)
+        t = synthesis(w)
+        assert range_included(k, t)[0]
+        alpha = x_w(w, k).alpha_inf
+        assert douglas_solve(k, t).alpha_inf == pytest.approx(alpha, rel=1e-12)
+        lam_sq = frames.weaken_to_q(lines, t, k).details["lambda_squared"]
+        assert lam_sq == pytest.approx(alpha, rel=1e-12)
+
+
 def test_x_w_solution_is_read_only_and_not_checked_again(monkeypatch, r3_system, r3_k):
     sol = x_w(r3_system, r3_k)
     with pytest.raises(ValueError):

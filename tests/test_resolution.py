@@ -53,6 +53,32 @@ def test_doubled_weight_breaks_reconstruction(r3_k):
     np.testing.assert_allclose(check.residual, 3.0 * np.sqrt(2.0), atol=1e-12)
 
 
+@pytest.mark.parametrize("name", ["projection", "inverse", "from_x"])
+@pytest.mark.parametrize(
+    "n, dims, rank", [(8, (3, 4, 2, 3), 8), (12, (2, 3, 2), 5)], ids=["dense", "thin"]
+)
+def test_the_upper_bound_is_the_gram_factors_squared_norm(name, n, dims, rank):
+    # read from the pencil's top kept eigenvalue of M* M, not from a second decomposition of M
+    rng = np.random.default_rng(11)
+    w = random_fusion_system(rng, n, list(dims))
+    k = synthesis(w) @ rng.standard_normal((sum(dims), rank)) @ rng.standard_normal((rank, n))
+    r = {
+        "projection": resolution_b(w, k),
+        "inverse": resolution_c(w, k),
+        "from_x": resolution_from_x(w, k, x_w(w, k)),
+    }[name]
+    check = verify_resolution(r, k)
+    assert check.passed
+    assert check.upper == pytest.approx(spectral_norm(r.gram_factor()) ** 2, rel=1e-12)
+
+
+def test_an_all_zero_resolution_has_upper_bound_zero(r3_k):
+    check = verify_resolution(Resolution((np.zeros((3, 3)),), (1.0,)), r3_k)
+    assert check.upper == 0.0
+    assert check.lower == 0.0
+    assert not check.passed
+
+
 def test_verify_resolution_shape_mismatch(r3_k):
     with pytest.raises(ValueError):
         verify_resolution(Resolution((np.eye(2),), (1.0,)), r3_k)
@@ -330,10 +356,10 @@ def test_passing_checks_take_no_norm_of_k_or_of_a_member_operator(monkeypatch):
         monkeypatch.setattr(module, "spectral_norm", lambda m: inner.append(m) or spectral_norm(m))
     assert verify_resolution(r, k).passed
     assert minimal_norm_check(w, k, r).passed
-    # the two residuals and the upper bound, nothing per member and not ||K||;
-    # K lies in the span of the 12 x 7 stacked left factors, so the first
-    # residual is taken at 7 x 12
-    assert [m.shape for m in taken] == [(7, 12), (7, 12), (12, 12)]
+    # the two residuals, nothing per member and not ||K||: the upper bound is
+    # the pencil's top eigenvalue; K lies in the span of the 12 x 7 stacked
+    # left factors, so the first residual is taken at 7 x 12
+    assert [m.shape for m in taken] == [(7, 12), (12, 12)]
     assert not any(m is k for m in taken)
     # the pencil's scale, the members' containment and ||K|| are rank-sized
     assert inner and all(min(m.shape) <= 7 for m in inner), [m.shape for m in inner]
