@@ -23,10 +23,10 @@ import numpy as np
 from .duality import canonical_k_dual, enlarge_dual, is_k_dual, qk_dual_from_x
 from .factorization import x_w
 from .frames import (
+    frame_analysis,
     frame_operator,
     is_exact,
     is_minimal,
-    range_projector,
     subspace_from_spanning,
     verify_k_fusion,
 )
@@ -45,7 +45,6 @@ from .numerics import (
     AgreementError,
     ToleranceProfile,
     numerical_rank,
-    pinv,
     spectral_norm,
 )
 from .perturbation import (
@@ -448,8 +447,9 @@ def _golden_observations(tol: ToleranceProfile) -> dict:
     w4, k4 = r4.system("W"), r4.k_matrix
     r3 = instance_from_document(_bundled_document("example_r3.json"), tol)
     w, z, k = r3.system("W"), r3.system("Z"), r3.k_matrix
-    on_range = range_projector(k, tol)
-    s_w, s_z = frame_operator(w) @ on_range, frame_operator(z) @ on_range
+    u_k = frame_analysis(w, k, tol).k_factors.u
+    s_w, s_z = (frame_operator(s) @ (u_k @ u_k.T) for s in (w, z))
+    inv_w, inv_z = (frame_analysis(s, k, tol).inverse_on_image for s in (w, z))
     sol = x_w(w, k, tol)
     dual, dual_cert, _ = canonical_k_dual(w, k, tol)
     e3 = subspace_from_spanning([np.array([0.0, 0.0, 1.0])], tol)
@@ -470,7 +470,7 @@ def _golden_observations(tol: ToleranceProfile) -> dict:
             "nullspace_match": bool(sol.nullspace_match),
             "range_containment": bool(sol.range_containment),
         },
-        "frame-operator": {"on_range": _mat(s_w), "pseudo_inverse": _mat(pinv(s_w, tol))},
+        "frame-operator": {"on_range": _mat(s_w), "pseudo_inverse": _mat(inv_w)},
         "canonical-dual": _dual_family(dual, dual_cert),
         "enlarge-dual": {
             **_reconstructs(enlarge_cert),
@@ -484,7 +484,7 @@ def _golden_observations(tol: ToleranceProfile) -> dict:
         },
         "merged-frame-operator": {
             "on_range": _mat(s_z),
-            "pseudo_inverse": _mat(pinv(s_z, tol)),
+            "pseudo_inverse": _mat(inv_z),
         },
         "merged-bounds": _certified(verify_k_fusion(z, k, tol)),
         "epsilon-star": {"analysis_epsilon": float(analysis_epsilon(w, z, k, tol))},

@@ -17,6 +17,7 @@ from kfusion.factorization import DouglasSolution, solution_matrix, x_w
 from kfusion.frames import (
     BlockVector,
     Certificate,
+    FrameAnalysis,
     FusionSystem,
     KFrame,
     Subspace,
@@ -24,7 +25,6 @@ from kfusion.frames import (
     frame_operator,
     is_minimal,
     orthogonal_complement,
-    range_projector,
     same_subspace,
     subspace_contains,
     subspace_from_columns,
@@ -178,8 +178,8 @@ def is_qk_dual(
         together with the two lower-bound inequalities those must satisfy.
     """
     q = as_matrix(q)
-    k = as_matrix(k)
-    return _qk_certificate(w, v, q, k, spectral_norm(k), q, tol)
+    analysis = frame_analysis(w, k, tol)
+    return _qk_certificate(w, v, q, analysis.k, analysis.k_norm, q, tol)
 
 
 def _qk_certificate(w, v, q, k, k_norm, q_like, tol) -> DualCertificate:
@@ -389,15 +389,13 @@ def check_sws_range_condition(
     degenerate targets (a rank-one K collapses every member into a single
     line), so only the implied direction is asserted.
     """
-    k = as_matrix(k)
+    analysis = frame_analysis(w, k, tol)
+    k, k_range = analysis.k, analysis.k_factors.u
     s_w = frame_operator(w)
-    k_range = subspace_from_columns(k, tol)
-    doubled = s_w @ (s_w @ k_range.basis)
-    condition = bool(
-        numerical_rank(np.hstack([k, doubled]), tol) == numerical_rank(k, tol)
-    )
+    doubled = s_w @ (s_w @ k_range)
+    condition = bool(numerical_rank(np.hstack([k, doubled]), tol) == k_range.shape[1])
     sol = x_w(w, k, tol)
-    candidate = synthesis(w).T @ inverse_on_image(w, k, tol).T @ k
+    candidate = synthesis(w).T @ analysis.inverse_on_image.T @ k
     gap = spectral_norm(candidate - sol.x)
     operator_equality = negligible(gap, spectral_norm(sol.x), tol)
     if condition != operator_equality:
@@ -442,14 +440,14 @@ def minimal_dual_test(
     member sits inside the matching member of V. Hypothesis violations are
     reported and the biconditional is then not asserted.
     """
-    k = as_matrix(k)
+    analysis = frame_analysis(w, k, tol)
     violations = []
     if not is_minimal(w, tol):
         violations.append("system is not minimal")
     span_all = subspace_from_columns(
         np.hstack([sub.basis for sub, _ in w.members]), tol
     )
-    k_perp = orthogonal_complement(subspace_from_columns(k, tol), tol)
+    k_perp = orthogonal_complement(Subspace(w.ambient_dim, analysis.k_factors.u), tol)
     if subspace_intersection(span_all, k_perp, tol).dim > 0:
         violations.append(
             "span of the members meets the orthogonal complement of range(K)"
@@ -519,13 +517,14 @@ def kframe_projection_dual(f: KFrame, k, tol: ToleranceProfile = DEFAULT_TOL):
     ``K f`` over 50 seeded random vectors.
     """
     k = as_matrix(k)
-    base = verify_k_frame(f, k, tol)
+    mat = f.matrix
+    analysis = FrameAnalysis.of_pair(mat, k, tol)
+    base = analysis.certificate()
     if not base.passed:
         raise ValueError(f"family must be a K-frame: {base.message}")
-    mat = f.matrix
-    p_r = range_projector(k, tol)
-    s_f = mat @ mat.T
-    dual_map = k.T @ pinv(s_f @ p_r, tol)
+    u_k = analysis.k_factors.u
+    p_r = u_k @ u_k.T
+    dual_map = k.T @ analysis.inverse_on_image
     projected = KFrame(f.ambient_dim, tuple((p_r @ mat).T))
     dual = KFrame(f.ambient_dim, tuple((dual_map @ mat).T))
     recon = projected.matrix @ dual.matrix.T
@@ -536,7 +535,7 @@ def kframe_projection_dual(f: KFrame, k, tol: ToleranceProfile = DEFAULT_TOL):
         vec = rng.standard_normal(f.ambient_dim)
         worst = max(worst, float(np.linalg.norm(k @ vec - recon @ vec)))
     cert = Certificate(
-        passed=negligible(residual, spectral_norm(k), tol),
+        passed=negligible(residual, analysis.k_norm, tol),
         message="reconstruction of K through the projected family",
         details={"residual": residual, "worst_pointwise": worst},
     )
@@ -574,11 +573,11 @@ def local_duality_equiv(
     """
     if local.fusion is not v and len(local.fusion) != len(v):
         raise ValueError("local frames must be indexed like the candidate dual")
-    k = as_matrix(k)
+    analysis = frame_analysis(w, k, tol)
+    k, u_k = analysis.k, analysis.k_factors.u
     recon, _ = k_dual_reconstruction(w, v, k, tol)
     continuous_residual = spectral_norm(recon - k)
-    p_r = range_projector(k, tol)
-    carrier = p_r @ inverse_on_image(w, k, tol).T @ k
+    carrier = u_k @ u_k.T @ analysis.inverse_on_image.T @ k
     f_vectors, g_vectors = [], []
     for (w_sub, w_weight), (v_sub, v_weight), frame in zip(
         w.members, local.fusion.members, local.local_frames
@@ -592,7 +591,7 @@ def local_duality_equiv(
     frames_g = KFrame(w.ambient_dim, tuple(g_vectors))
     discrete = frames_f.matrix @ frames_g.matrix.T
     discrete_residual = spectral_norm(discrete - k)
-    k_norm = spectral_norm(k)
+    k_norm = analysis.k_norm
     operators_match = negligible(spectral_norm(discrete - recon), k_norm, tol)
     continuous_pass = negligible(continuous_residual, k_norm, tol)
     discrete_pass = negligible(discrete_residual, k_norm, tol)

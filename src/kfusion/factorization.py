@@ -87,10 +87,7 @@ class XwSolution(DouglasSolution):
 
 def _pair(l1, l2, tol: ToleranceProfile) -> FrameAnalysis:
     """The analysis of the pair (L2, L1): L2 plays T and L1 plays K."""
-    l1, l2 = as_matrix(l1), as_matrix(l2)
-    if l1.shape[0] != l2.shape[0]:
-        raise ValueError("L1 and L2 must have the same number of rows")
-    return FrameAnalysis.of_pair(l2, l1, tol)
+    return FrameAnalysis.of_pair(as_matrix(l2), as_matrix(l1), tol)
 
 
 def range_included(l1, l2, tol: ToleranceProfile = DEFAULT_TOL):

@@ -35,7 +35,6 @@ from kfusion.numerics import (
     outside,
     outside_column,
     outside_without,
-    pinv,
     rounding_factor,
     row_downdate,
     singular_values,
@@ -393,6 +392,8 @@ class FrameAnalysis:
 
         Its certificates warn about ``zero_members``, the empty members of T's system.
         """
+        if k.shape[0] != t.shape[0]:
+            raise ValueError("K must have as many rows as T: the ambient dimension")
         k = _read_only(k.copy())
         factors, pencil = _read_only(svd(t).truncated(tol)), _read_only(max_rayleigh(k, t, tol))
         return cls(k, tol, pencil, factors, zero_members)
@@ -401,6 +402,11 @@ class FrameAnalysis:
     def upper(self) -> float:
         """The optimal upper bound: the largest eigenvalue of S."""
         return self.factors.top**2
+
+    @property
+    def lower(self) -> float:
+        """The optimal lower bound of a verified pair, the certificate's: 1 / ``pencil_ratio``."""
+        return np.inf if self.pencil_ratio == 0.0 else 1.0 / self.pencil_ratio
 
     @cached_property
     def pencil_ratio(self) -> float:
@@ -542,8 +548,6 @@ def frame_analysis(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> F
     value of K; asking about another pair replaces it.
     """
     k = as_matrix(k)
-    if k.shape[0] != w.ambient_dim:
-        raise ValueError("K must have ambient_dim rows")
     analysis = w._analysis
     if analysis is None or analysis.tol != tol or not np.array_equal(analysis.k, k):
         zeros = sum(sub.is_zero for sub, _ in w.members)
@@ -614,10 +618,7 @@ def is_exact(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> Exactne
     certificate warns about zero-dimensional members exactly when verifying
     the system without that member would.
     """
-    base = verify_k_fusion(w, k, tol)
-    if not base.passed:
-        raise ValueError("system must verify as a K-fusion frame before exactness")
-    analysis = frame_analysis(w, k, tol)
+    analysis = frame_analysis(w, k, tol).require()
     certificates = tuple(analysis.drop_certificates(synthesis(w), w.block_slices()))
     removable = tuple(cert.passed for cert in certificates)
     return ExactnessReport(exact=not any(removable), removable=removable, certificates=certificates)
@@ -649,12 +650,13 @@ def transform_kdag(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL):
     k = as_matrix(k)
     if k.shape[0] != w.ambient_dim:
         raise ValueError("K must have ambient_dim rows")
-    if numerical_rank(k, tol) == 0:
+    f = svd(k).truncated(tol)
+    if not f.singular_values.size:
         raise ValueError("K must be nonzero")
-    kd = pinv(k, tol)
+    kd = (f.v / f.singular_values) @ f.u.T
     members = tuple((map_subspace(kd, sub, tol), weight) for sub, weight in w.members)
     image = FusionSystem(kd.shape[0], members)
-    row_space = subspace_from_columns(k.T, tol)
+    row_space = Subspace(kd.shape[0], f.v)
     lower, upper, complete = restricted_bounds(frame_operator(image), row_space, tol)
     cert = Certificate(
         passed=complete,
@@ -724,7 +726,7 @@ def weaken_to_q(w: FusionSystem, k, q, tol: ToleranceProfile = DEFAULT_TOL) -> C
     if j is not None:
         return Certificate(
             passed=False,
-            witness=q[:, j],
+            witness=q[:, j].copy(),
             message=f"range obstruction: column {j} of Q leaves the range of K",
         )
     base = verify_k_fusion(w, k, tol)
@@ -780,7 +782,4 @@ def k_image_frame(
 
 def verify_k_frame(f: KFrame, k, tol: ToleranceProfile = DEFAULT_TOL) -> Certificate:
     """Certify the discrete K-frame condition with optimal bounds: the pair (family matrix, K)."""
-    k = as_matrix(k)
-    if k.shape[0] != f.ambient_dim:
-        raise ValueError("K must have ambient_dim rows")
-    return FrameAnalysis.of_pair(f.matrix, k, tol).certificate()
+    return FrameAnalysis.of_pair(f.matrix, as_matrix(k), tol).certificate()

@@ -36,11 +36,13 @@ def parse_number(value, where: str) -> float:
 
 
 def parse_int(value, where: str) -> int:
-    """Parse one integer field; a value ``int`` cannot take, such as a list, is an input error."""
-    try:
-        return int(value)
-    except TypeError:
-        raise ValueError(f"{where}: expected an integer, got {type(value).__name__}") from None
+    """Parse one integer field: an int, or a number or string ``parse_number`` reads as integral."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    number = parse_number(value, where)
+    if not number.is_integer():
+        raise ValueError(f"{where}: expected an integer, got {value!r}")
+    return int(number)
 
 
 def _parse_vector(entries, length: int, where: str) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kfusion.duality import DualCertificate, inverse_on_image, k_dual_reconstruction
+from kfusion.duality import DualCertificate, k_dual_reconstruction
 from kfusion.frames import (
     Certificate,
     FrameBounds,
@@ -31,6 +31,7 @@ from kfusion.numerics import (
     max_rayleigh,
     negligible,
     orthonormal_range,
+    outside_column,
     r_factor,
     spectral_norm,
 )
@@ -42,13 +43,15 @@ def analysis_epsilon(
     """Smallest epsilon with ``||(T_W* - T_Z*) f|| <= eps ||K* f||`` for all f.
 
     The difference acts in ambient coordinates, one weighted projector gap
-    per member, so the systems only need matching member counts. Returns
+    per member, so the systems only need matching member counts. With
+    K = U_K Sigma_K V_K* the truncated SVD the analysis of (W, K, tol) holds,
+    epsilon is ||Sigma_K^-1 U_K* M|| for the stacked gap images M. Returns
     infinity when the difference moves some vector that the adjoint of K
-    kills.
+    kills: a column of M leaves range(K) by ``outside_column``.
     """
     if len(w) != len(z) or w.ambient_dim != z.ambient_dim:
         raise ValueError("systems must have matching layout")
-    k = as_matrix(k)
+    f = frame_analysis(w, k, tol).k_factors
     # an unchanged member adds exactly nothing; the factors Y G* of the others stand side by
     # side, so the Gram of the stack is the sum of their Delta* Delta = (Y G*)(Y G*)*
     gaps = (
@@ -57,8 +60,9 @@ def analysis_epsilon(
         if w_weight != z_weight or not np.array_equal(w_sub.basis, z_sub.basis)
     )
     images = np.hstack([np.zeros((w.ambient_dim, 0)), *(y @ gap.T for y, gap in gaps)])
-    ratio = max_rayleigh(images, k, tol).value
-    return float(np.sqrt(ratio)) if np.isfinite(ratio) else np.inf
+    if outside_column(images, f.u, tol) is not None:
+        return np.inf
+    return spectral_norm(f.u.T @ images / f.singular_values[:, None])
 
 
 def _member_gap(w_sub, w_weight, z_sub, z_weight):
@@ -96,24 +100,25 @@ def member_pencils(
     Every term of member i's inequality vanishes off S_i = span(W_i, Z_i, range K).
     With Q an orthonormal basis of S_i, the gap at f = Q g is ||A g|| and the
     right-hand side is ||B g|| + ||C g|| + ||D g||: the weighted member maps and
-    K*, times lambda1, lambda2 and epsilon w_i. mu is the top eigenvalue of the
-    pencil (A*A, B*B + C*C + D*D), f = Q g the unit vector at its eigenvector,
-    and ``violated`` whether f violates the inequality as stated.
+    K*, times lambda1, lambda2 and epsilon w_i, with D = Sigma_K U_K* Q from the
+    truncated SVD K = U_K Sigma_K V_K* that the analysis of (W, K, tol) holds.
+    mu is the top eigenvalue of the pencil (A*A, B*B + C*C + D*D), f = Q g the
+    unit vector at its eigenvector, and ``violated`` whether f violates the
+    inequality as stated.
     """
-    k = as_matrix(k)
-    k_range = frame_analysis(w, k, tol).k_factors.u
+    f = frame_analysis(w, k, tol).k_factors
     for (w_sub, w_weight), (z_sub, z_weight) in zip(w.members, z.members):
-        q = orthonormal_range(np.hstack([w_sub.basis, z_sub.basis, k_range]), tol)
+        q = orthonormal_range(np.hstack([w_sub.basis, z_sub.basis, f.u]), tol)
         if q.shape[1] == 0:
             continue
         y, gap = _member_gap(w_sub, w_weight, z_sub, z_weight)
         y_q = y.T @ q
         a = gap @ y_q
-        # few rows that keep each norm: ||Delta Q g|| = ||G Y* Q g|| and ||K* Q g|| = ||R_K g||
+        # few rows that keep each norm: ||Delta Q g|| = ||G Y* Q g||
         terms = (
             lambda1 * w_weight * y_q[: w_sub.dim],
             lambda2 * z_weight * y_q[w_sub.dim :],
-            epsilon * w_weight * r_factor(k.T @ q),
+            epsilon * w_weight * f.singular_values[:, None] * (f.u.T @ q),
         )
         pencil = max_rayleigh(a.T, np.vstack(terms).T, tol)
         mu, g = pencil.value, pencil.maximizer
@@ -166,12 +171,8 @@ def certify_perturbation(
         raise ValueError("epsilon must be positive")
     if len(w) != len(z) or w.ambient_dim != z.ambient_dim:
         raise ValueError("systems must have matching layout")
-    k = as_matrix(k)
-    base = verify_k_fusion(w, k, tol)
-    if not base.passed:
-        raise ValueError(f"base system must be a K-fusion frame: {base.message}")
-    analysis = frame_analysis(w, k, tol)
-    k_range = analysis.k_factors.u
+    analysis = frame_analysis(w, k, tol).require()
+    k, k_range = analysis.k, analysis.k_factors.u
     k_sv = analysis.k_factors.singular_values
     sigma_min = float(k_sv[-1]) if k_sv.size else 0.0
 
@@ -196,8 +197,8 @@ def certify_perturbation(
 
     weight_mass = float(np.sqrt(sum(w_**2 for w_ in w.weights)))
     k_norm = analysis.k_norm
-    sqrt_a = float(np.sqrt(base.bounds.lower))
-    sqrt_b = float(np.sqrt(base.bounds.upper))
+    sqrt_a = float(np.sqrt(analysis.lower))
+    sqrt_b = float(np.sqrt(analysis.upper))
     threshold = (
         (1.0 - lambda1) * sqrt_a / (k_norm * weight_mass)
         if k_norm * weight_mass > 0.0
@@ -243,15 +244,12 @@ def perturbed_bounds(
     allowance above epsilon; the verified bounds are then judged against
     the window that eps* predicts, so the allowance moves both alike.
     """
-    k = as_matrix(k)
-    base = verify_k_fusion(w, k, tol)
-    if not base.passed:
-        raise ValueError(f"base system must be a K-fusion frame: {base.message}")
-    sqrt_a = float(np.sqrt(base.bounds.lower))
+    analysis = frame_analysis(w, k, tol).require()
+    k, k_norm = analysis.k, analysis.k_norm
+    sqrt_a = float(np.sqrt(analysis.lower))
     if not 0.0 <= epsilon < sqrt_a:
         raise ValueError("epsilon must lie in [0, sqrt(A))")
-    sqrt_b = float(np.sqrt(base.bounds.upper))
-    k_norm = frame_analysis(w, k, tol).k_norm
+    sqrt_b = float(np.sqrt(analysis.upper))
 
     def window_at(e):
         return FrameBounds(
@@ -308,22 +306,20 @@ def epsilon_threshold(
     systems. A nonpositive numerator makes the guarantee vacuous for the
     pair; that is reported rather than raised.
     """
-    k = as_matrix(k)
-    base = verify_k_fusion(w, k, tol)
-    if not base.passed:
-        raise ValueError(f"base system must be a K-fusion frame: {base.message}")
-    other = verify_k_fusion(z, k, tol)
-    if not other.passed:
-        raise ValueError(f"perturbed system must be a K-fusion frame: {other.message}")
-    inv_w = inverse_on_image(w, k, tol)
-    inv_z = inverse_on_image(z, k, tol)
+    base = frame_analysis(w, k, tol).require()
+    k = base.k
+    other = frame_analysis(z, k, tol)
+    cert = other.certificate()
+    if not cert.passed:
+        raise ValueError(f"perturbed system must be a K-fusion frame: {cert.message}")
+    inv_w, inv_z = base.inverse_on_image, other.inverse_on_image
     deviation = spectral_norm((inv_w.T - inv_z.T) @ k)
     dual_norm = spectral_norm(inv_z.T @ k)
-    numerator = 0.5 - deviation**2 * base.bounds.upper
-    denominator = dual_norm**2 * frame_analysis(w, k, tol).k_norm ** 2
+    numerator = 0.5 - deviation**2 * base.upper
+    denominator = dual_norm**2 * base.k_norm**2
     vacuous = bool(numerator <= 0.0)
     second = numerator / denominator if denominator > 0.0 else np.inf
-    threshold = min(float(np.sqrt(base.bounds.lower)), float(second))
+    threshold = min(float(np.sqrt(base.lower)), float(second))
     return ThresholdReport(
         threshold=threshold,
         deviation=deviation,

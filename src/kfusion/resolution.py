@@ -67,19 +67,20 @@ class Resolution:
         return r
 
     def _set(self, factors, weights) -> None:
-        weights = tuple(weights)
+        weights = tuple(float(w) for w in weights)
         if len(factors) != len(weights):
             raise ValueError("one weight per operator is required")
         if not factors:
             raise ValueError("a resolution needs at least one operator")
-        if any(w <= 0 for w in weights):
-            raise ValueError("weights must be positive")
+        # written so that NaN fails too
+        if not all(0.0 < w < np.inf for w in weights):
+            raise ValueError(f"weights must be finite and positive, got {weights}")
         if len({(left.shape[0], right.shape[1]) for left, right in factors}) > 1:
             raise ValueError("all operators must share one shape")
         if any(left.shape[1] != right.shape[0] for left, right in factors):
             raise ValueError("each left factor needs as many columns as its right factor has rows")
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "weights", tuple(float(w) for w in weights))
+        object.__setattr__(self, "weights", weights)
 
     def __len__(self) -> int:
         return len(self.factors)

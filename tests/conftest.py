@@ -1,3 +1,6 @@
+import sys
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -55,6 +58,51 @@ def bisected_synthesis_instance(cols=5, seed=0):
         mid = (inside + outside) / 2
         inside, outside = (mid, outside) if verify_k_fusion(w, k_at(mid)).passed else (inside, mid)
     return w, k_at(inside), q
+
+
+class Call(NamedTuple):
+    """One recorded call: the function's name, its arguments and the code object that made it."""
+
+    name: str
+    args: tuple
+    kwargs: dict
+    caller: object
+
+    @property
+    def shape(self):
+        return np.shape(self.args[0])
+
+    @property
+    def with_vectors(self) -> bool:
+        return self.kwargs.get("compute_uv", True)
+
+
+@pytest.fixture
+def record_linalg(monkeypatch):
+    """``record(names, kernel)``: the list of calls made from then on to each function in ``names``.
+
+    ``kernel`` is ``np.linalg`` (the default) or ``kfusion.numerics``, whose
+    functions are wrapped in every ``kfusion`` module that binds them.
+    """
+
+    def record(names=("svd", "eigh"), kernel=np.linalg):
+        calls = []
+        modules = [kernel]
+        if kernel is not np.linalg:
+            modules = [m for name, m in sys.modules.items() if name.startswith("kfusion")]
+        for name in names:
+            real = getattr(kernel, name)
+
+            def recording(*args, _real=real, _name=name, **kwargs):
+                calls.append(Call(_name, args, kwargs, sys._getframe(1).f_code))
+                return _real(*args, **kwargs)
+
+            for module in modules:
+                if vars(module).get(name) is real:
+                    monkeypatch.setattr(module, name, recording)
+        return calls
+
+    return record
 
 
 @pytest.fixture

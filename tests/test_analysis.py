@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import bisected_synthesis_instance, random_fusion_system, skewed
-from kfusion import duality, frames, numerics, resolution
+from conftest import bisected_synthesis_instance, make_system, random_fusion_system, skewed
+from kfusion import cli, duality, frames, numerics, perturbation, resolution
 from kfusion.factorization import x_w
-from kfusion.frames import FusionSystem, Subspace, synthesis, verify_k_fusion
+from kfusion.frames import FusionSystem, KFrame, Subspace, synthesis, verify_k_fusion
+from kfusion.instances import instance_from_document
 from kfusion.numerics import AgreementError
 
 SVD_FAMILY = {"svd", "numerical_rank", "pinv", "spectral_norm", "orthonormal_range", "null_basis"}
@@ -245,21 +246,7 @@ def _thin_instance(seed=21, n=24, dims=(3, 2, 4, 3), rank=4):
     return w, k
 
 
-def _record_decompositions(monkeypatch, names=("eigh", "svd")):
-    """Shapes of the inputs of every ``np.linalg`` decomposition in ``names`` made from now on."""
-    shapes = []
-    for name in names:
-        real = getattr(np.linalg, name)
-
-        def recording(m, *args, _real=real, _name=name, **kwargs):
-            shapes.append((_name, np.shape(m)))
-            return _real(m, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, recording)
-    return shapes
-
-
-def test_thin_resolutions_and_image_factors_decompose_nothing_n_by_n(monkeypatch):
+def test_thin_resolutions_and_image_factors_decompose_nothing_n_by_n(record_linalg):
     """With Σd < n, the resolution pencils and the image factors are decided at the rank."""
     w, k = _thin_instance()
     n = w.ambient_dim
@@ -273,13 +260,13 @@ def test_thin_resolutions_and_image_factors_decompose_nothing_n_by_n(monkeypatch
     analysis = frames.frame_analysis(_copy(w), k).require()
     analysis.k_factors  # the SVD of K itself is not the image factors' cost
 
-    shapes = _record_decompositions(monkeypatch)
+    calls = record_linalg(("eigh", "svd"))
     checks = [resolution.verify_resolution(r, k) for r in built]
     image = analysis.image_factors
     assert all(check.passed and 0.0 < check.lower < np.inf for check in checks)
     assert image.singular_values.size == 4
-    assert shapes, "no decomposition was recorded"
-    assert all(min(shape) < n for _, shape in shapes), shapes
+    assert calls, "no decomposition was recorded"
+    assert all(min(call.shape) < n for call in calls), [call.shape for call in calls]
 
 
 def test_image_factors_match_the_svd_of_s_times_the_range_projector():
@@ -303,16 +290,16 @@ def test_image_factors_match_the_svd_of_s_times_the_range_projector():
         )
 
 
-def test_the_thin_question_set_decomposes_nothing_n_by_n(monkeypatch):
+def test_the_thin_question_set_decomposes_nothing_n_by_n(record_linalg):
     """With Σd + rank K < n, no decomposition is n x n: the pencils QR-compress the tall T."""
     w, k = _thin_instance()
     n = w.ambient_dim
-    shapes = _record_decompositions(monkeypatch, ("eigh", "svd", "eigvalsh", "qr"))
+    calls = record_linalg(("eigh", "svd", "eigvalsh", "qr"))
     out = _questions(w, k)
     assert out["verify"].passed and out["canonical"][1].passed and out["qk"][2].passed
     assert all(check.passed for check in out["checks"])
-    assert shapes, "no decomposition was recorded"
-    square = [(name, shape) for name, shape in shapes if min(shape) >= n]
+    assert calls, "no decomposition was recorded"
+    square = [(call.name, call.shape) for call in calls if min(call.shape) >= n]
     assert not square, square
 
 
@@ -493,3 +480,152 @@ def test_the_readers_of_a_pair_decompose_nothing_of_their_own():
     assert found == {name: set() for names in PAIR_READERS.values() for name in names}
     # the scan sees the calls the analysis makes for them
     assert _called_names(_functions("frames")["of_pair"]) >= {"svd", "max_rayleigh"}
+
+
+# -------------------------------------------- one analysis of (W, K, tol) per construction
+
+# the decompositions of K that belong to the analysis of a pair, never to a reader of it
+K_DECOMPOSITIONS = (
+    "svd", "orthonormal_range", "numerical_rank", "pinv", "spectral_norm", "r_factor"
+)
+
+
+def _analysis_code():
+    """The code objects of ``FrameAnalysis``'s methods, properties and cached properties."""
+    code = set()
+    for attr in vars(frames.FrameAnalysis).values():
+        fn = getattr(attr, "func", None) or getattr(attr, "fget", None) or attr
+        fn = getattr(fn, "__func__", fn)
+        if hasattr(fn, "__code__"):
+            code.add(fn.__code__)
+    return code
+
+
+def _is_one_of(a, ks):
+    return isinstance(a, np.ndarray) and any(
+        a.shape == m.shape and np.array_equal(a, m) for k in ks for m in (k, k.T)
+    )
+
+
+def _bundled_k(name):
+    return instance_from_document(cli._bundled_document(name)).k_matrix
+
+
+def _swap():
+    e1, e2, e3 = np.eye(3)
+    return make_system(3, [[e1 + e2, e3], [e1 - e2], [e1 + e2]])
+
+
+def _local_duality(w, z, v, k):
+    local = duality.local_frame_system(v, [list(sub.basis.T) for sub, _ in v.members])
+    return duality.local_duality_equiv(w, v, local, k)
+
+
+def _qk_dual(w, z, v, k):
+    dual, q, _ = duality.qk_dual_from_x(w, k, x_w(w, k))
+    return lambda: duality.is_qk_dual(w, dual, q, k)
+
+
+def _projection_dual(w, z, v, k):
+    vectors = [weight * sub.projector()[:, j] for sub, weight in w.members for j in range(3)]
+    return duality.kframe_projection_dual(KFrame(3, tuple(vectors)), k)
+
+
+# each construction, called with the R^3 system W, its merged perturbation Z, the dual V and K
+LEDGER = {
+    "is_exact": lambda w, z, v, k: frames.is_exact(w, k),
+    "certify_perturbation": lambda w, z, v, k: perturbation.certify_perturbation(
+        w, z, k, 0.5, 0.5, 0.01
+    ),
+    "certify_perturbation-falsifier": lambda w, z, v, k: perturbation.certify_perturbation(
+        w, _swap(), k, 0.5, 0.5, 0.01
+    ),
+    "member_pencils": lambda w, z, v, k: list(
+        perturbation.member_pencils(w, _swap(), k, 0.5, 0.5, 0.01)
+    ),
+    "perturbed_bounds": lambda w, z, v, k: perturbation.perturbed_bounds(w, z, k, 0.5),
+    "epsilon_threshold": lambda w, z, v, k: perturbation.epsilon_threshold(w, z, k),
+    "analysis_epsilon": lambda w, z, v, k: perturbation.analysis_epsilon(w, z, k),
+    "kframe_projection_dual": _projection_dual,
+    "is_qk_dual": _qk_dual,
+    "local_duality_equiv": _local_duality,
+    "check_sws_range_condition": lambda w, z, v, k: duality.check_sws_range_condition(w, k),
+    "minimal_dual_test": lambda w, z, v, k: duality.minimal_dual_test(w, k, v),
+    "golden_observations": lambda w, z, v, k: cli._golden_observations(numerics.DEFAULT_TOL),
+}
+
+
+@pytest.mark.parametrize("name", LEDGER)
+def test_constructions_leave_every_decomposition_of_k_to_its_analysis(
+    name, record_linalg, r3_system, r3_perturbed, r3_dual, r3_k
+):
+    """No construction passes K or K* to a rank or norm kernel, or as the g of a pencil.
+
+    Only ``FrameAnalysis`` (of W, of a perturbed system, of a K-frame or of
+    a dual against K*) takes K's SVD and ||K||; every construction reads
+    them from there. An ``is_qk_dual`` case builds its dual first.
+    """
+    args = (r3_system, r3_perturbed, r3_dual, r3_k)
+    prepared = _qk_dual(*args) if name == "is_qk_dual" else None
+    calls = record_linalg(K_DECOMPOSITIONS + ("max_rayleigh",), numerics)
+    if prepared is None:
+        LEDGER[name](*args)
+    else:
+        prepared()
+    ks = (r3_k, _bundled_k("example_r3.json"), _bundled_k("example_r4.json"))
+    code = _analysis_code()
+    found = [
+        (call.name, call.caller.co_name)
+        for call in calls
+        if call.caller not in code
+        and _is_one_of(call.args[1] if call.name == "max_rayleigh" else call.args[0], ks)
+    ]
+    assert calls and found == []
+
+
+def test_transform_kdag_takes_one_svd_of_k(record_linalg, r3_system, r3_k):
+    calls = record_linalg(K_DECOMPOSITIONS, numerics)
+    frames.transform_kdag(r3_system, r3_k)
+    assert [call.name for call in calls if _is_one_of(call.args[0], (r3_k,))] == ["svd"]
+
+
+def _not_a_frame():
+    """A line in R^3 against K = I: a range obstruction."""
+    return make_system(3, [[(1.0, 0.0, 0.0)]]), np.eye(3)
+
+
+PRECONDITIONS = {
+    "x_w": lambda w, k: x_w(w, k),
+    "canonical_k_dual": lambda w, k: duality.canonical_k_dual(w, k),
+    "resolution_b": lambda w, k: resolution.resolution_b(w, k),
+    "resolution_c": lambda w, k: resolution.resolution_c(w, k),
+    "transform_sinv": lambda w, k: frames.transform_sinv(w, k),
+    "is_exact": lambda w, k: frames.is_exact(w, k),
+    "certify_perturbation": lambda w, k: perturbation.certify_perturbation(w, w, k, 0.5, 0.5, 0.1),
+    "perturbed_bounds": lambda w, k: perturbation.perturbed_bounds(w, w, k, 0.0),
+    "epsilon_threshold": lambda w, k: perturbation.epsilon_threshold(w, w, k),
+}
+
+
+@pytest.mark.parametrize("name", PRECONDITIONS)
+def test_every_construction_on_a_verified_w_names_why_w_fails(name):
+    with pytest.raises(ValueError, match=r"^system must be a K-fusion frame: range obstruction"):
+        PRECONDITIONS[name](*_not_a_frame())
+
+
+def test_epsilon_threshold_names_a_perturbed_system_that_fails(r3_system, r3_k):
+    z, _ = _not_a_frame()
+    with pytest.raises(ValueError, match=r"^perturbed system must be a K-fusion frame: range"):
+        perturbation.epsilon_threshold(r3_system, z, r3_k)
+
+
+def test_the_analysis_is_the_one_place_that_requires_a_k_fusion_frame():
+    sources = Path(__file__).resolve().parents[1] / "src" / "kfusion"
+    raising = {
+        (path.stem, name)
+        for path in sources.glob("*.py")
+        for name, node in _functions(path.stem).items()
+        for raise_ in ast.walk(node)
+        if isinstance(raise_, ast.Raise) and "must be a K-fusion frame" in ast.unparse(raise_)
+    }
+    assert raising == {("frames", "require"), ("perturbation", "epsilon_threshold")}

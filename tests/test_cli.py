@@ -120,7 +120,7 @@ def test_non_finite_tolerance_is_an_input_error(runner, tmp_path, value):
     assert "input error" in result.output
 
 
-# (command, path to the field in example_r3.json, a value of the wrong type)
+# (command, path to the field in example_r3.json, a value of the wrong type or not integral)
 MALFORMED = {
     "member-number": ("verify", ("systems", "W", "members", 0), 5),
     "members-number": ("verify", ("systems", "W", "members"), 5),
@@ -129,6 +129,9 @@ MALFORMED = {
     "span-number": ("enlarge-dual", ("options", "enlarge", "span"), 5),
     "system-list": ("enlarge-dual", ("options", "enlarge", "system"), ["V0"]),
     "index-list": ("enlarge-dual", ("options", "enlarge", "index"), [2]),
+    "ambient-dim-fraction": ("verify", ("ambient_dim",), 3.5),
+    "index-fraction": ("enlarge-dual", ("options", "enlarge", "index"), 2.5),
+    "index-boolean": ("enlarge-dual", ("options", "enlarge", "index"), True),
 }
 
 

@@ -366,6 +366,15 @@ def test_weaken_to_q_range_obstruction():
     assert np.linalg.norm(outside) > 1e-6
 
 
+def test_a_range_obstruction_witness_is_not_a_view_of_q():
+    w = make_system(3, [[(1, 0, 0), (0, 1, 0), (0, 0, 1)]])
+    q = np.eye(3)
+    cert = weaken_to_q(w, np.diag([1.0, 1.0, 0.0]), q)
+    assert not cert.passed
+    cert.witness[:] = 7.0
+    np.testing.assert_array_equal(q, np.eye(3))
+
+
 def test_k_image_frame_unitary_preserves_bounds():
     rng = np.random.default_rng(37)
     w = random_fusion_system(rng, 4, [2, 2, 1])

@@ -91,6 +91,9 @@ def test_resolution_type_validation():
         Resolution((np.eye(2),), (0.0,))
     with pytest.raises(ValueError):
         Resolution((np.eye(2), np.eye(3)), (1.0, 1.0))
+    for weight in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            Resolution((np.eye(2),), (weight,))
 
 
 # --------------------------------------------------------------- construction

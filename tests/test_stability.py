@@ -289,32 +289,18 @@ def test_is_exact_drops_are_cross_checked_by_the_svd_route(monkeypatch):
         _is_exact_with_a_skewed_parent(monkeypatch, "factors", skewed)
 
 
-def _record_linalg(monkeypatch):
-    """(name, shape, with vectors) of every ``np.linalg`` svd and eigh made from now on."""
-    calls = []
-    for name in ("svd", "eigh"):
-        real = getattr(np.linalg, name)
-
-        def recording(m, *args, _real=real, _name=name, **kwargs):
-            calls.append((_name, np.shape(m), kwargs.get("compute_uv", True)))
-            return _real(m, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, recording)
-    return calls
-
-
-def test_is_exact_takes_one_synthesis_svd(monkeypatch):
+def test_is_exact_takes_one_synthesis_svd(record_linalg):
     """Redundant: one n x Σd SVD and one n x n eigh per call, r x r singular values per drop."""
     w, k = _redundant(seed_=9, n=8)
     n, total = w.ambient_dim, synthesis(w).shape[1]
     assert total > n
-    calls = _record_linalg(monkeypatch)
+    calls = record_linalg()
     report = is_exact(w, k)
     assert all(report.removable)
-    wide = [shape for name, shape, _ in calls if name == "svd" and max(shape) >= total]
+    wide = [c.shape for c in calls if c.name == "svd" and max(c.shape) >= total]
     assert wide == [(n, total)]
-    assert [shape for name, shape, _ in calls if name == "eigh"] == [(n, n)]
-    square = [with_uv for name, shape, with_uv in calls if name == "svd" and shape == (n, n)]
+    assert [c.shape for c in calls if c.name == "eigh"] == [(n, n)]
+    square = [c.with_vectors for c in calls if c.name == "svd" and c.shape == (n, n)]
     # the two rank-sized factors of the lower-bound matrices, once per call
     assert square.count(True) == 2 and square.count(False) == len(w)
 
@@ -325,7 +311,7 @@ def _exact_system():
     return random_fusion_system(rng, 8, [2] * 4, list(rng.uniform(0.5, 2.0, 4))), rng
 
 
-def test_is_exact_downdates_when_every_drop_loses_rank(monkeypatch):
+def test_is_exact_downdates_when_every_drop_loses_rank(record_linalg):
     """Σd = n: a drop that keeps K in range takes an r x r SVD and the pencil of the other columns.
 
     Those are n x (n - 2), taller than wide, so that pencil decomposes their (n - 2) x (n - 2) Gram.
@@ -333,28 +319,28 @@ def test_is_exact_downdates_when_every_drop_loses_rank(monkeypatch):
     w, rng = _exact_system()
     n = w.ambient_dim
     k = w.members[0][0].basis @ rng.standard_normal((2, n))
-    calls = _record_linalg(monkeypatch)
+    calls = record_linalg()
     report = is_exact(w, k)
     assert report.removable == (False, True, True, True)
-    square = [(name, with_uv) for name, shape, with_uv in calls if shape == (n, n)]
+    square = [(c.name, c.with_vectors) for c in calls if c.shape == (n, n)]
     assert square.count(("svd", False)) == 0
     # T itself is n x n here; the drop of member 0 is decided from its own rows
     assert square.count(("svd", True)) == 1 + sum(report.removable)
     assert square.count(("eigh", True)) == 1
-    assert [shape for name, shape, _ in calls if name == "eigh"][1:] == [(n - 2, n - 2)] * 3
+    assert [c.shape for c in calls if c.name == "eigh"][1:] == [(n - 2, n - 2)] * 3
 
 
-def test_a_drop_that_leaves_k_out_of_range_takes_no_rank_sized_decomposition(monkeypatch):
+def test_a_drop_that_leaves_k_out_of_range_takes_no_rank_sized_decomposition(record_linalg):
     """Σd = n and K of full rank: every drop fails its range check from the member's rows."""
     w, rng = _exact_system()
     k = rng.standard_normal((w.ambient_dim, w.ambient_dim))
-    calls = _record_linalg(monkeypatch)
+    calls = record_linalg()
     report = is_exact(w, k)
     assert report.removable == (False,) * len(w)
     assert all("range obstruction" in cert.message for cert in report.certificates)
     # the SVD of T and the eigh of S, once per call
     n = w.ambient_dim
-    assert [(name, shape) for name, shape, with_uv in calls if with_uv and shape == (n, n)] == [
+    assert [(c.name, c.shape) for c in calls if c.with_vectors and c.shape == (n, n)] == [
         ("svd", (n, n)),
         ("eigh", (n, n)),
     ]
