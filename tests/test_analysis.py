@@ -523,7 +523,7 @@ def _local_duality(w, z, v, k):
 
 def _qk_dual(w, z, v, k):
     dual, q, _ = duality.qk_dual_from_x(w, k, x_w(w, k))
-    return lambda: duality.is_qk_dual(w, dual, q, k)
+    return duality.is_qk_dual(w, dual, q, k)
 
 
 def _projection_dual(w, z, v, k):
@@ -563,15 +563,10 @@ def test_constructions_leave_every_decomposition_of_k_to_its_analysis(
 
     Only ``FrameAnalysis`` (of W, of a perturbed system, of a K-frame or of
     a dual against K*) takes K's SVD and ||K||; every construction reads
-    them from there. An ``is_qk_dual`` case builds its dual first.
+    them from there.
     """
-    args = (r3_system, r3_perturbed, r3_dual, r3_k)
-    prepared = _qk_dual(*args) if name == "is_qk_dual" else None
     calls = record_linalg(K_DECOMPOSITIONS + ("max_rayleigh",), numerics)
-    if prepared is None:
-        LEDGER[name](*args)
-    else:
-        prepared()
+    LEDGER[name](r3_system, r3_perturbed, r3_dual, r3_k)
     ks = (r3_k, _bundled_k("example_r3.json"), _bundled_k("example_r4.json"))
     code = _analysis_code()
     found = [
