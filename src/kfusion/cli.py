@@ -337,7 +337,6 @@ def minimal_norm(instance, tol):
     results = {
         "plain_margin": [float(x) for x in outcome.plain_margin],
         "centered_margin": [float(x) for x in outcome.centered_margin],
-        "samples": outcome.samples,
     }
     return {}, results, outcome.passed
 

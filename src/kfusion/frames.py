@@ -279,10 +279,6 @@ def subspace_intersection(a: Subspace, b: Subspace, tol: ToleranceProfile = DEFA
     return Subspace(n, null_basis(stacked, tol))
 
 
-def orthogonal_complement(sub: Subspace, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
-    return Subspace(sub.ambient_dim, null_basis(sub.basis.T, tol))
-
-
 def range_projector(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the column space of a matrix."""
     basis = orthonormal_range(m, tol)
@@ -377,7 +373,9 @@ class FrameAnalysis:
     entry small.
     """
 
-    def __init__(self, k: np.ndarray, tol: ToleranceProfile, pencil, factors: Svd, zero_members):
+    def __init__(
+        self, k: np.ndarray, tol: ToleranceProfile, pencil, factors: Svd, cut: float, zero_members
+    ):
         # no reference back to the system: the system holds its analysis, and
         # a cycle would keep both alive until the cyclic garbage collector runs
         self.zero_members = zero_members
@@ -385,6 +383,8 @@ class FrameAnalysis:
         self.tol = tol
         self.pencil = pencil
         self.factors = factors
+        # sigma_(r+1), the largest singular value of T the cutoff dropped (0.0 if none)
+        self._cut = cut
 
     @classmethod
     def of_pair(cls, t: np.ndarray, k: np.ndarray, tol: ToleranceProfile, zero_members=0):
@@ -395,8 +395,10 @@ class FrameAnalysis:
         if k.shape[0] != t.shape[0]:
             raise ValueError("K must have as many rows as T: the ambient dimension")
         k = _read_only(k.copy())
-        factors, pencil = _read_only(svd(t).truncated(tol)), _read_only(max_rayleigh(k, t, tol))
-        return cls(k, tol, pencil, factors, zero_members)
+        full = svd(t)
+        factors, pencil = _read_only(full.truncated(tol)), _read_only(max_rayleigh(k, t, tol))
+        cut = float(full.singular_values[factors.singular_values.size :].max(initial=0.0))
+        return cls(k, tol, pencil, factors, cut, zero_members)
 
     @property
     def upper(self) -> float:
@@ -478,11 +480,14 @@ class FrameAnalysis:
         """``off_span(K, U)``: U* K and the squares of each column of K off span(U)."""
         return tuple(_read_only(a) for a in off_span(self.k, self.factors.u))
 
+    def _decision(self) -> tuple:
+        """``_verdict``'s (j, ratio, ||pinv(T) K||, upper), or (j,) when K leaves range(T)."""
+        j = self.range_obstruction
+        return (j,) if j is not None else (None, self.pencil_ratio, self._pinv_norm, self.upper)
+
     def certificate(self) -> Certificate:
         """A new certificate of the frame condition; callers may write into its details."""
-        j = self.range_obstruction
-        bounds = () if j is not None else (self.pencil_ratio, self._pinv_norm, self.upper)
-        return _verdict(self.k, self.tol, self.zero_members, j, *bounds)
+        return _verdict(self.k, self.tol, self.zero_members, *self._decision())
 
     def require(self) -> "FrameAnalysis":
         """This analysis, or ValueError when the system is not a K-fusion frame."""
@@ -498,8 +503,10 @@ class FrameAnalysis:
         route updates its own decomposition when the drop keeps its rank and
         downdates it otherwise. A drop whose lost directions are proven from
         the member's rows fails its range check there, with no r x r
-        decomposition; only a drop that keeps K in range reaches the pencil
-        (README, Exactness).
+        decomposition; only a drop that keeps K in range reaches the pencil.
+        A drop whose own cutoff may keep sigma_(r+1), the largest singular
+        value the parent's cutoff dropped, is verified afresh (README,
+        Exactness).
         """
         rows_c = t.T @ (self.pencil.vecs / np.sqrt(self.pencil.vals))
         for rows in slices:
@@ -511,13 +518,16 @@ class FrameAnalysis:
         f, tol = self.factors, self.tol
         others = t.shape[1] - (rows.stop - rows.start)
         h, s, nu = row_downdate(f.v, rows)
+        sigma_m = f.singular_values[:, None] * (np.eye(h.shape[0]) + (h * (nu - 1.0)) @ h.T)
+        # the drop's sigma_(r+1) is at most the parent's, and its sigma_1 at least ||sigma_m||
+        if self._cut and keeps_rank(self._cut, spectral_norm(sigma_m), tol):
+            return FrameAnalysis.of_pair(np.delete(t, rows, axis=1), self.k, tol)._decision()
         lost = lost_directions(f.singular_values, h, nu, tol)
         # K is shared, and so is its norm
         if lost is not None:
             j = outside_without(*self._off_span, lost, self.k_norm, tol)
             if j is not None:
                 return (j,)
-        sigma_m = f.singular_values[:, None] * (np.eye(h.shape[0]) + (h * (nu - 1.0)) @ h.T)
         # with fewer other columns than its rank, or lost directions, the route loses rank
         kept = singular_values(sigma_m) if lost is None and others >= h.shape[0] else None
         if kept is not None and keeps_rank(kept[-1], kept[0], tol):
@@ -536,8 +546,7 @@ class FrameAnalysis:
             if keeps_rank(vals[0] * nu.min(initial=1.0) ** 2, vals[-1], tol):
                 ratio = downdated_norm(self._lower_factors[1], h, s, nu) ** 2
                 return None, ratio, pinv_norm, upper
-        t_drop = np.hstack([t[:, : rows.start], t[:, rows.stop :]])
-        ratio = _ratio(max_rayleigh(self.k, t_drop, tol), kept.size)
+        ratio = _ratio(max_rayleigh(self.k, np.delete(t, rows, axis=1), tol), kept.size)
         return None, ratio, pinv_norm, upper
 
 
@@ -589,21 +598,13 @@ def verify_k_fusion(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> 
 
 
 def is_minimal(w: FusionSystem, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
-    """True when each member meets the span of the others only at zero."""
-    for i, (sub, _) in enumerate(w.members):
-        if sub.is_zero:
-            continue
-        other_bases = [s.basis for j, (s, _) in enumerate(w.members) if j != i]
-        if not other_bases:
-            continue
-        others = np.hstack(other_bases)
-        others_rank = numerical_rank(others, tol)
-        if others_rank == 0:
-            continue
-        joint_rank = numerical_rank(np.hstack([sub.basis, others]), tol)
-        if sub.dim + others_rank > joint_rank:
-            return False
-    return True
+    """True when each member meets the span of the others only at zero.
+
+    That holds exactly when the sum of the members is direct: when the
+    bases side by side have rank sum(d_i).
+    """
+    bases = [sub.basis for sub, _ in w.members]
+    return not bases or numerical_rank(np.hstack(bases), tol) == sum(w.dims())
 
 
 def is_exact(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> ExactnessReport:
@@ -633,9 +634,8 @@ def restricted_bounds(s, sub: Subspace, tol: ToleranceProfile = DEFAULT_TOL):
     s = as_matrix(s)
     if sub.dim == 0:
         return 0.0, 0.0, True
-    gram = sub.basis.T @ s @ sub.basis
-    vals = symmetric_eigenvalues(gram)
-    complete = numerical_rank(gram, tol) == sub.dim
+    vals = symmetric_eigenvalues(sub.basis.T @ s @ sub.basis)
+    complete = keeps_rank(vals[0], vals[-1], tol)
     return max(float(vals[0]), 0.0), max(float(vals[-1]), 0.0), complete
 
 

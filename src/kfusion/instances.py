@@ -25,13 +25,16 @@ def parse_number(value, where: str) -> float:
     """Parse one scalar entry: JSON number, or exact rational/decimal string."""
     if isinstance(value, bool):
         raise ValueError(f"{where}: expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(Fraction(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"{where}: cannot parse {value!r} as a rational") from exc
+    try:
+        if isinstance(value, (int, float)):
+            return float(value)
+        if isinstance(value, str):
+            try:
+                return float(Fraction(value))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"{where}: cannot parse {value!r} as a rational") from exc
+    except OverflowError as exc:
+        raise ValueError(f"{where}: the value lies beyond the float range") from exc
     raise ValueError(f"{where}: expected a number, got {type(value).__name__}")
 
 

@@ -28,7 +28,6 @@ from kfusion.numerics import (
     DEFAULT_TOL,
     ToleranceProfile,
     as_matrix,
-    at_most,
     cross_allowance,
     max_rayleigh,
     negligible,
@@ -37,6 +36,7 @@ from kfusion.numerics import (
     r_factor,
     residual_matrix,
     spectral_norm,
+    symmetric_eigenvalues,
 )
 
 
@@ -224,12 +224,11 @@ def frame_from_resolution(r: Resolution, k, tol: ToleranceProfile = DEFAULT_TOL)
 
 @dataclass(frozen=True)
 class MinimalNormReport:
-    """Sampled margins of the two minimal-norm inequalities."""
+    """Extreme margins, over unit vectors, of the two minimal-norm inequalities."""
 
     passed: bool
     plain_margin: tuple
     centered_margin: tuple
-    samples: int
 
 
 def minimal_norm_check(
@@ -240,9 +239,14 @@ def minimal_norm_check(
     Requires each operator to map into its member and the sum weighted by
     one factor of the system weights to reproduce K; that normalization
     makes the resolution a synthesis preimage family, which is what the
-    minimality of the distinguished solution is measured against. For 100
-    seeded random vectors, checks both inequalities: plain block norms, and
-    block norms after subtracting the weighted member projections.
+    minimality of the distinguished solution is measured against. Operator
+    i is then B_i Y_i with B_i the member basis, and with X the distinguished
+    solution both inequalities are operator ones: Y* Y - X* X >= 0 for the
+    plain block norms, and the same with T_W* subtracted from X and Y for
+    the block norms after subtracting the weighted member projections. Each
+    margin is the (smallest, largest) eigenvalue of that difference, its
+    extreme values over unit f. An inequality holds when the smallest is at
+    least -``cross_allowance`` of the right-hand form's largest eigenvalue.
     """
     k = as_matrix(k)
     if len(r) != len(w):
@@ -256,31 +260,16 @@ def minimal_norm_check(
     if not negligible(spectral_norm(lifted - k), frame_analysis(w, k, tol).k_norm, tol):
         raise ValueError("resolution must reproduce K with one factor of the system weights")
     x_mat = x_w(w, k, tol).x
-    projectors = [sub.projector() for sub, _ in w.members]
-    rng = np.random.default_rng(2)
-    plain, centered, within = [], [], True
-    for _ in range(100):
-        f = rng.standard_normal(w.ambient_dim)
-        blocks = BlockVector.from_stacked(x_mat @ f, w.dims())
-        lhs_plain = blocks.norm_squared
-        images = [left @ (right @ f) for left, right in r.factors]
-        rhs_plain = sum(float(np.linalg.norm(image) ** 2) for image in images)
-        lhs_centered = 0.0
-        rhs_centered = 0.0
-        for (sub, weight), block, image, proj in zip(w.members, blocks.blocks, images, projectors):
-            target = weight * (proj @ f)
-            lhs_centered += float(np.linalg.norm(sub.basis @ block - target) ** 2)
-            rhs_centered += float(np.linalg.norm(image - target) ** 2)
-        plain.append(rhs_plain - lhs_plain)
-        centered.append(rhs_centered - lhs_centered)
-        for lhs, rhs in ((lhs_plain, rhs_plain), (lhs_centered, rhs_centered)):
-            within = within and at_most(lhs, rhs, tol)
-    return MinimalNormReport(
-        passed=within,
-        plain_margin=(min(plain), max(plain)),
-        centered_margin=(min(centered), max(centered)),
-        samples=100,
+    y = np.vstack(
+        [(sub.basis.T @ left) @ right for (left, right), (sub, _) in zip(r.factors, w.members)]
     )
+    t_adj = synthesis(w).T
+    margins, passed = [], True
+    for rhs, lhs in ((y, x_mat), (y - t_adj, x_mat - t_adj)):
+        vals = symmetric_eigenvalues(rhs.T @ rhs - lhs.T @ lhs)
+        margins.append((float(vals[0]), float(vals[-1])))
+        passed = passed and vals[0] >= -cross_allowance(spectral_norm(rhs) ** 2, tol)
+    return MinimalNormReport(bool(passed), *margins)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from kfusion import frames
 from kfusion.duality import (
     _block_diag,
+    _canonical_local_duals,
     canonical_k_dual,
     check_sws_range_condition,
     component_preserving_duals,
@@ -459,7 +460,8 @@ def test_projection_dual_of_member_projections(r3_system, r3_k):
     f = KFrame(3, tuple(vectors))
     projected, dual, cert = kframe_projection_dual(f, r3_k)
     assert cert.passed
-    assert cert.details["worst_pointwise"] <= 1e-9
+    # ||K f - R f|| <= residual ||f|| for every f
+    assert cert.details["residual"] <= 1e-12
     recon = projected.matrix @ dual.matrix.T
     np.testing.assert_allclose(recon, r3_k, atol=1e-12)
 
@@ -524,6 +526,39 @@ def test_local_duality_corrupted_member_fails_both_ways(r3_system, r3_k):
     assert not report.discrete_pass
     np.testing.assert_allclose(report.continuous_residual, 0.5, atol=1e-12)
     assert report.operators_match
+
+
+def _scaled_canonical_locals(r3_system, r3_k):
+    """The canonical dual of R^3 and its members' bases, each second vector scaled by 1e-7."""
+    dual, _, _ = canonical_k_dual(r3_system, r3_k)
+    scale = [1.0, 1e-7]
+    return dual, [[scale[j] * v for j, v in enumerate(sub.basis.T)] for sub, _ in dual.members]
+
+
+def test_a_local_frame_near_the_cutoff_gets_its_canonical_duals(r3_system, r3_k):
+    """sigma_2 / sigma_1 = 1e-7 keeps the local frame spanning its plane at the rank cutoff.
+
+    Its frame operator F F* has eigenvalue ratio 1e-14, below that cutoff, so
+    duals read from pinv(F F*) lose the direction; (F+)* keeps it.
+    """
+    dual, families = _scaled_canonical_locals(r3_system, r3_k)
+    local = local_frame_system(dual, families)
+    assert local.local_bounds[0] == pytest.approx((1e-14, 1.0), rel=1e-12)
+    report = local_duality_equiv(r3_system, dual, local, r3_k)
+    assert report.continuous_pass and report.discrete_pass and report.operators_match
+
+
+def test_local_frames_take_one_svd_each_for_their_check_and_their_duals(
+    record_linalg, r3_system, r3_k
+):
+    dual, families = _scaled_canonical_locals(r3_system, r3_k)
+    calls = record_linalg()
+    local = local_frame_system(dual, families)
+    assert [(c.name, c.shape) for c in calls] == [("svd", (d, d)) for d in dual.dims()]
+    calls.clear()
+    mat = local.local_frames[0].matrix
+    _canonical_local_duals(mat, DEFAULT_TOL)
+    assert [(c.name, c.shape) for c in calls] == [("svd", mat.shape)]
 
 
 def test_kframe_from_local_orthonormal_identity():

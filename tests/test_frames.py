@@ -18,6 +18,7 @@ from kfusion.frames import (
     k_image_frame,
     map_subspace,
     range_projector,
+    restricted_bounds,
     same_subspace,
     subspace_from_spanning,
     subspace_intersection,
@@ -229,6 +230,20 @@ def test_is_minimal_detects_nested_members(r3_system):
 def test_is_minimal_repeated_line():
     w = make_system(2, [[(1, 0)], [(1, 0)]])
     assert not is_minimal(w)
+
+
+def test_is_minimal_takes_one_svd_of_the_bases_side_by_side(record_linalg, r4_system):
+    calls = record_linalg()
+    assert is_minimal(r4_system)
+    assert [(c.name, c.shape) for c in calls] == [("svd", (4, 3))]
+
+
+def test_restricted_bounds_take_one_eigendecomposition(record_linalg, r3_system):
+    plane = r3_system.members[0][0]
+    calls = record_linalg(("svd", "eigh", "eigvalsh"))
+    lower, upper, complete = restricted_bounds(frame_operator(r3_system), plane)
+    assert [(c.name, c.shape) for c in calls] == [("eigvalsh", (2, 2))]
+    assert complete and (lower, upper) == pytest.approx((2.0, 2.0), rel=1e-12)
 
 
 def test_is_exact_plane_line(r4_system, r4_k):

@@ -334,9 +334,12 @@ def test_minimal_norm_strict_for_shifted_solution(r3_system, r3_k):
     r = Resolution(thetas, tuple(np.sqrt(w_) for w_ in r3_system.weights))
     report = minimal_norm_check(r3_system, r3_k, r)
     assert report.passed
-    assert report.plain_margin[0] >= -1e-9
+    # the shift lies in the kernel of T, of dim 2 < 3, so both forms are the
+    # shift's Gram: singular, and positive on the shift's row space
+    assert abs(report.plain_margin[0]) <= 1e-12
+    assert abs(report.centered_margin[0]) <= 1e-12
     assert report.plain_margin[1] > 1e-3
-    assert report.centered_margin[1] > 1e-3
+    assert report.centered_margin[1] == pytest.approx(report.plain_margin[1], rel=1e-12)
 
 
 def _norms_taken(monkeypatch):
@@ -361,8 +364,9 @@ def test_passing_checks_take_no_norm_of_k_or_of_a_member_operator(monkeypatch):
     assert minimal_norm_check(w, k, r).passed
     # the two residuals, nothing per member and not ||K||: the upper bound is
     # the pencil's top eigenvalue; K lies in the span of the 12 x 7 stacked
-    # left factors, so the first residual is taken at 7 x 12
-    assert [m.shape for m in taken] == [(7, 12), (12, 12)]
+    # left factors, so the first residual is taken at 7 x 12; then the scale
+    # of each minimal-norm inequality, the norm of its 7 x 12 right-hand factor
+    assert [m.shape for m in taken] == [(7, 12), (12, 12), (7, 12), (7, 12)]
     assert not any(m is k for m in taken)
     # the pencil's scale, the members' containment and ||K|| are rank-sized
     assert inner and all(min(m.shape) <= 7 for m in inner), [m.shape for m in inner]

@@ -488,3 +488,30 @@ def test_planted_drops_match_verifying_them_on_both_paths():
         ("pencil", "update"),
         ("pencil", "downdate"),
     }
+
+
+def test_a_drop_whose_own_cutoff_keeps_a_direction_the_parent_dropped_is_verified_afresh():
+    """sigma_3 / sigma_1 of T is 9.6e-11, so T keeps rank 2; dropping member 1 or 3 lowers sigma_1.
+
+    Those drops have sigma_3 / sigma_1 of 1.13e-10 and 1.14e-10, so their own
+    analysis keeps rank 3 and finds the pencil unbounded, a direction that an
+    update inside T's rank-2 span cannot see.
+    """
+    w, k = _planted_drop_system(4046677, 3, [3], 0, 1e-10, 1)
+    report = is_exact(w, k)
+    drops = [verify_k_fusion(w.drop(j), k) for j in range(len(w))]
+    assert [cert.passed for cert in drops] == [True, False, True, False]
+    for got, want in zip(report.certificates, drops):
+        assert (got.passed, got.message) == (want.passed, want.message)
+        if want.passed:
+            assert got.bounds.lower == pytest.approx(want.bounds.lower, rel=1e-10)
+            assert got.bounds.upper == pytest.approx(want.bounds.upper, rel=1e-10)
+
+
+def test_hypothesis_draws_no_constants_from_the_package():
+    """The examples an @seed fixes depend on the seed alone, not on the literals in src/."""
+    from hypothesis.internal.conjecture import providers
+
+    import kfusion.cli  # noqa: F401  (every module of the package)
+
+    assert len(providers._get_local_constants()) == 0
