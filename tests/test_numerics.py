@@ -704,10 +704,10 @@ def test_every_decomposition_goes_through_numerics():
     assert not offenders, offenders
 
 
-def _generators(tree):
-    """The enclosing top-level function, or None, of every ``default_rng(...)`` call."""
+def _generator_seeds(tree):
+    """(enclosing top-level function or None, arguments) of every ``default_rng(...)`` call."""
     return [
-        owner
+        (owner, call.args + [kw.value for kw in call.keywords])
         for owner, call in _calls(tree)
         if "default_rng" in {getattr(call.func, "attr", None), getattr(call.func, "id", None)}
     ]
@@ -719,15 +719,41 @@ def test_only_the_instance_generator_draws_random_numbers():
     found = [
         (path.stem, owner)
         for path in sorted(package.glob("*.py"))
-        for owner in _generators(ast.parse(path.read_text(), filename=str(path)))
+        for owner, _ in _generator_seeds(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert found == [("instances", "random_instance")]
+
+
+def test_every_generator_takes_a_literal_seed():
+    """No answer outside the instance generator can depend on a seed that a caller passes."""
+    package = Path(__file__).resolve().parents[1] / "src" / "kfusion"
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for owner, args in _generator_seeds(tree):
+            literal = len(args) == 1 and isinstance(args[0], ast.Constant)
+            if not literal and (path.stem, owner) not in EXEMPT:
+                offenders.append(f"{path.stem}.{owner}: default_rng with a non-literal seed")
+    assert not offenders, offenders
 
 
 def test_the_decomposition_scan_sees_the_exempt_generator():
     path = Path(__file__).resolve().parents[1] / "src" / "kfusion" / "instances.py"
     calls = _linalg_calls(ast.parse(path.read_text()))
     assert ("random_instance", "qr") in calls
+
+
+def test_the_seed_scan_sees_the_exempt_generator_and_the_literal_ones():
+    package = Path(__file__).resolve().parents[1] / "src" / "kfusion"
+    instances = _generator_seeds(ast.parse((package / "instances.py").read_text()))
+    assert [(owner, type(args[0])) for owner, args in instances] == [("random_instance", ast.Name)]
+    # The package holds no literal-seeded generator any more, so the scan is
+    # shown one in each call form.
+    literal = _generator_seeds(ast.parse(
+        "def f():\n    return np.random.default_rng(7)\n"
+        "def g():\n    return default_rng(seed=11)\n"
+    ))
+    assert [(owner, args[0].value) for owner, args in literal] == [("f", 7), ("g", 11)]
 
 
 # The tolerance policy lives in numerics: every other module compares with
