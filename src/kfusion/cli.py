@@ -44,7 +44,6 @@ from .numerics import (
     DEFAULT_TOL,
     AgreementError,
     ToleranceProfile,
-    numerical_rank,
     spectral_norm,
 )
 from .perturbation import (
@@ -542,12 +541,13 @@ def random_cmd(out_path, tol_flag, seed, ambient_dim, member_count, rank_k):
         tol = _tolerance(instance.document, tol_flag)
         if out_path:
             save_instance(instance, out_path)
-        cert = verify_k_fusion(instance.system("W"), instance.k_matrix, tol)
+        w, k = instance.system("W"), instance.k_matrix
+        cert = verify_k_fusion(w, k, tol)
         results = {
             "seed": seed,
             "ambient_dim": ambient_dim,
-            "member_dims": instance.system("W").dims(),
-            "k_rank": int(numerical_rank(instance.k_matrix, tol)),
+            "member_dims": w.dims(),
+            "k_rank": frame_analysis(w, k, tol).k_factors.singular_values.size,
             "verified": cert.passed,
             "bounds": _bounds_dict(cert.bounds),
         }

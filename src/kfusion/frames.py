@@ -28,7 +28,6 @@ from kfusion.numerics import (
     lost_directions,
     max_rayleigh,
     negligible,
-    null_basis,
     numerical_rank,
     off_span,
     orthonormal_range,
@@ -253,30 +252,33 @@ def map_subspace(m, sub: Subspace, tol: ToleranceProfile = DEFAULT_TOL) -> Subsp
     return subspace_from_columns(as_matrix(m) @ sub.basis, tol)
 
 
-def same_subspace(a: Subspace, b: Subspace, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
-    if a.dim != b.dim:
-        return False
-    if a.dim == 0:
-        return True
-    return numerical_rank(np.hstack([a.basis, b.basis]), tol) == a.dim
-
-
 def subspace_contains(outer: Subspace, inner: Subspace, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
-    if inner.dim == 0:
-        return True
-    if inner.dim > outer.dim:
-        return False
-    return numerical_rank(np.hstack([outer.basis, inner.basis]), tol) == outer.dim
+    """Whether ``inner`` lies in ``outer``: no larger, and its basis passes ``outside_column``.
+
+    Raises ValueError when the ambient dimensions differ.
+    """
+    if outer.ambient_dim != inner.ambient_dim:
+        raise ValueError("ambient dimensions must match")
+    return inner.dim <= outer.dim and outside_column(inner.basis, outer.basis, tol) is None
+
+
+def same_subspace(a: Subspace, b: Subspace, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
+    """Whether two subspaces are equal: ``subspace_contains(a, b)`` and the same dimension."""
+    return subspace_contains(a, b, tol) and a.dim == b.dim
 
 
 def subspace_intersection(a: Subspace, b: Subspace, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
-    """Intersection of two subspaces of the same ambient space."""
+    """Intersection of two subspaces, spanned by the directions of the smaller one whose
+    principal sine against the other is ``negligible`` at scale 1 (README, "Norms");
+    raises ValueError when the ambient dimensions differ."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions must match")
-    n = a.ambient_dim
-    eye = np.eye(n)
-    stacked = np.vstack([eye - a.projector(), eye - b.projector()])
-    return Subspace(n, null_basis(stacked, tol))
+    a, b = (a, b) if a.dim <= b.dim else (b, a)
+    if a.is_zero or b.dim == b.ambient_dim:
+        return a
+    f = svd(a.basis - b.basis @ (b.basis.T @ a.basis))
+    zero_sines = [negligible(sine, 1.0, tol) for sine in f.singular_values]
+    return Subspace(a.ambient_dim, a.basis @ f.v[:, zero_sines])
 
 
 def range_projector(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:

@@ -302,17 +302,6 @@ def orthonormal_range(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     return u[:, s > _sv_cutoff(s, tol)]
 
 
-def null_basis(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the kernel, as columns, from the same cutoff rule."""
-    m = as_matrix(m)
-    cols = m.shape[1]
-    if m.size == 0:
-        return np.eye(cols)
-    _, s, vt = np.linalg.svd(m, full_matrices=True)
-    rank = int(np.count_nonzero(s > _sv_cutoff(s, tol)))
-    return vt[rank:].T
-
-
 @dataclass(frozen=True, eq=False)
 class Pencil:
     """The pencil (m m*, g g*) on the eigenpairs (E, Lambda) of g g* that the rank cutoff keeps.

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -15,10 +16,10 @@ from conftest import bisected_synthesis_instance, make_system, random_fusion_sys
 from kfusion import cli, duality, frames, numerics, perturbation, resolution
 from kfusion.factorization import x_w
 from kfusion.frames import FusionSystem, KFrame, Subspace, synthesis, verify_k_fusion
-from kfusion.instances import instance_from_document
+from kfusion.instances import instance_from_document, random_instance
 from kfusion.numerics import AgreementError
 
-SVD_FAMILY = {"svd", "numerical_rank", "pinv", "spectral_norm", "orthonormal_range", "null_basis"}
+SVD_FAMILY = {"svd", "numerical_rank", "pinv", "spectral_norm", "orthonormal_range"}
 DECOMPOSITIONS = SVD_FAMILY | {"max_rayleigh", "r_factor"}
 
 
@@ -552,7 +553,11 @@ LEDGER = {
     "check_sws_range_condition": lambda w, z, v, k: duality.check_sws_range_condition(w, k),
     "minimal_dual_test": lambda w, z, v, k: duality.minimal_dual_test(w, k, v),
     "golden_observations": lambda w, z, v, k: cli._golden_observations(numerics.DEFAULT_TOL),
+    "random": lambda w, z, v, k: CliRunner().invoke(cli.main, ["random"], catch_exceptions=False),
 }
+
+# the K of ``kfusion random`` at its default seed, dimension, member count and rank
+RANDOM_K = random_instance(0, 4, 3, 2).k_matrix
 
 
 @pytest.mark.parametrize("name", LEDGER)
@@ -567,7 +572,7 @@ def test_constructions_leave_every_decomposition_of_k_to_its_analysis(
     """
     calls = record_linalg(K_DECOMPOSITIONS + ("max_rayleigh",), numerics)
     LEDGER[name](r3_system, r3_perturbed, r3_dual, r3_k)
-    ks = (r3_k, _bundled_k("example_r3.json"), _bundled_k("example_r4.json"))
+    ks = (r3_k, _bundled_k("example_r3.json"), _bundled_k("example_r4.json"), RANDOM_K)
     code = _analysis_code()
     found = [
         (call.name, call.caller.co_name)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import make_system, random_fusion_system, skewed
@@ -20,6 +20,8 @@ from kfusion.frames import (
     range_projector,
     restricted_bounds,
     same_subspace,
+    subspace_contains,
+    subspace_from_columns,
     subspace_from_spanning,
     subspace_intersection,
     synthesis,
@@ -507,11 +509,102 @@ def test_a_tall_family_keeps_a_direction_just_above_the_pencil_cutoff():
     assert max_rayleigh(k, family).value == pytest.approx(2e9, rel=DEFAULT_TOL.eq_rel)
 
 
-def test_subspace_intersection_planes():
-    a = subspace_from_spanning([(1, 0, 0), (0, 1, 0)])
-    b = subspace_from_spanning([(0, 1, 0), (0, 0, 1)])
-    inter = subspace_intersection(a, b)
-    assert same_subspace(inter, subspace_from_spanning([(0, 1, 0)]))
+def _rotated(m, rng):
+    """The same span as the orthonormal columns of m, under another orthonormal basis."""
+    return m @ np.linalg.qr(rng.standard_normal((m.shape[1], m.shape[1])))[0]
+
+
+def _planted_pair(rng, n, kind):
+    """Two subspaces of R^n of the given kind, and the dimension of their intersection."""
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    d, e = sorted(int(x) for x in rng.integers(0, n + 1, 2))
+    if kind == "zero":
+        return subspace_from_columns(q[:, :0]), subspace_from_columns(q[:, :e]), 0
+    if kind == "full":
+        return subspace_from_columns(q), subspace_from_columns(_rotated(q[:, :e], rng)), e
+    if kind == "equal":
+        return subspace_from_columns(q[:, :e]), subspace_from_columns(_rotated(q[:, :e], rng)), e
+    if kind == "nested":
+        return subspace_from_columns(q[:, :d]), subspace_from_columns(_rotated(q[:, :e], rng)), d
+    if kind == "random":
+        a, b = rng.standard_normal((n, d)), rng.standard_normal((n, e))
+        return subspace_from_columns(a), subspace_from_columns(b), max(d + e - n, 0)
+    # planted: a common part of dimension c beside parts of a and b that meet only at 0
+    c = int(rng.integers(0, n + 1))
+    p = int(rng.integers(0, n - c + 1))
+    r = int(rng.integers(0, n - c - p + 1))
+    a = q[:, : c + p] @ rng.standard_normal((c + p, c + p))
+    b = np.hstack([q[:, :c], q[:, c + p : c + p + r]]) @ rng.standard_normal((c + r, c + r))
+    return subspace_from_columns(a), subspace_from_columns(b), c
+
+
+@st.composite
+def planted_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    kind = draw(st.sampled_from(["zero", "full", "equal", "nested", "random", "planted"]))
+    return _planted_pair(np.random.default_rng(draw(st.integers(0, 10**6))), n, kind)
+
+
+PLANES = (
+    subspace_from_spanning([(1, 0, 0), (0, 1, 0)]),
+    subspace_from_spanning([(0, 1, 0), (0, 0, 1)]),
+    1,
+)
+
+
+@seed(5)
+@settings(deadline=None, max_examples=300)
+@given(planted_pairs())
+@example(PLANES)
+def test_subspace_intersection_finds_the_planted_common_part(pair):
+    """The result has the known dimension and lies in both operands, so it is their intersection."""
+    a, b, common = pair
+    for inter in (subspace_intersection(a, b), subspace_intersection(b, a)):
+        assert inter.dim == common
+        assert subspace_contains(a, inter) and subspace_contains(b, inter)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_two_bases_of_the_whole_space_intersect_in_the_whole_space(n):
+    rng = np.random.default_rng(n)
+    a, b = (Subspace(n, np.linalg.qr(rng.standard_normal((n, n)))[0]) for _ in range(2))
+    assert subspace_intersection(a, b).dim == n
+
+
+def test_k_image_frame_intersect_first_keeps_a_member_spanning_the_space():
+    """A member equal to R^3 meets the row space of an invertible K in all of R^3."""
+    rng = np.random.default_rng(1)
+    w = random_fusion_system(rng, 3, [3, 2])
+    k = rng.standard_normal((3, 3))
+    plain, plain_cert = k_image_frame(w, k)
+    first, first_cert = k_image_frame(w, k, intersect_first=True)
+    assert plain_cert.passed and first_cert.passed
+    for (got, _), (want, _) in zip(first.members, plain.members):
+        assert same_subspace(got, want)
+
+
+@pytest.mark.parametrize("predicate", [same_subspace, subspace_contains, subspace_intersection])
+@pytest.mark.parametrize("dims", [(2, 2), (1, 3), (3, 1)])
+def test_subspace_predicates_reject_different_ambient_dimensions(predicate, dims):
+    a = Subspace(3, np.eye(3)[:, : dims[0]])
+    b = Subspace(4, np.eye(4)[:, : dims[1]])
+    for pair in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="^ambient dimensions must match$"):
+            predicate(*pair)
+
+
+def test_subspace_predicates_decompose_nothing_n_by_n(record_linalg):
+    n = 6
+    rng = np.random.default_rng(3)
+    whole = Subspace(n, np.linalg.qr(rng.standard_normal((n, n)))[0])
+    subs = [whole] + [subspace_from_columns(rng.standard_normal((n, d))) for d in (5, 2)]
+    subs.append(subspace_from_columns(np.hstack([subs[2].basis, rng.standard_normal((n, 3))])))
+    calls = record_linalg(("svd", "eigh", "eigvalsh", "qr"))
+    for a in subs + [Subspace(n, np.eye(n))]:
+        for b in subs:
+            for predicate in (same_subspace, subspace_contains, subspace_intersection):
+                predicate(a, b)
+    assert calls and all(min(call.shape) < n for call in calls), [c.shape for c in calls]
 
 
 @seed(1)

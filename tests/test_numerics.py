@@ -12,9 +12,7 @@ from kfusion.numerics import (
     DEFAULT_TOL,
     ToleranceProfile,
     max_rayleigh,
-    null_basis,
     numerical_rank,
-    orthonormal_range,
     pinv,
     spectral_norm,
     svd,
@@ -135,17 +133,6 @@ def test_spectral_norm_orthogonal_columns_composite():
     # orthogonal columns, so the norm is the larger column norm: max(sqrt(2)/3, 1/2)
     m = np.array([[1.0 / 3.0, 0.0, 0.0], [1.0 / 3.0, 0.0, 0.0], [0.0, 0.5, 0.0]])
     assert spectral_norm(m) == pytest.approx(0.5, abs=ABS_TOLERANCE)
-
-
-def test_orthonormal_range_and_null_basis_partition():
-    rng = np.random.default_rng(11)
-    m = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 5))
-    ran = orthonormal_range(m)
-    nul = null_basis(m)
-    assert ran.shape[1] == 3
-    assert nul.shape[1] == 2
-    np.testing.assert_allclose(ran.T @ ran, np.eye(3), atol=ABS_TOLERANCE)
-    np.testing.assert_allclose(m @ nul, np.zeros((6, 2)), atol=ABS_TOLERANCE)
 
 
 def test_max_rayleigh_identity_pencil():
@@ -500,7 +487,7 @@ def test_containment_without_lost_directions_matches_the_rule_on_their_complemen
     n, r = 9, 5
     u = np.linalg.qr(rng.standard_normal((n, r)))[0]
     lost = np.linalg.qr(rng.standard_normal((r, 2)))[0]
-    rest = null_basis(lost.T)
+    rest = np.linalg.svd(lost.T)[2][2:].T  # the complement of span(lost) in R^r
     m = u @ rest @ rng.standard_normal((r - 2, 4))
     normal = np.linalg.qr(np.column_stack([u, rng.standard_normal(n)]))[0][:, r]
     m[:, 2] += scale * (u @ lost[:, 0] + normal)
