@@ -17,12 +17,14 @@ import numpy as np
 
 from kfusion.numerics import (
     DEFAULT_TOL,
+    SPAN_ROUNDING,
     AgreementError,
     Svd,
     ToleranceProfile,
     agreement,
     as_matrix,
     at_most,
+    cross_allowance,
     downdated_norm,
     keeps_rank,
     lost_directions,
@@ -268,17 +270,19 @@ def same_subspace(a: Subspace, b: Subspace, tol: ToleranceProfile = DEFAULT_TOL)
 
 
 def subspace_intersection(a: Subspace, b: Subspace, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
-    """Intersection of two subspaces, spanned by the directions of the smaller one whose
-    principal sine against the other is ``negligible`` at scale 1 (README, "Norms");
-    raises ValueError when the ambient dimensions differ."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimensions must match")
+    """Intersection of two subspaces, spanned by the directions of the smaller one of least
+    principal sine against the other, as many as ``outside`` accepts at c = ||B* A|| (README,
+    "Norms"): all of it exactly when ``subspace_contains`` holds. Raises ValueError when the
+    ambient dimensions differ."""
     a, b = (a, b) if a.dim <= b.dim else (b, a)
-    if a.is_zero or b.dim == b.ambient_dim:
+    if subspace_contains(b, a, tol):
         return a
-    f = svd(a.basis - b.basis @ (b.basis.T @ a.basis))
-    zero_sines = [negligible(sine, 1.0, tol) for sine in f.singular_values]
-    return Subspace(a.ambient_dim, a.basis @ f.v[:, zero_sines])
+    coords = b.basis.T @ a.basis
+    f = svd(a.basis - b.basis @ coords)
+    c, squares = spectral_norm(coords), f.singular_values**2
+    # the sines descend: keep the longest tail whose root-sum-square is inside
+    first = next(i for i in range(1, a.dim + 1) if outside(c, squares[i:], tol) is None)
+    return Subspace(a.ambient_dim, a.basis @ f.v[:, first:])
 
 
 def range_projector(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
@@ -502,13 +506,7 @@ class FrameAnalysis:
         """The certificate of this verified system without each member in turn.
 
         ``t`` is the synthesis matrix and ``slices`` the members' columns. Each
-        route updates its own decomposition when the drop keeps its rank and
-        downdates it otherwise. A drop whose lost directions are proven from
-        the member's rows fails its range check there, with no r x r
-        decomposition; only a drop that keeps K in range reaches the pencil.
-        A drop whose own cutoff may keep sigma_(r+1), the largest singular
-        value the parent's cutoff dropped, is verified afresh (README,
-        Exactness).
+        equals ``verify_k_fusion`` of the system without that member (``_drop``).
         """
         rows_c = t.T @ (self.pencil.vecs / np.sqrt(self.pencil.vals))
         for rows in slices:
@@ -516,40 +514,37 @@ class FrameAnalysis:
             yield _verdict(self.k, self.tol, zeros, *self._drop(t, rows_c, rows))
 
     def _drop(self, t: np.ndarray, rows_c: np.ndarray, rows: slice) -> tuple:
-        """``_verdict``'s (j, ratio, ||pinv(T) K||, upper) without the member at ``rows``."""
+        """``_verdict``'s (j, ratio, ||pinv(T) K||, upper) without the member at ``rows``.
+
+        The member's rows prove lost directions that put K out of range; or
+        the rank-d updates of both routes decide, where each provably keeps
+        its rank and the parent's pencil floor c eps (sigma_1 / sigma_r)**2
+        is within the cross-check allowance; or the drop's own ``of_pair``
+        decides, as verifying it would (README, Exactness).
+        """
         f, tol = self.factors, self.tol
-        others = t.shape[1] - (rows.stop - rows.start)
         h, s, nu = row_downdate(f.v, rows)
         sigma_m = f.singular_values[:, None] * (np.eye(h.shape[0]) + (h * (nu - 1.0)) @ h.T)
         # the drop's sigma_(r+1) is at most the parent's, and its sigma_1 at least ||sigma_m||
-        if self._cut and keeps_rank(self._cut, spectral_norm(sigma_m), tol):
-            return FrameAnalysis.of_pair(np.delete(t, rows, axis=1), self.k, tol)._decision()
-        lost = lost_directions(f.singular_values, h, nu, tol)
-        # K is shared, and so is its norm
+        cut_edge = self._cut and keeps_rank(self._cut, spectral_norm(sigma_m), tol)
+        lost = None if cut_edge else lost_directions(f.singular_values, h, nu, tol)
         if lost is not None:
+            # K is shared, and so is its norm
             j = outside_without(*self._off_span, lost, self.k_norm, tol)
             if j is not None:
                 return (j,)
-        # with fewer other columns than its rank, or lost directions, the route loses rank
-        kept = singular_values(sigma_m) if lost is None and others >= h.shape[0] else None
-        if kept is not None and keeps_rank(kept[-1], kept[0], tol):
-            pinv_norm = downdated_norm(self._lower_factors[0], h, s, nu)
-        else:
-            small = svd(sigma_m).truncated(tol)
-            u, kept = f.u @ small.u, small.singular_values
-            # ||U_drop* K|| <= ||U* K|| <= k_norm: the parent's norm serves the drop
-            j = outside(self.k_norm, off_span(self.k, u)[1], tol)
-            if j is not None:
-                return (j,)
-            pinv_norm = spectral_norm(u.T @ self.k / kept[:, None])
-        upper, vals = float(kept.max(initial=0.0)) ** 2, self.pencil.vals
-        if others >= vals.size:
-            h, s, nu = row_downdate(rows_c, rows)
-            if keeps_rank(vals[0] * nu.min(initial=1.0) ** 2, vals[-1], tol):
-                ratio = downdated_norm(self._lower_factors[1], h, s, nu) ** 2
-                return None, ratio, pinv_norm, upper
-        ratio = _ratio(max_rayleigh(self.k, np.delete(t, rows, axis=1), tol), kept.size)
-        return None, ratio, pinv_norm, upper
+        rank, vals = h.shape[0], self.pencil.vals
+        fits = 0 < rank and max(rank, vals.size) <= t.shape[1] - (rows.stop - rows.start)
+        floor = SPAN_ROUNDING * (f.top * f.pinv_norm) ** 2
+        if fits and not cut_edge and lost is None and floor <= cross_allowance(1.0, tol):
+            kept = singular_values(sigma_m)
+            if keeps_rank(kept[-1], kept[0], tol):
+                hc, sc, nuc = row_downdate(rows_c, rows)
+                if keeps_rank(vals[0] * nuc.min(initial=1.0) ** 2, vals[-1], tol):
+                    pinv_norm = downdated_norm(self._lower_factors[0], h, s, nu)
+                    ratio = downdated_norm(self._lower_factors[1], hc, sc, nuc) ** 2
+                    return None, ratio, pinv_norm, float(kept[0]) ** 2
+        return FrameAnalysis.of_pair(np.delete(t, rows, axis=1), self.k, tol)._decision()
 
 
 def frame_analysis(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> FrameAnalysis:
@@ -612,14 +607,12 @@ def is_minimal(w: FusionSystem, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
 def is_exact(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> ExactnessReport:
     """Removability of each member, given that the full system verifies.
 
-    Each member's certificate comes from the shared analysis updated by that
-    member (``FrameAnalysis.drop_certificates``), so the call decomposes T and
-    its pencil once, not once per member. A drop that loses rank fails its
-    range check from the member's own rows when they prove which directions
-    it loses; it takes an r x r SVD only when they do not, or when K stays
-    in range, and only then the pencil of the other members' columns. A
-    certificate warns about zero-dimensional members exactly when verifying
-    the system without that member would.
+    Member j's certificate is that of ``verify_k_fusion(w.drop(j), k, tol)``,
+    zero-member warnings included. The shared analysis decides it where that
+    provably gives the same answer: a range obstruction the member's rows
+    prove, or the rank-d update of T's SVD and pencil where both keep their
+    rank and the parent's pencil is accurate to the cross-check allowance.
+    The drop's own analysis decides the rest (README, Exactness).
     """
     analysis = frame_analysis(w, k, tol).require()
     certificates = tuple(analysis.drop_certificates(synthesis(w), w.block_slices()))

@@ -51,6 +51,8 @@ def parse_int(value, where: str) -> int:
 def _parse_vector(entries, length: int, where: str) -> np.ndarray:
     if not isinstance(entries, list) or len(entries) != length:
         raise ValueError(f"{where}: expected {length} entries")
+    if set(map(type, entries)) <= {float}:  # JSON floats need no scalar parsing
+        return np.array(entries)
     try:
         return np.array([parse_number(v, where) for v in entries])
     except ValueError:

@@ -571,6 +571,18 @@ def test_two_bases_of_the_whole_space_intersect_in_the_whole_space(n):
     assert subspace_intersection(a, b).dim == n
 
 
+def test_subspace_intersection_is_all_of_a_exactly_when_b_contains_a():
+    """Each sine of A against B (1.5e-9) passes the zero rule alone; their root-sum-square does not."""
+    n, tilt = 7, 1.5e-9
+    e = np.eye(n)
+    b = Subspace(n, e[:, :2])
+    a = subspace_from_spanning([e[:, 0] + tilt * e[:, 2], e[:, 1] + tilt * e[:, 3]])
+    assert not subspace_contains(b, a)
+    inter = subspace_intersection(a, b)
+    assert inter.dim == 1
+    assert subspace_contains(a, inter) and subspace_contains(b, inter)
+
+
 def test_k_image_frame_intersect_first_keeps_a_member_spanning_the_space():
     """A member equal to R^3 meets the row space of an invertible K in all of R^3."""
     rng = np.random.default_rng(1)

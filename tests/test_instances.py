@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -54,6 +55,18 @@ def test_bad_entry_names_its_index():
     with pytest.raises(ValueError) as info:
         instance_from_document(doc)
     assert str(info.value) == "system 'W' member 0 span vector 1[2]: expected a number, got a boolean"
+
+
+def test_float_rows_parse_as_their_exact_rational_strings():
+    """Rows of JSON floats, taken by numpy in one call, equal the same rows parsed scalar by scalar."""
+    doc = random_instance(3, 5, 4, 3).document
+    text = json.dumps(doc)
+    as_floats = instance_from_document(json.loads(text))
+    as_strings = instance_from_document(json.loads(text, parse_float=lambda s: str(Fraction(s))))
+    np.testing.assert_array_equal(as_floats.k_matrix, as_strings.k_matrix)
+    for name, system in as_floats.systems.items():
+        for (got, _), (want, _) in zip(system.members, as_strings.systems[name].members):
+            np.testing.assert_array_equal(got.basis, want.basis)
 
 
 def test_bundled_r3_matches_worked_data():

@@ -311,10 +311,12 @@ def _exact_system():
     return random_fusion_system(rng, 8, [2] * 4, list(rng.uniform(0.5, 2.0, 4))), rng
 
 
-def test_is_exact_downdates_when_every_drop_loses_rank(record_linalg):
-    """Σd = n: a drop that keeps K in range takes an r x r SVD and the pencil of the other columns.
+def test_is_exact_analyzes_each_drop_of_an_exact_system_that_keeps_k_in_range(record_linalg):
+    """Σd = n: every drop loses rank. Drop 0 fails its range check from the member's own rows.
 
-    Those are n x (n - 2), taller than wide, so that pencil decomposes their (n - 2) x (n - 2) Gram.
+    Each other drop keeps K in range and is decided by its own analysis: the
+    n x (n - 2) SVD of the other columns and their pencil, which decomposes
+    their (n - 2) x (n - 2) Gram. No drop takes an r x r decomposition.
     """
     w, rng = _exact_system()
     n = w.ambient_dim
@@ -322,11 +324,14 @@ def test_is_exact_downdates_when_every_drop_loses_rank(record_linalg):
     calls = record_linalg()
     report = is_exact(w, k)
     assert report.removable == (False, True, True, True)
-    square = [(c.name, c.with_vectors) for c in calls if c.shape == (n, n)]
-    assert square.count(("svd", False)) == 0
-    # T itself is n x n here; the drop of member 0 is decided from its own rows
-    assert square.count(("svd", True)) == 1 + sum(report.removable)
-    assert square.count(("eigh", True)) == 1
+    assert "range obstruction" in report.certificates[0].message
+    # T itself is n x n here: its SVD and the eigh of S, once per call
+    assert [(c.name, c.with_vectors) for c in calls if c.shape == (n, n)] == [
+        ("svd", True),
+        ("eigh", True),
+    ]
+    tall = [(c.shape, c.with_vectors) for c in calls if c.name == "svd" and c.shape == (n, n - 2)]
+    assert tall == [((n, n - 2), True)] * sum(report.removable)
     assert [c.shape for c in calls if c.name == "eigh"][1:] == [(n - 2, n - 2)] * 3
 
 
@@ -364,6 +369,20 @@ def test_each_drop_warns_about_zero_members_as_verifying_it_would():
     assert report.removable == tuple(cert.passed for cert in drops) == (False, True, True, True)
 
 
+def test_is_exact_of_zero_members_only_equals_verifying_each_drop():
+    """T = 0 has rank 0, so no update applies: each drop is decided by its own analysis."""
+    zero = Subspace(3, np.zeros((3, 0)))
+    w = FusionSystem(3, ((zero, 1.0), (zero, 2.0)))
+    k = np.zeros((3, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = is_exact(w, k)
+        drops = [verify_k_fusion(w.drop(j), k) for j in range(len(w))]
+    assert report.removable == tuple(cert.passed for cert in drops) == (True, True)
+    for got, want in zip(report.certificates, drops):
+        assert (got.bounds.lower, got.bounds.upper) == (want.bounds.lower, want.bounds.upper)
+
+
 # the planted member's part off the span of the others; at 3e-2 the planted
 # drop's nu sits at the c eps that marks a lost direction, on either side of it
 PLANTED_DELTAS = [0.0] + [10.0**-p for p in range(12, 0, -1)] + [3e-2]
@@ -397,28 +416,23 @@ def _pencil_floor(w):
     return numerics.SPAN_ROUNDING * lam[0] / lam[-1]
 
 
-DROP_CALLS = ("row_downdate", "singular_values", "svd", "max_rayleigh")
+DROP_CALLS = ("row_downdate", "max_rayleigh")
 
 
-def _drop_paths(calls):
-    """The paths one drop took, from the ``DROP_CALLS`` it made in order.
+def _drop_path(calls):
+    """The outcome of one drop, from the ``DROP_CALLS`` it made in order.
 
-    The SVD route is updated from the values of Sigma M alone, decided from
-    the member's rows, or downdated by an SVD. A drop that reaches the pencil
-    downdates it by ``max_rayleigh``, or updates it after a second
-    ``row_downdate``; a drop that leaves K out of range reaches neither.
+    Its own analysis builds its pencil by ``max_rayleigh``; the update takes
+    the pencil's rows by a second ``row_downdate``; a drop decided from the
+    member's rows does neither.
     """
-    updated = "update" if "singular_values" in calls else "member"
-    paths = {("svd", "downdate" if "svd" in calls else updated)}
     if "max_rayleigh" in calls:
-        paths.add(("pencil", "downdate"))
-    elif calls.count("row_downdate") == 2:
-        paths.add(("pencil", "update"))
-    return paths
+        return "own analysis"
+    return "update" if calls.count("row_downdate") == 2 else "member rows"
 
 
 def test_planted_drops_match_verifying_them_on_both_paths():
-    """is_exact equals verifying each drop, whichever path each route of the drop took."""
+    """is_exact equals verifying each drop, whichever of the three outcomes decided it."""
     paths = set()
 
     @seed(12)
@@ -450,8 +464,8 @@ def test_planted_drops_match_verifying_them_on_both_paths():
         try:
             report = is_exact(w, k)
         except AgreementError:
-            # only where no double-precision pencil can meet the cross-check
-            assert max(floors) >= numerics.DEFAULT_TOL.eq_rel
+            # only where verifying some drop raises too
+            assert None in drops
             return
         for got, want, floor in zip(report.certificates, drops, floors):
             if want is None:
@@ -481,13 +495,27 @@ def test_planted_drops_match_verifying_them_on_both_paths():
             for _ in w.members:
                 calls.clear()
                 next(drops)
-                paths.update(_drop_paths(calls))
+                paths.add(_drop_path(calls))
 
     check()
-    assert paths == {("svd", "update"), ("svd", "member"), ("svd", "downdate")} | {
-        ("pencil", "update"),
-        ("pencil", "downdate"),
-    }
+    assert paths == {"update", "member rows", "own analysis"}
+
+
+def test_is_exact_at_the_pencil_floor_equals_verifying_each_drop():
+    """One member off the others' hyperplane by 1e-4, so S has condition number 4e8.
+
+    The parent's pencil floor c eps cond(S) exceeds the cross-check allowance,
+    so no update decides: each drop is decided by its own analysis, the
+    same as verifying it.
+    """
+    w, k = _planted_drop_system(5, 4, [2], 0, 1e-4, 2)
+    report = is_exact(w, k)
+    drops = [verify_k_fusion(w.drop(j), k) for j in range(len(w))]
+    assert len(report.certificates) == len(drops) == 4
+    for got, want in zip(report.certificates, drops):
+        assert (got.passed, got.message) == (want.passed, want.message)
+        assert got.bounds.lower == pytest.approx(want.bounds.lower, rel=1e-10)
+        assert got.bounds.upper == pytest.approx(want.bounds.upper, rel=1e-10)
 
 
 def test_a_drop_whose_own_cutoff_keeps_a_direction_the_parent_dropped_is_verified_afresh():
