@@ -393,7 +393,7 @@ def check_sws_range_condition(
     sol = x_w(w, k, tol)
     candidate = t.T @ analysis.inverse_on_image.T @ k
     gap = spectral_norm(candidate - sol.x)
-    operator_equality = negligible(gap, spectral_norm(sol.x), tol)
+    operator_equality = negligible(gap, np.sqrt(sol.norm_sq), tol)
     if condition != operator_equality:
         raise AgreementError(
             "range condition and solution comparison disagree: "

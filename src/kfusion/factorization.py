@@ -26,7 +26,6 @@ from kfusion.numerics import (
     agreement,
     as_matrix,
     cross_allowance,
-    negligible,
     numerical_rank,
     off_span,
     outside,
@@ -114,19 +113,20 @@ def _solve(analysis: FrameAnalysis, l2: np.ndarray, alpha_inf: float) -> Douglas
     ``x = V Sigma^-1 U* L1`` with (U, Sigma, V) the analysis's truncated
     factors of L2. Because V has orthonormal columns, the norm, rank and
     kernel of x are those of the small ``Sigma^-1 U* L1``, so no
-    decomposition is made at the size of x. ``alpha_inf``, the pencil
-    constant of (L1 L1*, L2 L2*), comes from the analysis's pencil and must
-    agree with the SVD route.
+    decomposition is made at the size of x; its norm is the one the
+    analysis's verdict reads. ``alpha_inf``, the pencil constant of
+    (L1 L1*, L2 L2*), comes from the analysis's pencil and must agree with
+    the SVD route.
     """
     l1, f, tol = analysis.k, analysis.factors, analysis.tol
-    coeff = (f.u.T @ l1) / f.singular_values[:, None]
+    coeff = analysis.pinv_matrix
     x = f.v @ coeff
     residual, allowed = _residual(l2, x, l1, analysis.k_factors.top, tol)
     if residual > allowed:
         raise AgreementError(
             f"factorization residual ||L2 x - L1|| = {residual} exceeds tolerance {allowed}"
         )
-    norm_sq = spectral_norm(coeff) ** 2
+    norm_sq = analysis.pinv_norm**2
     gap, allowed = agreement(norm_sq, alpha_inf, tol)
     if gap > allowed:
         raise AgreementError(
@@ -134,10 +134,10 @@ def _solve(analysis: FrameAnalysis, l2: np.ndarray, alpha_inf: float) -> Douglas
             f" gap {gap} exceeds tolerance {allowed}"
         )
     x_norm = np.sqrt(norm_sq)
-    # x kills the kernel of L1 exactly when coeff vanishes off the row space of L1
+    # x kills the kernel of L1 exactly when the rows of coeff lie in the row space of L1
     row = analysis.k_factors.v
-    kernel_contained = row.shape[1] == l1.shape[1] or negligible(
-        spectral_norm(coeff - (coeff @ row) @ row.T), x_norm, tol
+    kernel_contained = (
+        row.shape[1] == l1.shape[1] or outside(x_norm, off_span(coeff.T, row)[1], tol) is None
     )
     nullspace_match = kernel_contained and numerical_rank(coeff, tol) == row.shape[1]
     range_containment = outside(x_norm, off_span(x, f.v)[1], tol) is None

@@ -459,8 +459,7 @@ class FrameAnalysis:
     @cached_property
     def inverse_on_image(self) -> np.ndarray:
         """Pseudo-inverse of S P: the inverse frame operator on the image of range(K)."""
-        f = self.image_factors
-        return _read_only((f.v / f.singular_values) @ f.u.T)
+        return _read_only(self.image_factors.pinv())
 
     @cached_property
     def range_obstruction(self):
@@ -468,18 +467,19 @@ class FrameAnalysis:
         return outside(self.k_norm, self._off_span[1], self.tol)
 
     @property
-    def _pinv_matrix(self) -> np.ndarray:
-        """Sigma^-1 U* K, r x cols(K), with the norm of pinv(T) K = V Sigma^-1 U* K."""
+    def pinv_matrix(self) -> np.ndarray:
+        """Sigma^-1 U* K, r x cols(K), formed on each read; pinv(T) K = V Sigma^-1 U* K."""
         return self.factors.u.T @ self.k / self.factors.singular_values[:, None]
 
     @cached_property
-    def _pinv_norm(self) -> float:
-        return spectral_norm(self._pinv_matrix)
+    def pinv_norm(self) -> float:
+        """||pinv(T) K||, the norm of ``pinv_matrix``."""
+        return spectral_norm(self.pinv_matrix)
 
     @cached_property
     def _lower_factors(self) -> tuple:
         """``rounding_factor`` of Sigma^-1 U* K and of Lambda^-1/2 E* K, for the drops' updates."""
-        return rounding_factor(self._pinv_matrix), rounding_factor(self.pencil.scaled.T)
+        return rounding_factor(self.pinv_matrix), rounding_factor(self.pencil.scaled.T)
 
     @cached_property
     def _off_span(self) -> tuple:
@@ -489,7 +489,7 @@ class FrameAnalysis:
     def _decision(self) -> tuple:
         """``_verdict``'s (j, ratio, ||pinv(T) K||, upper), or (j,) when K leaves range(T)."""
         j = self.range_obstruction
-        return (j,) if j is not None else (None, self.pencil_ratio, self._pinv_norm, self.upper)
+        return (j,) if j is not None else (None, self.pencil_ratio, self.pinv_norm, self.upper)
 
     def certificate(self) -> Certificate:
         """A new certificate of the frame condition; callers may write into its details."""
@@ -648,7 +648,7 @@ def transform_kdag(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL):
     f = svd(k).truncated(tol)
     if not f.singular_values.size:
         raise ValueError("K must be nonzero")
-    kd = (f.v / f.singular_values) @ f.u.T
+    kd = f.pinv()
     members = tuple((map_subspace(kd, sub, tol), weight) for sub, weight in w.members)
     image = FusionSystem(kd.shape[0], members)
     row_space = Subspace(kd.shape[0], f.v)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -22,20 +23,20 @@ from .numerics import DEFAULT_TOL, ToleranceProfile
 
 
 def parse_number(value, where: str) -> float:
-    """Parse one scalar entry: JSON number, or exact rational/decimal string."""
+    """Parse one finite scalar entry: JSON number, or exact rational/decimal string."""
     if isinstance(value, bool):
         raise ValueError(f"{where}: expected a number, got a boolean")
+    if not isinstance(value, (int, float, str)):
+        raise ValueError(f"{where}: expected a number, got {type(value).__name__}")
     try:
-        if isinstance(value, (int, float)):
-            return float(value)
-        if isinstance(value, str):
-            try:
-                return float(Fraction(value))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"{where}: cannot parse {value!r} as a rational") from exc
+        number = float(Fraction(value) if isinstance(value, str) else value)
     except OverflowError as exc:
         raise ValueError(f"{where}: the value lies beyond the float range") from exc
-    raise ValueError(f"{where}: expected a number, got {type(value).__name__}")
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{where}: cannot parse {value!r} as a rational") from exc
+    if not math.isfinite(number):
+        raise ValueError(f"{where}: expected a finite number")
+    return number
 
 
 def parse_int(value, where: str) -> int:
@@ -51,7 +52,9 @@ def parse_int(value, where: str) -> int:
 def _parse_vector(entries, length: int, where: str) -> np.ndarray:
     if not isinstance(entries, list) or len(entries) != length:
         raise ValueError(f"{where}: expected {length} entries")
-    if set(map(type, entries)) <= {float}:  # JSON floats need no scalar parsing
+    # finite JSON floats need no scalar parsing; a finite sum has finite terms, and a sum
+    # that overflows only sends finite entries down the per-entry path
+    if set(map(type, entries)) <= {float} and math.isfinite(sum(entries)):
         return np.array(entries)
     try:
         return np.array([parse_number(v, where) for v in entries])

@@ -1,9 +1,12 @@
 """Dense-matrix kernel: SVD, rank, pseudo-inverse, eigenvalues, norms, PSD pencil maxima.
 
 Every other module routes its linear algebra through here so that rank
-decisions happen once, at SVD truncation, under a single tolerance policy.
-Every pencil goes through ``max_rayleigh``, which takes the factor g of its
-right side b = g g* and decomposes the Gram of g's shorter side, the rule
+decisions happen once, at SVD truncation, under a single tolerance policy:
+``keeps_rank`` is the one cutoff, read by ``Svd.truncated`` (and so by
+``orthonormal_range`` and ``pinv``), ``numerical_rank`` and ``max_rayleigh``,
+and ``Svd.pinv`` is the one pseudo-inverse of truncated factors. Every pencil
+goes through ``max_rayleigh``, which takes the factor g of its right side
+b = g g* and decomposes the Gram of g's shorter side, the rule
 ``spectral_norm`` follows too. Every other comparison with the tolerance
 goes through one of three rules here: ``negligible`` (a residual counts as
 zero), ``outside`` (columns lie in a span, judged by ``negligible`` at a
@@ -154,15 +157,24 @@ class Svd:
         return 1.0 / float(self.singular_values[-1]) if self.singular_values.size else 0.0
 
     def truncated(self, tol: ToleranceProfile = DEFAULT_TOL) -> "Svd":
-        """The factors kept by the ``rank_rel`` cutoff; their width is the numerical rank.
+        """The factors ``keeps_rank`` keeps; their width is the numerical rank.
 
         Dropped columns are not kept alive: the kept ones are copied out.
         """
         s = self.singular_values
-        rank = int(np.count_nonzero(s > _sv_cutoff(s, tol)))
+        rank = int(np.count_nonzero(keeps_rank(s, self.top, tol)))
         if rank == s.size:
             return self
         return Svd(self.u[:, :rank].copy(), s[:rank].copy(), self.v[:, :rank].copy())
+
+    def pinv(self) -> np.ndarray:
+        """V diag(1/s) U*, the pseudo-inverse of truncated factors; a subnormal s is zeroed.
+
+        Its reciprocal can overflow however the matrix is scaled.
+        """
+        s = self.singular_values
+        rank = int(np.count_nonzero(s >= np.finfo(float).tiny))
+        return (self.v[:, :rank] / s[:rank]) @ self.u[:, :rank].T
 
 
 def as_matrix(m) -> np.ndarray:
@@ -209,26 +221,22 @@ def singular_values(m) -> np.ndarray:
     return np.linalg.svd(as_matrix(m), compute_uv=False)
 
 
-def keeps_rank(low: float, top: float, tol: ToleranceProfile) -> bool:
-    """The rank cutoff: ``low`` is kept beside the largest value ``top`` when low > rank_rel top."""
-    return bool(low > tol.rank_rel * top)
+def keeps_rank(low, top, tol: ToleranceProfile):
+    """The rank cutoff: ``low`` is kept beside the largest value ``top`` when low > rank_rel top.
 
-
-def _sv_cutoff(s: np.ndarray, tol: ToleranceProfile) -> float:
-    top = float(s[0]) if s.size else 0.0
-    return tol.rank_rel * max(top, 0.0)
+    A negative ``top`` counts as 0. Elementwise on arrays; a bool for scalars.
+    """
+    kept = np.greater(low, tol.rank_rel * np.maximum(top, 0.0))
+    return kept if isinstance(kept, np.ndarray) else bool(kept)
 
 
 def numerical_rank(m, tol: ToleranceProfile = DEFAULT_TOL) -> int:
-    """Number of singular values above ``rank_rel`` times the largest one.
+    """Number of singular values ``keeps_rank`` keeps beside the largest one.
 
     The zero matrix (and any empty matrix) has rank 0.
     """
-    m = as_matrix(m)
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.count_nonzero(s > _sv_cutoff(s, tol)))
+    s = singular_values(m)
+    return int(np.count_nonzero(keeps_rank(s, s.max(initial=0.0), tol)))
 
 
 def pinv(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
@@ -239,23 +247,15 @@ def pinv(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     m : array_like
         Real matrix.
     tol : ToleranceProfile
-        Supplies the ``rank_rel`` cutoff; singular values at or below it are
-        zeroed, not inverted, and so are subnormal ones, whose reciprocals
-        can overflow however m is scaled.
+        Supplies the ``keeps_rank`` cutoff; singular values it drops are
+        zeroed, not inverted, and so are subnormal ones (``Svd.pinv``).
 
     Returns
     -------
     numpy.ndarray
         Matrix satisfying all four Penrose identities to working precision.
     """
-    m = as_matrix(m)
-    if m.size == 0:
-        return np.zeros((m.shape[1], m.shape[0]))
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    keep = (s > _sv_cutoff(s, tol)) & (s >= np.finfo(float).tiny)
-    s_inv = np.zeros_like(s)
-    s_inv[keep] = 1.0 / s[keep]
-    return (vt.T * s_inv) @ u.T
+    return svd(m).truncated(tol).pinv()
 
 
 def symmetric_eigenvalues(m) -> np.ndarray:
@@ -270,12 +270,11 @@ def spectral_norm(m) -> float:
     """Largest singular value; zero for empty and zero matrices.
 
     Computed without an SVD. The input is first scaled by its largest
-    absolute entry, so nothing below can overflow or underflow. An exactly
-    symmetric input gives its norm as the largest eigenvalue modulus;
-    otherwise the norm is the square root of the top eigenvalue of the
-    Gram matrix of the shorter side. Both are accurate to a few ulps
-    relative. Rank decisions do not come from here: a Gram squares the
-    small singular values they read, so they keep the SVD.
+    absolute entry, so nothing below can overflow or underflow. The norm
+    is the square root of the top eigenvalue of the Gram matrix of the
+    shorter side, accurate to a few ulps relative. Rank decisions do not
+    come from here: a Gram squares the small singular values they read,
+    so they keep the SVD.
     """
     m = as_matrix(m)
     scale = float(np.abs(m).max()) if m.size else 0.0
@@ -283,9 +282,6 @@ def spectral_norm(m) -> float:
         return 0.0
     m = m / scale
     rows, cols = m.shape
-    if rows == cols and np.array_equal(m, m.T):
-        vals = symmetric_eigenvalues(m)
-        return scale * max(-float(vals[0]), float(vals[-1]))
     gram = m.T @ m if cols <= rows else m @ m.T
     return scale * max(float(symmetric_eigenvalues(gram)[-1]), 0.0) ** 0.5
 
@@ -295,11 +291,7 @@ def orthonormal_range(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
 
     One SVD, one rank decision; downstream code never re-thresholds.
     """
-    m = as_matrix(m)
-    if m.size == 0:
-        return np.zeros((m.shape[0], 0))
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u[:, s > _sv_cutoff(s, tol)]
+    return svd(m).truncated(tol).u
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,7 +391,7 @@ def max_rayleigh(m, g, tol: ToleranceProfile = DEFAULT_TOL) -> Pencil:
     if g.shape[0] > g.shape[1]:
         q, g = np.linalg.qr(g)
     vals, vecs = np.linalg.eigh(g @ g.T)
-    keep = vals > tol.rank_rel * max(float(vals.max(initial=0.0)), 0.0)
+    keep = keeps_rank(vals, vals.max(initial=0.0), tol)
     vecs = vecs[:, keep] if q is None else q @ vecs[:, keep]
     return Pencil(m, vecs, vals[keep], tol)
 

@@ -30,7 +30,6 @@ from kfusion.numerics import (
     at_most,
     max_rayleigh,
     negligible,
-    orthonormal_range,
     outside_column,
     r_factor,
     spectral_norm,
@@ -97,33 +96,33 @@ def member_pencils(
 ):
     """Yield ``(mu, f, violated)`` for each member with dim S_i > 0, in member order.
 
-    Every term of member i's inequality vanishes off S_i = span(W_i, Z_i, range K).
-    With Q an orthonormal basis of S_i, the gap at f = Q g is ||A g|| and the
-    right-hand side is ||B g|| + ||C g|| + ||D g||: the weighted member maps and
-    K*, times lambda1, lambda2 and epsilon w_i, with D = Sigma_K U_K* Q from the
+    At f the gap of member i is ||A f|| and the right-hand side is
+    ||B f|| + ||C f|| + ||D f||: the weighted member maps W_i* and Z_i* and
+    K*, times lambda1, lambda2 and epsilon w_i, with D = Sigma_K U_K* from the
     truncated SVD K = U_K Sigma_K V_K* that the analysis of (W, K, tol) holds.
-    mu is the top eigenvalue of the pencil (A*A, B*B + C*C + D*D), f = Q g the
-    unit vector at its eigenvector, and ``violated`` whether f violates the
-    inequality as stated.
+    mu is the top eigenvalue of the pencil (A*A, B*B + C*C + D*D) on the
+    range of its right side, S_i = span(W_i, Z_i, range K), where every
+    term vanishes off it; f is the unit vector at its eigenvector, and
+    ``violated`` whether f violates the inequality as stated.
     """
-    f = frame_analysis(w, k, tol).k_factors
+    k_factors = frame_analysis(w, k, tol).k_factors
+    k_term = k_factors.singular_values[:, None] * k_factors.u.T
     for (w_sub, w_weight), (z_sub, z_weight) in zip(w.members, z.members):
-        q = orthonormal_range(np.hstack([w_sub.basis, z_sub.basis, f.u]), tol)
-        if q.shape[1] == 0:
+        terms = (
+            lambda1 * w_weight * w_sub.basis.T,
+            lambda2 * z_weight * z_sub.basis.T,
+            epsilon * w_weight * k_term,
+        )
+        right = np.vstack(terms)
+        if right.shape[0] == 0:
             continue
         y, gap = _member_gap(w_sub, w_weight, z_sub, z_weight)
-        y_q = y.T @ q
-        a = gap @ y_q
-        # few rows that keep each norm: ||Delta Q g|| = ||G Y* Q g||
-        terms = (
-            lambda1 * w_weight * y_q[: w_sub.dim],
-            lambda2 * z_weight * y_q[w_sub.dim :],
-            epsilon * w_weight * f.singular_values[:, None] * (f.u.T @ q),
-        )
-        pencil = max_rayleigh(a.T, np.vstack(terms).T, tol)
-        mu, g = pencil.value, pencil.maximizer
-        rhs = sum(np.linalg.norm(t @ g) for t in terms)
-        yield mu, q @ g, not at_most(np.linalg.norm(a @ g), rhs, tol)
+        # few rows that keep each norm: ||Delta f|| = ||G Y* f||
+        a = gap @ y.T
+        pencil = max_rayleigh(a.T, right.T, tol)
+        mu, f = pencil.value, pencil.maximizer
+        rhs = sum(np.linalg.norm(t @ f) for t in terms)
+        yield mu, f, not at_most(np.linalg.norm(a @ f), rhs, tol)
 
 
 def _window(predicted: FrameBounds, actual: Certificate, tol: ToleranceProfile):
@@ -132,11 +131,9 @@ def _window(predicted: FrameBounds, actual: Certificate, tol: ToleranceProfile):
     if not actual.passed:
         return False, f"verified bounds none, {window}"
     lower, upper = actual.bounds.lower, actual.bounds.upper
-    low_gap, low_allowed = agreement(predicted.lower, lower, tol)
-    high_gap, high_allowed = agreement(upper, predicted.upper, tol)
-    inside = (predicted.lower <= lower or low_gap <= low_allowed) and (
-        upper <= predicted.upper or high_gap <= high_allowed
-    )
+    ends = ((predicted.lower, lower), (upper, predicted.upper))
+    inside = all(at_most(a, b, tol) for a, b in ends)
+    low_allowed, high_allowed = (agreement(a, b, tol)[1] for a, b in ends)
     numbers = f"verified bounds [{lower}, {upper}], {window}"
     return inside, f"{numbers}, allowed gaps {low_allowed} below and {high_allowed} above"
 
@@ -167,7 +164,8 @@ def certify_perturbation(
     """
     if not (0.0 < lambda1 < 1.0 and 0.0 < lambda2 < 1.0):
         raise ValueError("lambda parameters must lie strictly between 0 and 1")
-    if epsilon <= 0.0:
+    # written so that NaN fails too
+    if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
     if len(w) != len(z) or w.ambient_dim != z.ambient_dim:
         raise ValueError("systems must have matching layout")

@@ -137,19 +137,50 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("case", MALFORMED)
-def test_a_malformed_field_is_an_input_error(runner, tmp_path, case):
-    command, (*keys, last), value = MALFORMED[case]
+def _edited_r3(tmp_path, keys, value) -> str:
+    """The path of a copy of example_r3.json with the field at ``keys`` set to ``value``."""
+    *keys, last = keys
     doc = json.loads((DATA / "example_r3.json").read_text())
     field = doc
     for key in keys:
         field = field[key]
     field[last] = value
-    path = tmp_path / "malformed.json"
+    path = tmp_path / "edited.json"
     path.write_text(json.dumps(doc))
-    result = invoke(runner, command, "--in", str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_a_malformed_field_is_an_input_error(runner, tmp_path, case):
+    command, keys, value = MALFORMED[case]
+    result = invoke(runner, command, "--in", _edited_r3(tmp_path, keys, value))
     assert result.exit_code == 2, result.output
     assert "input error" in result.output
+
+
+# (command, path to the field in example_r3.json, a value with a JSON NaN or Infinity, its label)
+NON_FINITE = {
+    "k-row-of-floats": (
+        "verify", ("k_matrix", "entries", 0), [np.nan, 0.0, 0.0], "k_matrix row 0[0]"
+    ),
+    "span-entry": (
+        "verify",
+        ("systems", "W", "members", 0, "span", 0, 2),
+        np.inf,
+        "system 'W' member 0 span vector 0[2]",
+    ),
+    "epsilon": (
+        "perturb", ("options", "perturbation", "epsilon"), np.nan, "options.perturbation.epsilon"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_a_non_finite_number_is_an_input_error_that_names_its_field(runner, tmp_path, case):
+    command, keys, value, label = NON_FINITE[case]
+    result = invoke(runner, command, "--in", _edited_r3(tmp_path, keys, value))
+    assert result.exit_code == 2, result.output
+    assert f"input error: {label}: expected a finite number" in result.output
 
 
 # --------------------------------------------------------------- factorization

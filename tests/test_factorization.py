@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import bisected_synthesis_instance, make_system, random_fusion_system, skewed
-from kfusion import factorization, frames
+from kfusion import factorization, frames, numerics
 from kfusion.duality import qk_dual_from_x
 from kfusion.factorization import DouglasSolution, douglas_solve, range_included, x_w
 from kfusion.frames import (
@@ -133,6 +133,18 @@ def test_x_w_solution_is_read_only_and_not_checked_again(monkeypatch, r3_system,
     qk_dual_from_x(r3_system, r3_k, sol)
     resolution_from_x(r3_system, r3_k, sol)
     assert checked == []
+
+
+def test_x_w_reads_the_norm_its_verification_took(record_linalg):
+    """After ``verify_k_fusion``, x_w takes no second norm of Sigma^-1 U* K."""
+    w = random_fusion_system(np.random.default_rng(5), 6, [2, 2, 3, 1])
+    k = np.random.default_rng(6).standard_normal((6, 4))
+    assert verify_k_fusion(w, k).passed
+    coeff = frames.frame_analysis(w, k).pinv_matrix
+    calls = record_linalg(("spectral_norm",), kernel=numerics)
+    sol = x_w(w, k)
+    assert calls and not [c for c in calls if np.array_equal(c.args[0], coeff)]
+    assert sol.norm_sq == frames.frame_analysis(w, k).pinv_norm ** 2
 
 
 def test_solutions_x_w_did_not_check_for_this_question_are_checked(r3_system, r3_k):

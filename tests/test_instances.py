@@ -69,6 +69,12 @@ def test_float_rows_parse_as_their_exact_rational_strings():
             np.testing.assert_array_equal(got.basis, want.basis)
 
 
+def test_a_float_row_whose_sum_overflows_still_parses():
+    doc = json.loads((DATA / "example_r3.json").read_text())
+    doc["k_matrix"]["entries"][0] = [1e308, 1e308, 0.0]
+    np.testing.assert_array_equal(instance_from_document(doc).k_matrix[0], [1e308, 1e308, 0.0])
+
+
 def test_bundled_r3_matches_worked_data():
     inst = load_instance(bundled_path("example_r3.json"))
     np.testing.assert_array_equal(

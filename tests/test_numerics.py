@@ -119,6 +119,12 @@ def test_pinv_perturbed_frame_operator():
     np.testing.assert_allclose(pinv(m), expected, atol=ABS_TOLERANCE)
 
 
+def test_svd_pinv_zeroes_a_subnormal_singular_value():
+    # 1 / 1e-310 overflows, so that value is zeroed, not inverted
+    f = numerics.Svd(u=np.eye(3)[:, :2], singular_values=np.array([2.0, 1e-310]), v=np.eye(2))
+    np.testing.assert_array_equal(f.pinv(), [[0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+
 def test_spectral_norm_identity():
     assert spectral_norm(np.eye(5)) == pytest.approx(1.0, abs=ABS_TOLERANCE)
 
@@ -619,6 +625,14 @@ def test_spectral_norm_of_an_empty_matrix_is_zero(shape):
     assert spectral_norm(np.zeros(shape)) == 0.0
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_rank_pinv_and_range_of_an_empty_matrix_take_no_special_case(shape):
+    m = np.zeros(shape)
+    assert numerical_rank(m) == 0
+    assert pinv(m).shape == shape[::-1]
+    assert numerics.orthonormal_range(m).shape == (shape[0], 0)
+
+
 def test_spectral_norm_makes_no_svd(monkeypatch):
     def no_svd(*args, **kwargs):
         raise AssertionError("spectral_norm called the SVD")
@@ -648,19 +662,19 @@ DECOMPOSITION_CALLS = {
 EXEMPT = {("instances", "random_instance")}
 
 
-def _calls(tree):
-    """(enclosing top-level function or None, node) of every call in a module."""
+def _owned(tree, kind=ast.Call):
+    """(enclosing top-level function, class or None, node) of every ``kind`` node in a module."""
     for node in tree.body:
         owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
-        for call in ast.walk(node):
-            if isinstance(call, ast.Call):
-                yield owner, call
+        for sub in ast.walk(node):
+            if isinstance(sub, kind):
+                yield owner, sub
 
 
 def _linalg_calls(tree):
     """(enclosing top-level function or None, name) of every np.linalg.<name>(...) call."""
     found = []
-    for owner, call in _calls(tree):
+    for owner, call in _owned(tree):
         if not isinstance(call.func, ast.Attribute):
             continue
         parent = call.func.value
@@ -691,11 +705,23 @@ def test_every_decomposition_goes_through_numerics():
     assert not offenders, offenders
 
 
+def test_only_keeps_rank_reads_the_rank_cutoff():
+    """The cutoff rank_rel * top has one spelling: the profile stores it, ``keeps_rank`` reads it."""
+    package = Path(__file__).resolve().parents[1] / "src" / "kfusion"
+    readers = {
+        (path.stem, owner)
+        for path in sorted(package.glob("*.py"))
+        for owner, node in _owned(ast.parse(path.read_text(), filename=str(path)), ast.Attribute)
+        if node.attr == "rank_rel"
+    }
+    assert readers == {("numerics", "ToleranceProfile"), ("numerics", "keeps_rank")}
+
+
 def _generator_seeds(tree):
     """(enclosing top-level function or None, arguments) of every ``default_rng(...)`` call."""
     return [
         (owner, call.args + [kw.value for kw in call.keywords])
-        for owner, call in _calls(tree)
+        for owner, call in _owned(tree)
         if "default_rng" in {getattr(call.func, "attr", None), getattr(call.func, "id", None)}
     ]
 
@@ -792,7 +818,7 @@ def _lambdas_passed_to_numerics(tree, is_numerics=False):
     if is_numerics:
         names |= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     found = []
-    for owner, call in _calls(tree):
+    for owner, call in _owned(tree):
         func = call.func
         if isinstance(func, ast.Name) and func.id in names:
             callee = func.id

@@ -211,6 +211,11 @@ def test_certify_rejects_bad_parameters(r3_system, r3_k):
         certify_perturbation(r3_system, r3_system, r3_k, 0.1, 0.1, 0.0)
 
 
+def test_certify_rejects_a_nan_epsilon_before_any_analysis(r3_system, r3_k):
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        certify_perturbation(r3_system, r3_system, r3_k, 0.5, 0.5, np.nan)
+
+
 WINDOW_MESSAGE = re.compile(
     r"verified bounds (none|\[(\S+), (\S+)\]), predicted window \[(\S+), (\S+)\]"
     r"(?:, allowed gaps (\S+) below and (\S+) above)?$"

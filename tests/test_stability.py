@@ -12,6 +12,7 @@ from kfusion import frames, numerics, perturbation
 from kfusion.frames import (
     FusionSystem,
     Subspace,
+    frame_analysis,
     is_exact,
     map_subspace,
     subspace_from_spanning,
@@ -103,28 +104,23 @@ def test_certificate_requires_the_gap_to_vanish_off_range_k(angle, certified):
     assert (report.decided_by == "certificate") is certified
 
 
-def test_pencils_live_in_each_members_subspace(monkeypatch):
-    """Each pencil is dim S_i x dim S_i, never n x n, and the walk stops at the planted member."""
+def test_pencils_live_in_each_members_subspace(record_linalg):
+    """No member pencil decomposes an n x n matrix or forms a basis of S_i, and the walk that
+    ``certify_perturbation`` makes stops at the planted member."""
     w, z, k, _, _ = _planted()
-    n = w.ambient_dim
-    real = perturbation.max_rayleigh
-    shapes = []
-
-    def recording(a, g, tol):
-        shapes.append((np.shape(a), np.shape(g)))
-        return real(a, g, tol)
-
-    monkeypatch.setattr(perturbation, "max_rayleigh", recording)
+    n, rank = w.ambient_dim, np.linalg.matrix_rank(k)
+    # dim S_i <= dim W_i + dim Z_i + rank K < n for every member
+    assert max(ws.dim + zs.dim for (ws, _), (zs, _) in zip(w.members, z.members)) + rank < n
+    # K's factors belong to the shared analysis, taken before the pencils
+    frame_analysis(w, k).k_factors
+    calls = record_linalg(("svd", "eigh", "eigvalsh", "qr"))
+    violated = [v for _, _, v in member_pencils(w, z, k, 0.5, 0.5, 1.0)]
+    assert violated.index(True) == 3
+    assert calls and not [c.shape for c in calls if c.shape == (n, n) or c.name == "svd"]
+    pencils = record_linalg(("max_rayleigh",), kernel=numerics)
     report = certify_perturbation(w, z, k, 0.5, 0.5, 1.0)
-    k_range = orthonormal_range(k)
-    dims = [
-        orthonormal_range(np.hstack([ws.basis, zs.basis, k_range])).shape[1]
-        for (ws, _), (zs, _) in zip(w.members, z.members)
-    ]
     assert report.decided_by == "falsifier"
-    # the pencil takes the factors of both sides, which have dim S_i rows
-    assert [(m[0], g[0]) for m, g in shapes] == [(dim, dim) for dim in dims[:4]]
-    assert dims[3] == 6 and max(dims) < n
+    assert [c.caller for c in pencils].count(perturbation.member_pencils.__code__) == 4
 
 
 def _dense_ratios(w, z, k, lambda1, lambda2, epsilon):
