@@ -70,6 +70,8 @@ class PhiOperator:
         return _block_diag(self.blocks)
 
     def apply(self, bv: BlockVector) -> BlockVector:
+        if len(bv.blocks) != len(self.blocks):
+            raise ValueError(f"{len(bv.blocks)} blocks given, {len(self.blocks)} expected")
         return BlockVector(tuple(b @ c for b, c in zip(self.blocks, bv.blocks)))
 
 

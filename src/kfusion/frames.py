@@ -131,6 +131,8 @@ class FusionSystem:
         return slices
 
     def drop(self, j: int) -> "FusionSystem":
+        if not 0 <= j < len(self):
+            raise ValueError("index out of range")
         kept = self.members[:j] + self.members[j + 1 :]
         return FusionSystem(self.ambient_dim, kept)
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from kfusion import frames
 from kfusion.duality import (
+    PhiOperator,
     _block_diag,
     _canonical_local_duals,
     canonical_k_dual,
@@ -83,6 +84,12 @@ def test_phi_apply_matches_assembled_matrix(r3_system, r3_dual, r3_k):
     coeffs = BlockVector.from_stacked(rng.standard_normal(sum(r3_dual.dims())), r3_dual.dims())
     out = phi.apply(coeffs)
     np.testing.assert_allclose(out.stacked(), phi.matrix() @ coeffs.stacked(), atol=1e-12)
+
+
+def test_phi_apply_rejects_a_block_vector_with_another_block_count():
+    phi = PhiOperator((np.eye(2),))
+    with pytest.raises(ValueError, match="2 blocks given, 1 expected"):
+        phi.apply(BlockVector((np.ones(2), np.ones(1))))
 
 
 def test_inverse_on_image_fixed_matrix(r3_system, r3_k):

@@ -92,6 +92,13 @@ def test_fusion_system_rejects_nonpositive_weight():
         FusionSystem(2, ((sub, 0.0),))
 
 
+@pytest.mark.parametrize("j", [-1, 3])
+def test_fusion_system_drop_rejects_an_index_outside_its_members(r3_system, j):
+    assert r3_system.dims() == [2, 1, 1]
+    with pytest.raises(ValueError, match="index out of range"):
+        r3_system.drop(j)
+
+
 def test_block_vector_norm_splits_over_blocks():
     bv = BlockVector(((1.0, 2.0), (2.0,), ()))
     assert bv.norm_squared == 9.0
