@@ -86,20 +86,12 @@ def _bounds_dict(bounds) -> dict:
     return {"lower": float(bounds.lower), "upper": float(bounds.upper)}
 
 
-def _emit(report: Report, out_path) -> None:
+def _emit(report: Report) -> None:
     click.echo(f"command: {report.command}")
     click.echo(f"inputs: {report.inputs}")
     for key in sorted(report.results):
         click.echo(f"{key}: {json.dumps(report.results[key], sort_keys=True)}")
     click.echo(f"pass: {json.dumps(report.passed)}")
-    if out_path:
-        document = {
-            "command": report.command,
-            "inputs": report.inputs,
-            "results": report.results,
-            "pass": report.passed,
-        }
-        Path(out_path).write_text(canonical_text(document))
 
 
 def _digest(command: str, document, flags: dict, tol_flag) -> str:
@@ -129,7 +121,8 @@ def _run(build, out_path=None) -> None:
     """Emit the report ``build()`` returns and exit with the code the module docstring lists.
 
     Library warnings raised while building print on stderr, once per message,
-    as ``warning: <message>``.
+    as ``warning: <message>``. The report is written to ``out_path`` before it
+    prints: an unreadable or unwritable file is an input error, with no report.
     """
     try:
         # recorded under the active filters, so warnings they ignore stay ignored
@@ -139,13 +132,21 @@ def _run(build, out_path=None) -> None:
             finally:
                 for message in dict.fromkeys(str(w.message) for w in caught):
                     click.echo(f"warning: {message}", err=True)
-    except ValueError as exc:
+        if out_path:
+            document = {
+                "command": report.command,
+                "inputs": report.inputs,
+                "results": report.results,
+                "pass": report.passed,
+            }
+            Path(out_path).write_text(canonical_text(document))
+    except (ValueError, OSError) as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(2)
     except AgreementError as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(3)
-    _emit(report, out_path)
+    _emit(report)
     sys.exit(0 if report.passed else 1)
 
 

@@ -42,7 +42,6 @@ from kfusion.numerics import (
     span_coordinates,
     spectral_norm,
     svd,
-    symmetric_eigenvalues,
 )
 
 
@@ -622,27 +621,16 @@ def is_exact(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL) -> Exactne
     return ExactnessReport(exact=not any(removable), removable=removable, certificates=certificates)
 
 
-def restricted_bounds(s, sub: Subspace, tol: ToleranceProfile = DEFAULT_TOL):
-    """Extremal quadratic-form values of a PSD matrix on a subspace.
-
-    Returns (lower, upper, complete) where complete means the form is
-    positive definite on the subspace at the working rank cutoff.
-    """
-    s = as_matrix(s)
-    if sub.dim == 0:
-        return 0.0, 0.0, True
-    vals = symmetric_eigenvalues(sub.basis.T @ s @ sub.basis)
-    complete = keeps_rank(vals[0], vals[-1], tol)
-    return max(float(vals[0]), 0.0), max(float(vals[-1]), 0.0), complete
-
-
 def transform_kdag(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL):
     """Image system under the pseudo-inverse of K, certified on the row space of K.
 
     Members are the pseudo-inverse images of the originals with unchanged
-    weights; the certificate carries fusion frame bounds relative to the
-    row space of K (finite families are automatically Bessel, so no
-    separate hypothesis check is needed).
+    weights, so they lie in the row space of K. Their fusion frame bounds
+    there are the K-fusion bounds against B, the orthonormal basis of that
+    row space from K's truncated SVD: the certificate is
+    ``verify_k_fusion(image, B)``, whose range obstruction names a column
+    of B (finite families are automatically Bessel, so no separate
+    hypothesis check is needed).
     """
     k = as_matrix(k)
     if k.shape[0] != w.ambient_dim:
@@ -653,14 +641,7 @@ def transform_kdag(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL):
     kd = f.pinv()
     members = tuple((map_subspace(kd, sub, tol), weight) for sub, weight in w.members)
     image = FusionSystem(kd.shape[0], members)
-    row_space = Subspace(kd.shape[0], f.v)
-    lower, upper, complete = restricted_bounds(frame_operator(image), row_space, tol)
-    cert = Certificate(
-        passed=complete,
-        bounds=FrameBounds(lower=lower, upper=upper, optimal=True),
-        message="fusion frame bounds relative to the row space of K",
-    )
-    return image, cert
+    return image, verify_k_fusion(image, f.v, tol)
 
 
 def transform_sinv(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL):
@@ -668,20 +649,16 @@ def transform_sinv(w: FusionSystem, k, tol: ToleranceProfile = DEFAULT_TOL):
 
     Applies ``pinv(S_W @ P)`` to each member, where P projects onto the
     range of K; this is the matrix realization of inverting the frame
-    operator on the image of that range. Certified on the range of K.
+    operator on the image of that range. The members then lie in the range
+    of K, and the certificate is ``verify_k_fusion(image, B)`` with B the
+    basis ``k_factors.u`` of that range from W's analysis; its range
+    obstruction names a column of B.
     """
     analysis = frame_analysis(w, k, tol).require()
     inv_on_image = analysis.inverse_on_image
     members = tuple((map_subspace(inv_on_image, sub, tol), weight) for sub, weight in w.members)
     image = FusionSystem(w.ambient_dim, members)
-    col_space = Subspace(w.ambient_dim, analysis.k_factors.u)
-    lower, upper, complete = restricted_bounds(frame_operator(image), col_space, tol)
-    cert = Certificate(
-        passed=complete,
-        bounds=FrameBounds(lower=lower, upper=upper, optimal=True),
-        message="fusion frame bounds relative to the range of K",
-    )
-    return image, cert
+    return image, verify_k_fusion(image, analysis.k_factors.u, tol)
 
 
 def transform_q(w: FusionSystem, q, k, tol: ToleranceProfile = DEFAULT_TOL):
@@ -751,7 +728,9 @@ def k_image_frame(
 
     With ``intersect_first`` the members are first replaced by their
     intersections with the row space, so any fusion frame of the whole
-    space can be fed in.
+    space can be fed in. The input is a fusion frame of the row space when
+    it passes ``verify_k_fusion`` against B, the row space's orthonormal
+    basis; that certificate's bounds are the details' ``input_bounds``.
     """
     k = as_matrix(k)
     if k.shape[0] != wrel.ambient_dim:
@@ -767,13 +746,13 @@ def k_image_frame(
         for idx, (sub, _) in enumerate(base.members):
             if outside_column(sub.basis, row_space.basis, tol) is not None:
                 raise ValueError(f"member {idx} leaves the row space of K")
-    lower, upper, complete = restricted_bounds(frame_operator(base), row_space, tol)
-    if not complete or lower <= 0.0:
+    base_cert = verify_k_fusion(base, row_space.basis, tol)
+    if not base_cert.passed:
         raise ValueError("input system is not a fusion frame for the row space of K")
     members = tuple((map_subspace(k, sub, tol), weight) for sub, weight in base.members)
     image = FusionSystem(k.shape[0], members)
     cert = verify_k_fusion(image, k, tol)
-    cert.details["input_bounds"] = FrameBounds(lower=lower, upper=upper, optimal=True)
+    cert.details["input_bounds"] = base_cert.bounds
     return image, cert
 
 

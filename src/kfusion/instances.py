@@ -56,13 +56,7 @@ def _parse_vector(entries, length: int, where: str) -> np.ndarray:
     # that overflows only sends finite entries down the per-entry path
     if set(map(type, entries)) <= {float} and math.isfinite(sum(entries)):
         return np.array(entries)
-    try:
-        return np.array([parse_number(v, where) for v in entries])
-    except ValueError:
-        # parse again with each entry's own label, built only on this error path
-        for i, v in enumerate(entries):
-            parse_number(v, f"{where}[{i}]")
-        raise
+    return np.array([parse_number(v, f"{where}[{i}]") for i, v in enumerate(entries)])
 
 
 @dataclass(eq=False)

@@ -19,7 +19,6 @@ from kfusion.frames import (
     BlockVector,
     FusionSystem,
     frame_analysis,
-    range_projector,
     subspace_from_columns,
     synthesis,
     verify_k_fusion,
@@ -291,19 +290,22 @@ def pinv_via_xw(w: FusionSystem, k, f, tol: ToleranceProfile = DEFAULT_TOL):
     computation is the pseudo-inverse of the range-projected synthesis
     applied to f. The report carries the gap for the plain blocks and for
     the weight-scaled blocks, since the two conventions genuinely differ;
-    the returned block vector is the weight-scaled one.
+    the returned block vector is the weight-scaled one. The range projector
+    and pinv(T_W) come from the shared analysis of (W, K, tol); the oracle
+    takes its own pseudo-inverse of the projected synthesis.
     """
-    k = as_matrix(k)
     f = np.asarray(f, dtype=float).reshape(-1)
     if f.shape[0] != w.ambient_dim:
         raise ValueError("vector must live in the ambient space")
-    p_r = range_projector(k, tol)
+    analysis = frame_analysis(w, k, tol)
+    basis = analysis.k_factors.u
+    p_r = basis @ basis.T
     projected = p_r @ f
     was_outside = not negligible(np.linalg.norm(f - projected), np.linalg.norm(f), tol)
     if was_outside:
         warnings.warn("vector outside range(K) was projected", stacklevel=2)
     t_w = synthesis(w)
-    plain = BlockVector.from_stacked(pinv(t_w, tol) @ projected, w.dims())
+    plain = BlockVector.from_stacked(analysis.factors.pinv() @ projected, w.dims())
     weighted = BlockVector(
         tuple(weight * b for b, (_, weight) in zip(plain.blocks, w.members))
     )

@@ -212,7 +212,6 @@ def test_criterion_5_perturbed_operator_displays(r3_system, r3_perturbed, r3_k):
 
 
 @pytest.mark.xfail(
-    strict=True,
     reason="the merged-member perturbation constant is sqrt(2)/2, not below 1/2",
 )
 def test_criterion_5_analysis_epsilon_below_half(r3_system, r3_perturbed, r3_k):
@@ -225,7 +224,6 @@ def test_criterion_5_analysis_epsilon_below_half(r3_system, r3_perturbed, r3_k):
 
 
 @pytest.mark.xfail(
-    strict=True,
     reason="the deviation norms are sqrt(2)/6 and 1/2, not 1/6 and 1/3",
 )
 def test_criterion_5_deviation_norms(r3_system, r3_perturbed, r3_k):
@@ -239,7 +237,6 @@ def test_criterion_5_deviation_norms(r3_system, r3_perturbed, r3_k):
 
 
 @pytest.mark.xfail(
-    strict=True,
     reason="the stability threshold evaluates to 7/9, not 1",
 )
 def test_criterion_5_threshold_value(r3_system, r3_perturbed, r3_k):
@@ -252,7 +249,6 @@ def test_criterion_5_threshold_value(r3_system, r3_perturbed, r3_k):
 
 
 @pytest.mark.xfail(
-    strict=True,
     reason="the canonical dual sits at distance sqrt(2)/3 from K, not below 1/4",
 )
 def test_criterion_5_approximate_dual_norm(r3_system, r3_perturbed, r3_k):
@@ -300,7 +296,6 @@ def test_criterion_6_pinv_route_on_range_aligned_instances():
 
 
 @pytest.mark.xfail(
-    strict=True,
     reason="the minimal synthesis preimage differs from the pseudo-inverse of "
     "the projected synthesis whenever range(T_W) meets the orthogonal "
     "complement of range(K); an oblique member produces a gap of 1/sqrt(3)",

@@ -552,6 +552,8 @@ LEDGER = {
     "local_duality_equiv": _local_duality,
     "check_sws_range_condition": lambda w, z, v, k: duality.check_sws_range_condition(w, k),
     "minimal_dual_test": lambda w, z, v, k: duality.minimal_dual_test(w, k, v),
+    "pinv_via_xw": lambda w, z, v, k: resolution.pinv_via_xw(w, k, k[:, 0]),
+    "transform_sinv": lambda w, z, v, k: frames.transform_sinv(w, k),
     "golden_observations": lambda w, z, v, k: cli._golden_observations(numerics.DEFAULT_TOL),
     "random": lambda w, z, v, k: CliRunner().invoke(cli.main, ["random"], catch_exceptions=False),
 }

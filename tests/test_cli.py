@@ -101,6 +101,27 @@ def test_malformed_file_is_an_input_error(runner, tmp_path):
     assert "input error" in result.output
 
 
+def test_an_unreadable_instance_file_is_an_input_error(runner, monkeypatch):
+    def unreadable(path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "read_document", unreadable)
+    result = invoke(runner, "verify", "--in", R3)
+    assert result.exit_code == 2, result.output
+    assert result.output == f"input error: [Errno 13] Permission denied: '{R3}'\n"
+
+
+@pytest.mark.parametrize(
+    "args", [("verify", "--in", R3), ("examples",), ("random",)], ids=lambda a: a[0]
+)
+def test_an_unwritable_out_path_is_an_input_error_that_prints_no_report(runner, tmp_path, args):
+    out = tmp_path / "missing" / "report.json"
+    result = invoke(runner, *args, "--out", str(out))
+    assert result.exit_code == 2, result.output
+    assert result.output == f"input error: [Errno 2] No such file or directory: '{out}'\n"
+    assert not out.parent.exists()
+
+
 def test_negative_tolerance_is_an_input_error(runner):
     result = invoke(runner, "verify", "--in", R3, "--tol", "-1")
     assert result.exit_code == 2

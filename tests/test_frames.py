@@ -18,7 +18,6 @@ from kfusion.frames import (
     k_image_frame,
     map_subspace,
     range_projector,
-    restricted_bounds,
     same_subspace,
     subspace_contains,
     subspace_from_columns,
@@ -247,14 +246,6 @@ def test_is_minimal_takes_one_svd_of_the_bases_side_by_side(record_linalg, r4_sy
     assert [(c.name, c.shape) for c in calls] == [("svd", (4, 3))]
 
 
-def test_restricted_bounds_take_one_eigendecomposition(record_linalg, r3_system):
-    plane = r3_system.members[0][0]
-    calls = record_linalg(("svd", "eigh", "eigvalsh"))
-    lower, upper, complete = restricted_bounds(frame_operator(r3_system), plane)
-    assert [(c.name, c.shape) for c in calls] == [("eigvalsh", (2, 2))]
-    assert complete and (lower, upper) == pytest.approx((2.0, 2.0), rel=1e-12)
-
-
 def test_is_exact_plane_line(r4_system, r4_k):
     report = is_exact(r4_system, r4_k)
     assert not report.exact
@@ -328,6 +319,55 @@ def test_transform_sinv_random_instance(r3_k):
     image, cert = transform_sinv(w, r3_k)
     assert cert.passed
     assert cert.bounds.lower > 0.0
+
+
+def _extremes_on(members, basis):
+    """Smallest and largest eigenvalue of B* S B, S the frame operator of ``members``."""
+    s = sum(weight**2 * sub.basis @ sub.basis.T for sub, weight in members)
+    vals = np.linalg.eigvalsh(basis.T @ s @ basis)
+    return pytest.approx((vals[0], vals[-1]), rel=DEFAULT_TOL.eq_rel)
+
+
+@pytest.mark.parametrize("entropy", range(8))
+def test_relative_bounds_are_the_extreme_eigenvalues_on_their_subspace(entropy):
+    """Each relative-bound certificate reads the extremes of B* S B, B the subspace's basis."""
+    rng = np.random.default_rng(entropy)
+    n = int(rng.integers(3, 8))
+    rank = int(rng.integers(1, n + 1))
+    k = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, n))
+    u, _, vt = np.linalg.svd(k)
+    w = random_fusion_system(rng, n, list(rng.integers(1, n, size=n)))
+    image, cert = transform_kdag(w, k)
+    assert cert.passed and (cert.bounds.lower, cert.bounds.upper) == _extremes_on(
+        image.members, vt[:rank].T
+    )
+    image, cert = transform_sinv(w, k)
+    assert cert.passed and (cert.bounds.lower, cert.bounds.upper) == _extremes_on(
+        image.members, u[:, :rank]
+    )
+    dims = rng.integers(1, rank + 1, size=rank + 1)
+    spans = [(vt[:rank].T @ rng.standard_normal((rank, d))).T for d in dims]
+    base = make_system(n, spans, list(rng.uniform(0.5, 2.0, dims.size)))
+    _, cert = k_image_frame(base, k)
+    given = cert.details["input_bounds"]
+    assert (given.lower, given.upper) == _extremes_on(base.members, vt[:rank].T)
+
+
+@pytest.mark.parametrize("transform", [transform_kdag, transform_sinv])
+def test_relative_bounds_are_cross_checked(monkeypatch, transform, r3_system, r3_k):
+    frames.frame_analysis(r3_system, r3_k)
+    real = frames.max_rayleigh
+    monkeypatch.setattr(frames, "max_rayleigh", lambda m, g, tol: skewed(real(m, g, tol)))
+    with pytest.raises(AgreementError, match="optimal lower bound mismatch"):
+        transform(r3_system, r3_k)
+
+
+def test_a_member_in_the_kernel_of_the_pseudo_inverse_warns_as_a_zero_member():
+    w = make_system(3, [[(1, 0, 0), (0, 1, 0)], [(0, 0, 1)]])
+    with pytest.warns(UserWarning, match="zero-dimensional members"):
+        image, cert = transform_kdag(w, np.diag([1.0, 1.0, 0.0]))
+    assert image.dims() == [2, 0]
+    assert cert.passed and (cert.bounds.lower, cert.bounds.upper) == pytest.approx((1.0, 1.0))
 
 
 def test_transform_q_identity(r3_system, r3_k):
