@@ -33,19 +33,14 @@ from .frames import (
 from .instances import (
     canonical_text,
     document_digest,
+    document_tolerance,
     instance_from_document,
-    parse_int,
     parse_number,
     random_instance,
     read_document,
     save_instance,
 )
-from .numerics import (
-    DEFAULT_TOL,
-    AgreementError,
-    ToleranceProfile,
-    spectral_norm,
-)
+from .numerics import AgreementError, ToleranceProfile, spectral_norm
 from .perturbation import (
     analysis_epsilon,
     approximate_dual_norm,
@@ -104,17 +99,7 @@ def _tolerance(document, tol_flag) -> ToleranceProfile:
     """The profile from ``--tol`` if given, else from the document's ``options.tolerance``."""
     if tol_flag is not None:
         return ToleranceProfile(eq_abs=tol_flag, eq_rel=10.0 * tol_flag)
-    # a malformed document or options block is reported when the instance is built
-    options = document.get("options") if isinstance(document, dict) else None
-    overrides = options.get("tolerance", {}) if isinstance(options, dict) else {}
-    if not isinstance(overrides, dict):
-        raise ValueError("options.tolerance must be an object")
-    kwargs = {
-        name: parse_number(overrides[name], f"options.tolerance.{name}")
-        for name in ("rank_rel", "eq_abs", "eq_rel")
-        if name in overrides
-    }
-    return ToleranceProfile(**kwargs) if kwargs else DEFAULT_TOL
+    return document_tolerance(document)
 
 
 def _run(build, out_path=None) -> None:
@@ -171,13 +156,7 @@ def instance_command(name: str, system=None):
     Options: ``--in``, ``--tol``, ``--out``, then ``--system`` if ``system`` gives
     its (default, help). The help text is compute's docstring.
     """
-    in_option = click.option(
-        "--in",
-        "in_path",
-        required=True,
-        type=click.Path(exists=True, dir_okay=False),
-        help="instance file to load",
-    )
+    in_option = click.option("--in", "in_path", required=True, help="instance file to load")
     options = [in_option, _tol_option, _out_option]
     if system is not None:
         options.append(click.option("--system", "system_name", default=system[0], help=system[1]))
@@ -278,27 +257,12 @@ def canonical_dual(instance, tol):
 @instance_command("enlarge-dual")
 def enlarge_dual_cmd(instance, tol):
     """Extend one dual member by the orthogonal summand named in the instance."""
-    opts = instance.options.get("enlarge")
-    if not isinstance(opts, dict):
-        raise ValueError("instance option 'enlarge' is required for this command")
-    base = instance.system(opts.get("system", "V"))
-    try:
-        index = parse_int(opts["index"], "options.enlarge.index")
-        span = opts["span"]
-    except KeyError as exc:
-        raise ValueError(f"options.enlarge: missing field {exc.args[0]!r}") from exc
-    if not isinstance(span, list) or not all(isinstance(vec, list) for vec in span):
-        raise ValueError("options.enlarge.span: expected a list of vectors")
-    vectors = [
-        np.array([parse_number(x, f"options.enlarge span vector {j}") for x in vec])
-        for j, vec in enumerate(span)
-    ]
-    summand = subspace_from_spanning(vectors, tol)
+    base_name, base, index, summand = instance.enlarge(tol)
     enlarged, cert = enlarge_dual(
         instance.system("W"), instance.k_matrix, base, index, summand, tol
     )
     results = {
-        "base_system": opts.get("system", "V"),
+        "base_system": base_name,
         "index": index,
         "member_dims": enlarged.dims(),
         "residual": float(cert.residual),
@@ -344,16 +308,7 @@ def minimal_norm(instance, tol):
 @instance_command("perturb", system=("Z", "perturbed system"))
 def perturb(instance, tol, system_name):
     """Certify or falsify the three-parameter perturbation hypothesis."""
-    params = instance.options.get("perturbation")
-    if not isinstance(params, dict):
-        raise ValueError("instance option 'perturbation' is required for this command")
-    try:
-        values = {
-            name: parse_number(params[name], f"options.perturbation.{name}")
-            for name in ("epsilon", "lambda1", "lambda2")
-        }
-    except KeyError as exc:
-        raise ValueError(f"options.perturbation: missing field {exc.args[0]!r}") from exc
+    values = instance.perturbation()
     w, z, k = instance.system("W"), instance.system(system_name), instance.k_matrix
     outcome = certify_perturbation(
         w, z, k, values["lambda1"], values["lambda2"], values["epsilon"], tol

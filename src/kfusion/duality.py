@@ -472,13 +472,10 @@ def minimal_dual_test(
     )
 
 
-def component_preserving_duals(
-    w: FusionSystem, psi, tol: ToleranceProfile = DEFAULT_TOL, k=None
-):
+def component_preserving_duals(w: FusionSystem, psi, tol: ToleranceProfile = DEFAULT_TOL, *, k):
     """Dual system whose coefficient operator acts block by block.
 
-    ``psi`` must satisfy ``psi @ T_W.T = K.T``; when K is not supplied it is
-    taken to be the operator that equation defines. Member i of the dual is
+    ``psi`` must satisfy ``psi @ T_W.T = K.T``. Member i of the dual is
     the span of the i-th column block of ``psi``, and the block-diagonal
     coefficient operator reproduces K exactly.
     """
@@ -486,14 +483,10 @@ def component_preserving_duals(
     t_w = synthesis(w)
     if psi.shape != (w.ambient_dim, t_w.shape[1]):
         raise ValueError("psi must map W coefficients into the ambient space")
-    implied = (psi @ t_w.T).T
-    if k is None:
-        k = implied
-    else:
-        k = as_matrix(k)
-        gap = spectral_norm(implied - k)
-        if not negligible(gap, spectral_norm(k), tol):
-            raise ValueError(f"psi equation residual {gap} exceeds tolerance")
+    k = as_matrix(k)
+    gap = spectral_norm((psi @ t_w.T).T - k)
+    if not negligible(gap, spectral_norm(k), tol):
+        raise ValueError(f"psi equation residual {gap} exceeds tolerance")
     members = tuple(
         (subspace_from_columns(psi[:, sl], tol), 1.0) for sl in w.block_slices()
     )

@@ -4,7 +4,8 @@ Instances are single JSON documents. Matrix and vector entries may be JSON
 numbers or strings like ``"1/2"``; strings are parsed exactly as rationals
 before conversion to float, so golden data stays free of decimal-entry
 drift. Spanning sets are stored pre-orthonormalization to remain
-human-auditable and are orthonormalized on load.
+human-auditable and are orthonormalized on load. This module reads every
+field of a document, the ``options`` blocks included.
 """
 
 from __future__ import annotations
@@ -59,6 +60,42 @@ def _parse_vector(entries, length: int, where: str) -> np.ndarray:
     return np.array([parse_number(v, f"{where}[{i}]") for i, v in enumerate(entries)])
 
 
+def _parse_span(span: list, length: int, where: str, tol: ToleranceProfile):
+    """The subspace spanned by a list of vectors, the j-th labelled ``<where> span vector j``."""
+    vectors = [_parse_vector(v, length, f"{where} span vector {j}") for j, v in enumerate(span)]
+    return subspace_from_spanning(vectors, tol)
+
+
+def _parse_fields(block: dict, where: str, parsers: dict) -> dict:
+    """Each named field of ``block`` in order, read by ``parse(value, "<where>.<name>")``.
+
+    A parser of None keeps the value as it is, and a missing field is an
+    error. At the top level ``where`` is empty and a field's label is its name.
+    """
+    fields = {}
+    for name, parse in parsers.items():
+        if name not in block:
+            raise ValueError(f"{where}: missing field {name!r}".lstrip(": "))
+        label = f"{where}.{name}".lstrip(".")
+        fields[name] = block[name] if parse is None else parse(block[name], label)
+    return fields
+
+
+def document_tolerance(doc) -> ToleranceProfile:
+    """The profile the document's ``options.tolerance`` sets, else ``DEFAULT_TOL``."""
+    # a malformed document or options block is reported when the instance is built
+    options = doc.get("options") if isinstance(doc, dict) else None
+    overrides = options.get("tolerance", {}) if isinstance(options, dict) else {}
+    if not isinstance(overrides, dict):
+        raise ValueError("options.tolerance must be an object")
+    kwargs = {
+        name: parse_number(overrides[name], f"options.tolerance.{name}")
+        for name in ("rank_rel", "eq_abs", "eq_rel")
+        if name in overrides
+    }
+    return ToleranceProfile(**kwargs) if kwargs else DEFAULT_TOL
+
+
 @dataclass(eq=False)
 class ProblemInstance:
     """One parsed instance: ambient dimension, K, named systems, options."""
@@ -74,15 +111,34 @@ class ProblemInstance:
             raise ValueError(f"instance has no system named {name!r}")
         return self.systems[name]
 
+    def _option(self, name: str) -> dict:
+        block = self.options.get(name)
+        if not isinstance(block, dict):
+            raise ValueError(f"instance option {name!r} is required for this command")
+        return block
+
+    def enlarge(self, tol: ToleranceProfile = DEFAULT_TOL) -> tuple:
+        """``options.enlarge`` as (system name, that system, member index, summand)."""
+        block = self._option("enlarge")
+        name = block.get("system", "V")
+        base = self.system(name)
+        parsers = {"index": parse_int, "span": None}
+        index, span = _parse_fields(block, "options.enlarge", parsers).values()
+        if not isinstance(span, list) or not all(isinstance(vec, list) for vec in span):
+            raise ValueError("options.enlarge.span: expected a list of vectors")
+        return name, base, index, _parse_span(span, self.ambient_dim, "options.enlarge", tol)
+
+    def perturbation(self) -> dict:
+        """``options.perturbation`` as its numbers epsilon, lambda1 and lambda2."""
+        parsers = dict.fromkeys(("epsilon", "lambda1", "lambda2"), parse_number)
+        return _parse_fields(self._option("perturbation"), "options.perturbation", parsers)
+
 
 def _parse_k(doc_k, ambient_dim: int) -> np.ndarray:
     if not isinstance(doc_k, dict):
         raise ValueError("k_matrix: expected an object with rows, cols, entries")
-    try:
-        rows, cols = (parse_int(doc_k[name], f"k_matrix.{name}") for name in ("rows", "cols"))
-        entries = doc_k["entries"]
-    except KeyError as exc:
-        raise ValueError(f"k_matrix: missing field {exc.args[0]!r}") from exc
+    parsers = {"rows": parse_int, "cols": parse_int, "entries": None}
+    rows, cols, entries = _parse_fields(doc_k, "k_matrix", parsers).values()
     if rows != ambient_dim:
         raise ValueError("k_matrix: rows must equal ambient_dim")
     if not isinstance(entries, list) or len(entries) != rows:
@@ -106,11 +162,7 @@ def _parse_system(name: str, body, ambient_dim: int, tol: ToleranceProfile):
         span = member.get("span")
         if not isinstance(span, list):
             raise ValueError(f"{where}: expected a span list")
-        vectors = [
-            _parse_vector(v, ambient_dim, f"{where} span vector {j}")
-            for j, v in enumerate(span)
-        ]
-        members.append((subspace_from_spanning(vectors, tol), weight))
+        members.append((_parse_span(span, ambient_dim, where, tol), weight))
     return FusionSystem(ambient_dim, tuple(members))
 
 
@@ -118,14 +170,10 @@ def instance_from_document(doc, tol: ToleranceProfile = DEFAULT_TOL) -> ProblemI
     """Validate a parsed document and build the working instance."""
     if not isinstance(doc, dict):
         raise ValueError("instance document must be an object")
-    if "ambient_dim" not in doc:
-        raise ValueError("missing field 'ambient_dim'")
-    ambient_dim = parse_int(doc["ambient_dim"], "ambient_dim")
+    ambient_dim = _parse_fields(doc, "", {"ambient_dim": parse_int})["ambient_dim"]
     if ambient_dim <= 0:
         raise ValueError("ambient_dim must be positive")
-    if "k_matrix" not in doc:
-        raise ValueError("missing field 'k_matrix'")
-    k = _parse_k(doc["k_matrix"], ambient_dim)
+    k = _parse_k(_parse_fields(doc, "", {"k_matrix": None})["k_matrix"], ambient_dim)
     raw_systems = doc.get("systems")
     if not isinstance(raw_systems, dict) or "W" not in raw_systems:
         raise ValueError("instance must name at least one system 'W'")

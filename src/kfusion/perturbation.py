@@ -29,7 +29,6 @@ from kfusion.numerics import (
     as_matrix,
     at_most,
     max_rayleigh,
-    negligible,
     outside_column,
     r_factor,
     spectral_norm,
@@ -179,10 +178,8 @@ def certify_perturbation(
         # Delta is symmetric, so ||Delta X|| = ||X Y (R D)*|| for a symmetric projector X
         y, gap = _member_gap(w_sub, w_weight, z_sub, z_weight)
         image = y @ gap.T
-        inside = k_range.T @ image
-        if not (
-            negligible(spectral_norm(image - k_range @ inside), 0.0, tol)
-            and negligible(spectral_norm(inside) - epsilon * w_weight * sigma_min, 0.0, tol)
+        if outside_column(image, k_range, tol) is not None or not at_most(
+            spectral_norm(k_range.T @ image), epsilon * w_weight * sigma_min, tol
         ):
             certified = False
             break

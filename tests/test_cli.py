@@ -12,8 +12,8 @@ from click.testing import CliRunner
 from conftest import bisected_synthesis_instance
 from kfusion import cli
 from kfusion.factorization import x_w
-from kfusion.instances import canonical_text
-from kfusion.numerics import AgreementError, spectral_norm
+from kfusion.instances import canonical_text, load_instance
+from kfusion.numerics import DEFAULT_TOL, AgreementError, spectral_norm
 
 ABS_TOLERANCE = 1e-9
 
@@ -91,6 +91,13 @@ def test_unknown_system_is_an_input_error(runner):
 def test_missing_file_is_an_input_error(runner):
     result = invoke(runner, "verify", "--in", "nope.json")
     assert result.exit_code == 2
+    assert result.output == "input error: [Errno 2] No such file or directory: 'nope.json'\n"
+
+
+def test_a_directory_is_an_input_error(runner, tmp_path):
+    result = invoke(runner, "verify", "--in", str(tmp_path))
+    assert result.exit_code == 2
+    assert result.output == f"input error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
 
 def test_malformed_file_is_an_input_error(runner, tmp_path):
@@ -202,6 +209,31 @@ def test_a_non_finite_number_is_an_input_error_that_names_its_field(runner, tmp_
     result = invoke(runner, command, "--in", _edited_r3(tmp_path, keys, value))
     assert result.exit_code == 2, result.output
     assert f"input error: {label}: expected a finite number" in result.output
+
+
+# options.enlarge.span values for example_r3.json, each read like a member's span,
+# and the input error each prints
+ENLARGE_SPANS = {
+    "short-vector": ([["0", "1"]], "options.enlarge span vector 0: expected 3 entries"),
+    "long-second-vector": (
+        [["0", "0", "1"], ["1", "0", "0", "0"]],
+        "options.enlarge span vector 1: expected 3 entries",
+    ),
+    "unparsable-entry": (
+        [["0", "x", "1"]], "options.enlarge span vector 0[1]: cannot parse 'x' as a rational"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ENLARGE_SPANS)
+def test_an_enlarge_span_vector_is_checked_and_labelled_like_a_member_span(
+    runner, tmp_path, case
+):
+    span, message = ENLARGE_SPANS[case]
+    path = _edited_r3(tmp_path, ("options", "enlarge", "span"), span)
+    result = invoke(runner, "enlarge-dual", "--in", path)
+    assert result.exit_code == 2, result.output
+    assert result.output == f"input error: {message}\n"
 
 
 # --------------------------------------------------------------- factorization
@@ -338,6 +370,29 @@ def test_perturb_certifies_bundled_parameters(runner, tmp_path):
     assert abs(results["analysis_epsilon"] - np.sqrt(0.5)) <= 1e-9
 
 
+def test_perturb_prints_a_witness_that_violates_the_hypothesis(runner, tmp_path):
+    params = {"epsilon": "1/100", "lambda1": "1/10", "lambda2": "1/10"}
+    path = _edited_r3(tmp_path, ("options", "perturbation"), params)
+    out = tmp_path / "report.json"
+    result = invoke(runner, "perturb", "--in", path, "--out", str(out))
+    assert result.exit_code == 1, result.output
+    results = report_from(out)["results"]
+    assert not results["certified"] and results["decided_by"] == "falsifier"
+    assert json.loads(stdout_lines(result.output)["witness"]) == results["witness"]
+    f = np.array(results["witness"])
+    instance = load_instance(path)
+    k_term = np.linalg.norm(instance.k_matrix.T @ f)
+
+    def violated(member, other):
+        (w_sub, w_weight), (z_sub, z_weight) = member, other
+        w_part, z_part = w_weight * w_sub.projector() @ f, z_weight * z_sub.projector() @ f
+        rhs = 0.1 * (np.linalg.norm(w_part) + np.linalg.norm(z_part)) + 0.01 * w_weight * k_term
+        return np.linalg.norm(w_part - z_part) > rhs
+
+    members = zip(instance.system("W").members, instance.system("Z").members)
+    assert any(violated(member, other) for member, other in members)
+
+
 def test_perturb_requires_parameters(runner, tmp_path):
     doc = json.loads((DATA / "example_r3.json").read_text())
     del doc["options"]["perturbation"]["epsilon"]
@@ -392,7 +447,7 @@ def test_examples_golden_suite_passes(runner, tmp_path):
 
 def test_examples_table_and_observations_share_their_ids(runner):
     table = cli._bundled_document("examples.json")
-    assert list(cli._golden_observations(cli.DEFAULT_TOL)) == list(table)
+    assert list(cli._golden_observations(DEFAULT_TOL)) == list(table)
     assert [entry["name"] for entry in table.values()] == EXAMPLE_NAMES
     result = invoke(runner, "examples", "--tol", "1e-6")
     assert result.exit_code == 0

@@ -26,7 +26,6 @@ from kfusion.duality import (
 from kfusion.factorization import x_w
 from kfusion.frames import (
     BlockVector,
-    FusionSystem,
     KFrame,
     Subspace,
     frame_analysis,
@@ -407,6 +406,16 @@ def test_minimal_dual_skips_on_hypothesis_violation(r3_system, r3_dual, r3_k):
     assert "system is not minimal" in report.violations
 
 
+def test_minimal_dual_skips_when_the_span_meets_the_kernel_of_k_star():
+    # the coordinate lines are minimal, and e2, e3 lie off range(K) for K = e1 e1*
+    w = make_system(3, [[(1, 0, 0)], [(0, 1, 0)], [(0, 0, 1)]])
+    report = minimal_dual_test(w, np.diag([1.0, 0.0, 0.0]), w)
+    assert report.skipped
+    assert report.violations == (
+        "span of the members meets the orthogonal complement of range(K)",
+    )
+
+
 # ------------------------------------------------- component-preserving duals
 
 
@@ -446,6 +455,14 @@ def test_component_preserving_rejects_bad_psi(r3_system, r3_k):
     psi = np.ones((3, sum(r3_system.dims())))
     with pytest.raises(ValueError):
         component_preserving_duals(r3_system, psi, k=r3_k)
+
+
+def test_component_preserving_takes_k_by_keyword_only(r3_system, r3_k):
+    psi = x_w(r3_system, r3_k).x.T
+    with pytest.raises(TypeError):
+        component_preserving_duals(r3_system, psi)
+    with pytest.raises(TypeError):
+        component_preserving_duals(r3_system, psi, DEFAULT_TOL, r3_k)
 
 
 # -------------------------------------------------- projected discrete frames

@@ -296,6 +296,12 @@ def test_transform_kdag_random_instance_bounds_positive():
     assert cert.bounds.lower > 0.0
 
 
+def test_transform_kdag_rejects_a_zero_k():
+    w = make_system(3, [[(1, 0, 0), (0, 1, 0), (0, 0, 1)]])
+    with pytest.raises(ValueError, match="K must be nonzero"):
+        transform_kdag(w, np.zeros((3, 3)))
+
+
 def test_transform_sinv_fixes_members(r3_system, r3_k):
     image, cert = transform_sinv(r3_system, r3_k)
     assert cert.passed
@@ -439,6 +445,14 @@ def test_a_range_obstruction_witness_is_not_a_view_of_q():
     np.testing.assert_array_equal(q, np.eye(3))
 
 
+def test_weaken_to_q_fails_when_the_system_is_no_k_fusion_frame():
+    # Q = e1 e1* has its range inside range(I), but span e1 does not cover R^2
+    w = make_system(2, [[(1, 0)]])
+    cert = weaken_to_q(w, np.eye(2), np.diag([1.0, 0.0]))
+    assert not cert.passed
+    assert cert.message.startswith("not a K-fusion frame: ")
+
+
 def test_k_image_frame_unitary_preserves_bounds():
     rng = np.random.default_rng(37)
     w = random_fusion_system(rng, 4, [2, 2, 1])
@@ -491,6 +505,13 @@ def test_k_image_frame_rejects_member_outside_row_space(r3_k):
     w = make_system(3, [[(0, 0, 1)]])
     with pytest.raises(ValueError):
         k_image_frame(w, r3_k)
+
+
+def test_k_image_frame_rejects_an_input_that_is_no_fusion_frame_of_the_row_space():
+    # span e1 lies in the row space R^2 of K = I but does not span it
+    w = make_system(2, [[(1, 0)]])
+    with pytest.raises(ValueError, match="not a fusion frame for the row space of K"):
+        k_image_frame(w, np.eye(2))
 
 
 def test_verify_k_frame_orthonormal_basis():

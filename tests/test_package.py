@@ -1,12 +1,19 @@
-"""The package root: one export table, bound into the namespace and read into ``__all__``."""
+"""The package root: one export table, bound into the namespace and read into ``__all__``.
 
+Also: no module of the package or of its tests imports a name it never reads.
+"""
+
+import ast
 import importlib
 import inspect
 import subprocess
 import sys
+from pathlib import Path
 
 import kfusion
 from kfusion import numerics
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_all_is_sorted_without_duplicates_and_equals_the_table():
@@ -45,3 +52,31 @@ def test_importing_the_library_loads_every_layer_and_not_click():
     assert proc.returncode == 0, proc.stderr
     layers = sorted(f"kfusion.{key}" for key in kfusion._EXPORTS)
     assert proc.stdout.splitlines() == [repr(layers), "False"]
+
+
+def _unread_imports(path: Path) -> list:
+    """``file:line name`` for each name the module imports and never reads.
+
+    ``from __future__`` imports and import lines marked ``# noqa`` are exempt.
+    """
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+            isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        ):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read and "# noqa" not in lines[alias.lineno - 1]:
+                unread.append(f"{path.relative_to(ROOT)}:{alias.lineno} {name}")
+    return unread
+
+
+def test_every_module_reads_each_name_it_imports():
+    modules = sorted([*(ROOT / "src" / "kfusion").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+    assert len(modules) > 20
+    assert [entry for path in modules for entry in _unread_imports(path)] == []

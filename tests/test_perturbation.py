@@ -6,7 +6,7 @@ import pytest
 
 from kfusion import perturbation
 from kfusion.duality import canonical_k_dual
-from kfusion.frames import FusionSystem, Subspace, verify_k_fusion
+from kfusion.frames import FusionSystem, Subspace
 from kfusion.numerics import DEFAULT_TOL, AgreementError, spectral_norm
 from kfusion.perturbation import (
     analysis_epsilon,

@@ -13,9 +13,8 @@ from kfusion.frames import (
     same_subspace,
     subspace_from_spanning,
     synthesis,
-    verify_k_fusion,
 )
-from kfusion.numerics import DEFAULT_TOL, ToleranceProfile, numerical_rank, pinv, spectral_norm
+from kfusion.numerics import ToleranceProfile, numerical_rank, pinv, spectral_norm
 from kfusion.resolution import (
     Resolution,
     frame_from_resolution,
