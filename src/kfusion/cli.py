@@ -4,8 +4,8 @@ Exit codes: 0 the check passed, 1 a certified mathematical failure,
 2 input error, 3 two independent computations disagreed.
 
 Each subcommand that reads an instance file is a function registered with
-``instance_command``, which owns what they share: options, loading,
-tolerance, digest, report and exit code.
+``instance_command``, which owns what they share: options, loading, digest,
+report and exit code. ``--tol`` overrides the instance's tolerance profile.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .frames import (
 from .instances import (
     canonical_text,
     document_digest,
-    document_tolerance,
     instance_from_document,
     parse_number,
     random_instance,
@@ -95,11 +94,9 @@ def _digest(command: str, document, flags: dict, tol_flag) -> str:
     return document_digest({"command": command, "flags": flags, "instance": document})
 
 
-def _tolerance(document, tol_flag) -> ToleranceProfile:
-    """The profile from ``--tol`` if given, else from the document's ``options.tolerance``."""
-    if tol_flag is not None:
-        return ToleranceProfile(eq_abs=tol_flag, eq_rel=10.0 * tol_flag)
-    return document_tolerance(document)
+def _override(tol_flag) -> ToleranceProfile | None:
+    """The profile ``--tol`` sets, or None to keep the instance's own."""
+    return None if tol_flag is None else ToleranceProfile(eq_abs=tol_flag, eq_rel=10.0 * tol_flag)
 
 
 def _run(build, out_path=None) -> None:
@@ -151,7 +148,7 @@ def main():
 
 
 def instance_command(name: str, system=None):
-    """Register ``compute(instance, tol, **options) -> (flags, results, passed)`` as ``name``.
+    """Register ``compute(instance, **options) -> (flags, results, passed)`` as ``name``.
 
     Options: ``--in``, ``--tol``, ``--out``, then ``--system`` if ``system`` gives
     its (default, help). The help text is compute's docstring.
@@ -164,11 +161,10 @@ def instance_command(name: str, system=None):
     def register(compute):
         def callback(in_path, tol_flag, out_path, **kwargs):
             def build() -> Report:
-                document = read_document(in_path)
-                tol = _tolerance(document, tol_flag)
-                instance = instance_from_document(document, tol)
-                flags, results, passed = compute(instance, tol, **kwargs)
-                return Report(name, _digest(name, document, flags, tol_flag), results, passed)
+                instance = instance_from_document(read_document(in_path), _override(tol_flag))
+                flags, results, passed = compute(instance, **kwargs)
+                digest = _digest(name, instance.document, flags, tol_flag)
+                return Report(name, digest, results, passed)
 
             _run(build, out_path)
 
@@ -181,9 +177,9 @@ def instance_command(name: str, system=None):
 
 
 @instance_command("verify", system=("W", "system to verify"))
-def verify(instance, tol, system_name):
+def verify(instance, system_name):
     """Check the K-fusion frame condition for one named system."""
-    cert = verify_k_fusion(instance.system(system_name), instance.k_matrix, tol)
+    cert = verify_k_fusion(instance.system(system_name), instance.k_matrix, instance.tol)
     results = {
         "system": system_name,
         "bounds": _bounds_dict(cert.bounds),
@@ -193,18 +189,18 @@ def verify(instance, tol, system_name):
 
 
 @instance_command("bounds", system=("W", "system to bound"))
-def bounds(instance, tol, system_name):
+def bounds(instance, system_name):
     """Report the optimal frame bounds of one named system."""
-    cert = verify_k_fusion(instance.system(system_name), instance.k_matrix, tol)
+    cert = verify_k_fusion(instance.system(system_name), instance.k_matrix, instance.tol)
     results = {"system": system_name, "bounds": _bounds_dict(cert.bounds)}
     return {"system": system_name}, results, cert.passed
 
 
 @instance_command("douglas")
-def douglas(instance, tol):
+def douglas(instance):
     """Solve the synthesis equation for K and certify the minimal solution."""
     # x_w raises AgreementError unless its residual passes, so it is not decided again here
-    sol = x_w(instance.system("W"), instance.k_matrix, tol)
+    sol = x_w(instance.system("W"), instance.k_matrix, instance.tol)
     ok = bool(sol.nullspace_match and sol.range_containment)
     results = {
         "norm_sq": sol.norm_sq,
@@ -218,9 +214,9 @@ def douglas(instance, tol):
 
 
 @instance_command("qk-dual")
-def qk_dual(instance, tol):
+def qk_dual(instance):
     """Build the dual generated by the minimal synthesis solution."""
-    w, k = instance.system("W"), instance.k_matrix
+    w, k, tol = instance.system("W"), instance.k_matrix, instance.tol
     dual, q, cert = qk_dual_from_x(w, k, x_w(w, k, tol), tol)
     results = {
         "member_dims": dual.dims(),
@@ -231,19 +227,19 @@ def qk_dual(instance, tol):
 
 
 @instance_command("k-dual", system=("V", "candidate dual system"))
-def k_dual(instance, tol, system_name):
+def k_dual(instance, system_name):
     """Check the reconstruction identity for a named candidate dual."""
     cert = is_k_dual(
-        instance.system("W"), instance.system(system_name), instance.k_matrix, tol
+        instance.system("W"), instance.system(system_name), instance.k_matrix, instance.tol
     )
     results = {"system": system_name, "residual": float(cert.residual)}
     return {"system": system_name}, results, cert.passed
 
 
 @instance_command("canonical-dual")
-def canonical_dual(instance, tol):
+def canonical_dual(instance):
     """Build the canonical K-dual and report its Bessel bound."""
-    dual, cert, info = canonical_k_dual(instance.system("W"), instance.k_matrix, tol)
+    dual, cert, info = canonical_k_dual(instance.system("W"), instance.k_matrix, instance.tol)
     results = {
         "member_dims": dual.dims(),
         "residual": float(cert.residual),
@@ -255,11 +251,11 @@ def canonical_dual(instance, tol):
 
 
 @instance_command("enlarge-dual")
-def enlarge_dual_cmd(instance, tol):
+def enlarge_dual_cmd(instance):
     """Extend one dual member by the orthogonal summand named in the instance."""
-    base_name, base, index, summand = instance.enlarge(tol)
+    base_name, base, index, summand = instance.enlarge()
     enlarged, cert = enlarge_dual(
-        instance.system("W"), instance.k_matrix, base, index, summand, tol
+        instance.system("W"), instance.k_matrix, base, index, summand, instance.tol
     )
     results = {
         "base_system": base_name,
@@ -271,9 +267,9 @@ def enlarge_dual_cmd(instance, tol):
 
 
 @instance_command("resolution")
-def resolution(instance, tol):
+def resolution(instance):
     """Build and verify the three standard operator resolutions of K."""
-    w, k = instance.system("W"), instance.k_matrix
+    w, k, tol = instance.system("W"), instance.k_matrix, instance.tol
     built = {
         "from_x": resolution_from_x(w, k, x_w(w, k, tol), tol),
         "projection": resolution_b(w, k, tol),
@@ -293,9 +289,9 @@ def resolution(instance, tol):
 
 
 @instance_command("minimal-norm")
-def minimal_norm(instance, tol):
+def minimal_norm(instance):
     """Check pointwise norm minimality of the resolution from the minimal solution."""
-    w, k = instance.system("W"), instance.k_matrix
+    w, k, tol = instance.system("W"), instance.k_matrix, instance.tol
     res = resolution_from_x(w, k, x_w(w, k, tol), tol)
     outcome = minimal_norm_check(w, k, res, tol)
     results = {
@@ -306,17 +302,17 @@ def minimal_norm(instance, tol):
 
 
 @instance_command("perturb", system=("Z", "perturbed system"))
-def perturb(instance, tol, system_name):
+def perturb(instance, system_name):
     """Certify or falsify the three-parameter perturbation hypothesis."""
     values = instance.perturbation()
     w, z, k = instance.system("W"), instance.system(system_name), instance.k_matrix
     outcome = certify_perturbation(
-        w, z, k, values["lambda1"], values["lambda2"], values["epsilon"], tol
+        w, z, k, values["lambda1"], values["lambda2"], values["epsilon"], instance.tol
     )
     results = {
         "system": system_name,
         **values,
-        "analysis_epsilon": float(analysis_epsilon(w, z, k, tol)),
+        "analysis_epsilon": float(analysis_epsilon(w, z, k, instance.tol)),
         "certified": outcome.certified,
         "decided_by": outcome.decided_by,
         "applicable": outcome.applicable,
@@ -331,10 +327,10 @@ def perturb(instance, tol, system_name):
 
 
 @instance_command("approx-dual", system=("V", "candidate dual system"))
-def approx_dual(instance, tol, system_name):
+def approx_dual(instance, system_name):
     """Measure how far a candidate dual's reconstruction sits from K."""
     cert = approximate_dual_norm(
-        instance.system("Z"), instance.system(system_name), instance.k_matrix, tol
+        instance.system("Z"), instance.system(system_name), instance.k_matrix, instance.tol
     )
     results = {"system": system_name, "residual": float(cert.residual)}
     return {"system": system_name}, results, cert.passed
@@ -395,12 +391,12 @@ def _dual_family(dual, cert) -> dict:
     }
 
 
-def _golden_observations(tol: ToleranceProfile) -> dict:
+def _golden_observations(override: ToleranceProfile | None) -> dict:
     """Check id -> what the library computes for it on the bundled examples."""
-    r4 = instance_from_document(_bundled_document("example_r4.json"), tol)
-    w4, k4 = r4.system("W"), r4.k_matrix
-    r3 = instance_from_document(_bundled_document("example_r3.json"), tol)
-    w, z, k = r3.system("W"), r3.system("Z"), r3.k_matrix
+    r4 = instance_from_document(_bundled_document("example_r4.json"), override)
+    w4, k4, tol4 = r4.system("W"), r4.k_matrix, r4.tol
+    r3 = instance_from_document(_bundled_document("example_r3.json"), override)
+    w, z, k, tol = r3.system("W"), r3.system("Z"), r3.k_matrix, r3.tol
     u_k = frame_analysis(w, k, tol).k_factors.u
     s_w, s_z = (frame_operator(s) @ (u_k @ u_k.T) for s in (w, z))
     inv_w, inv_z = (frame_analysis(s, k, tol).inverse_on_image for s in (w, z))
@@ -412,11 +408,11 @@ def _golden_observations(tol: ToleranceProfile) -> dict:
     threshold = epsilon_threshold(w, z, k, tol)
     predicted, window_cert = perturbed_bounds(w, z, k, 0.5, tol)
     return {
-        "r4-bounds": _certified(verify_k_fusion(w4, k4, tol)),
-        "r4-minimal": {"minimal": bool(is_minimal(w4, tol))},
+        "r4-bounds": _certified(verify_k_fusion(w4, k4, tol4)),
+        "r4-minimal": {"minimal": bool(is_minimal(w4, tol4))},
         "r4-not-exact": {
-            "exact": bool(is_exact(w4, k4, tol).exact),
-            "dropped": _certified(verify_k_fusion(w4.drop(1), k4, tol)),
+            "exact": bool(is_exact(w4, k4, tol4).exact),
+            "dropped": _certified(verify_k_fusion(w4.drop(1), k4, tol4)),
         },
         "r3-bounds": _certified(verify_k_fusion(w, k, tol)),
         "x-w": {
@@ -460,7 +456,7 @@ def examples(tol_flag, out_path):
     """Reproduce every bundled worked example and fail on any mismatch."""
 
     def build() -> Report:
-        observed = _golden_observations(_tolerance(None, tol_flag))
+        observed = _golden_observations(_override(tol_flag))
         checks = [
             {
                 "name": entry["name"],
@@ -493,11 +489,12 @@ def random_cmd(out_path, tol_flag, seed, ambient_dim, member_count, rank_k):
     """Generate a seeded random instance, verify it, and optionally save it."""
 
     def build() -> Report:
-        instance = random_instance(seed, ambient_dim, member_count, rank_k)
-        tol = _tolerance(instance.document, tol_flag)
+        # parsed again under the override, as an --in file is
+        document = random_instance(seed, ambient_dim, member_count, rank_k).document
+        instance = instance_from_document(document, _override(tol_flag))
         if out_path:
             save_instance(instance, out_path)
-        w, k = instance.system("W"), instance.k_matrix
+        w, k, tol = instance.system("W"), instance.k_matrix, instance.tol
         cert = verify_k_fusion(w, k, tol)
         results = {
             "seed": seed,

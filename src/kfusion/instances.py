@@ -81,30 +81,31 @@ def _parse_fields(block: dict, where: str, parsers: dict) -> dict:
     return fields
 
 
-def document_tolerance(doc) -> ToleranceProfile:
+def document_tolerance(doc: dict) -> ToleranceProfile:
     """The profile the document's ``options.tolerance`` sets, else ``DEFAULT_TOL``."""
-    # a malformed document or options block is reported when the instance is built
-    options = doc.get("options") if isinstance(doc, dict) else None
-    overrides = options.get("tolerance", {}) if isinstance(options, dict) else {}
-    if not isinstance(overrides, dict):
+    # an options block that is not an object is reported when the instance is built
+    options = doc.get("options")
+    block = options.get("tolerance", {}) if isinstance(options, dict) else {}
+    if not isinstance(block, dict):
         raise ValueError("options.tolerance must be an object")
-    kwargs = {
-        name: parse_number(overrides[name], f"options.tolerance.{name}")
-        for name in ("rank_rel", "eq_abs", "eq_rel")
-        if name in overrides
-    }
+    names = ("rank_rel", "eq_abs", "eq_rel")
+    for name in block:
+        if name not in names:
+            raise ValueError(f"options.tolerance: unknown field {name!r}")
+    kwargs = {n: parse_number(block[n], f"options.tolerance.{n}") for n in names if n in block}
     return ToleranceProfile(**kwargs) if kwargs else DEFAULT_TOL
 
 
 @dataclass(eq=False)
 class ProblemInstance:
-    """One parsed instance: ambient dimension, K, named systems, options."""
+    """One parsed instance: ambient dimension, K, named systems, options, tolerance profile."""
 
     ambient_dim: int
     k_matrix: np.ndarray
     systems: dict
     options: dict
     document: dict
+    tol: ToleranceProfile  # the spans were orthonormalized under it, and questions use it
 
     def system(self, name: str) -> FusionSystem:
         if not isinstance(name, str) or name not in self.systems:
@@ -117,7 +118,7 @@ class ProblemInstance:
             raise ValueError(f"instance option {name!r} is required for this command")
         return block
 
-    def enlarge(self, tol: ToleranceProfile = DEFAULT_TOL) -> tuple:
+    def enlarge(self) -> tuple:
         """``options.enlarge`` as (system name, that system, member index, summand)."""
         block = self._option("enlarge")
         name = block.get("system", "V")
@@ -126,7 +127,7 @@ class ProblemInstance:
         index, span = _parse_fields(block, "options.enlarge", parsers).values()
         if not isinstance(span, list) or not all(isinstance(vec, list) for vec in span):
             raise ValueError("options.enlarge.span: expected a list of vectors")
-        return name, base, index, _parse_span(span, self.ambient_dim, "options.enlarge", tol)
+        return name, base, index, _parse_span(span, self.ambient_dim, "options.enlarge", self.tol)
 
     def perturbation(self) -> dict:
         """``options.perturbation`` as its numbers epsilon, lambda1 and lambda2."""
@@ -166,10 +167,11 @@ def _parse_system(name: str, body, ambient_dim: int, tol: ToleranceProfile):
     return FusionSystem(ambient_dim, tuple(members))
 
 
-def instance_from_document(doc, tol: ToleranceProfile = DEFAULT_TOL) -> ProblemInstance:
-    """Validate a parsed document and build the working instance."""
+def instance_from_document(doc, tol: ToleranceProfile | None = None) -> ProblemInstance:
+    """Validate a parsed document and build the instance under ``tol``, else its own profile."""
     if not isinstance(doc, dict):
         raise ValueError("instance document must be an object")
+    tol = document_tolerance(doc) if tol is None else tol
     ambient_dim = _parse_fields(doc, "", {"ambient_dim": parse_int})["ambient_dim"]
     if ambient_dim <= 0:
         raise ValueError("ambient_dim must be positive")
@@ -184,7 +186,7 @@ def instance_from_document(doc, tol: ToleranceProfile = DEFAULT_TOL) -> ProblemI
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise ValueError("options must be an object")
-    return ProblemInstance(ambient_dim, k, systems, options, doc)
+    return ProblemInstance(ambient_dim, k, systems, options, doc, tol)
 
 
 def read_document(path):
@@ -196,8 +198,8 @@ def read_document(path):
         raise ValueError(f"parse error in {path} at line {exc.lineno}: {exc.msg}") from exc
 
 
-def load_instance(path, tol: ToleranceProfile = DEFAULT_TOL) -> ProblemInstance:
-    """Load and validate an instance file."""
+def load_instance(path, tol: ToleranceProfile | None = None) -> ProblemInstance:
+    """Load and validate an instance file, under ``tol`` or else the file's own profile."""
     return instance_from_document(read_document(path), tol)
 
 

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from conftest import bisected_synthesis_instance
 from kfusion import cli
 from kfusion.factorization import x_w
+from kfusion.frames import verify_k_fusion
 from kfusion.instances import canonical_text, load_instance
 from kfusion.numerics import DEFAULT_TOL, AgreementError, spectral_norm
 
@@ -148,7 +149,8 @@ def test_non_finite_tolerance_is_an_input_error(runner, tmp_path, value):
     assert "input error" in result.output
 
 
-# (command, path to the field in example_r3.json, a value of the wrong type or not integral)
+# (command, path to the field in example_r3.json, a value of the wrong type, not integral,
+# or with a field the block does not know)
 MALFORMED = {
     "member-number": ("verify", ("systems", "W", "members", 0), 5),
     "members-number": ("verify", ("systems", "W", "members"), 5),
@@ -162,6 +164,7 @@ MALFORMED = {
     "index-boolean": ("enlarge-dual", ("options", "enlarge", "index"), True),
     "entry-string-overflow": ("verify", ("k_matrix", "entries", 0, 0), "1e400"),
     "entry-integer-overflow": ("verify", ("k_matrix", "entries", 0, 0), 10**400),
+    "tolerance-unknown-field": ("verify", ("options", "tolerance"), {"rank_rell": 1e-5}),
 }
 
 
@@ -615,6 +618,25 @@ def test_instance_tolerance_applies_when_spans_load(runner, tmp_path):
     result = invoke(runner, "verify", "--in", str(path))
     assert result.exit_code == 1
     assert "pass: false" in result.output
+    # the library reads the same profile from the file
+    inst = load_instance(path)
+    assert inst.system("W").dims() == [1]
+    assert not verify_k_fusion(inst.system("W"), inst.k_matrix, inst.tol).passed
+
+
+@pytest.mark.parametrize("source", ["example_r3", "example_r4", "random-seed-3"])
+def test_the_library_and_the_cli_reach_one_verdict_on_a_file(runner, tmp_path, source):
+    path = str(DATA / f"{source}.json")
+    if source == "random-seed-3":
+        path = str(tmp_path / "random.json")
+        assert invoke(runner, "random", "--seed", "3", "--out", path).exit_code == 0
+    out = tmp_path / "report.json"
+    invoke(runner, "verify", "--in", path, "--out", str(out))
+    report = report_from(out)
+    inst = load_instance(path)
+    cert = verify_k_fusion(inst.system("W"), inst.k_matrix, inst.tol)
+    assert report["pass"] is cert.passed
+    assert report["results"]["bounds"] == {"lower": cert.bounds.lower, "upper": cert.bounds.upper}
 
 
 def test_tolerance_flag_enters_the_digest(runner):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from kfusion import frames
+from kfusion import duality, frames
 from kfusion.duality import (
     PhiOperator,
     _block_diag,
@@ -36,7 +36,7 @@ from kfusion.frames import (
     synthesis,
     verify_k_fusion,
 )
-from kfusion.numerics import DEFAULT_TOL, pinv, spectral_norm
+from kfusion.numerics import DEFAULT_TOL, AgreementError, pinv, spectral_norm
 
 from conftest import make_system, random_fusion_system
 
@@ -370,6 +370,21 @@ def test_sws_rank_one_target_degenerates_gracefully():
     assert report.families_equal
 
 
+def test_sws_range_condition_and_solution_comparison_must_agree(monkeypatch, r3_system, r3_k):
+    # the doubled range reads as leaving range(K), while the solutions still coincide
+    monkeypatch.setattr(duality, "outside_column", lambda m, b, tol: 0)
+    with pytest.raises(AgreementError) as err:
+        check_sws_range_condition(r3_system, r3_k)
+    assert str(err.value) == "range condition and solution comparison disagree: False vs True"
+
+
+def test_sws_equal_solutions_must_give_equal_members(monkeypatch, r3_system, r3_k):
+    monkeypatch.setattr(duality, "same_subspace", lambda a, b, tol: False)
+    with pytest.raises(AgreementError) as err:
+        check_sws_range_condition(r3_system, r3_k)
+    assert str(err.value) == "equal solution components produced unequal members"
+
+
 # --------------------------------------------------------- minimal-system test
 
 
@@ -397,6 +412,15 @@ def test_minimal_dual_missing_direction_fails_both_sides():
     assert not report.is_dual
     assert not all(report.containment)
     assert report.agree
+
+
+def test_minimal_dual_duality_and_containment_must_agree(monkeypatch):
+    w, k = minimal_r4()
+    v = make_system(4, [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]], [[0, 0, 1, 0], [0, 0, 0, 1]]])
+    monkeypatch.setattr(duality, "subspace_contains", lambda outer, inner, tol: False)
+    with pytest.raises(AgreementError) as err:
+        minimal_dual_test(w, k, v)
+    assert str(err.value) == "duality True and containment False disagree"
 
 
 def test_minimal_dual_skips_on_hypothesis_violation(r3_system, r3_dual, r3_k):
@@ -550,6 +574,18 @@ def test_local_duality_corrupted_member_fails_both_ways(r3_system, r3_k):
     assert not report.discrete_pass
     np.testing.assert_allclose(report.continuous_residual, 0.5, atol=1e-12)
     assert report.operators_match
+
+
+def test_local_duality_subspace_and_discrete_routes_must_agree(
+    monkeypatch, r3_system, r3_dual, r3_k
+):
+    # doubled local duals make the discrete composite 2K, while the subspace route rebuilds K
+    real = duality._canonical_local_duals
+    monkeypatch.setattr(duality, "_canonical_local_duals", lambda mat, tol: 2.0 * real(mat, tol))
+    local = local_frame_system(r3_dual, [[E1, E2], [E2], [E1, E3]])
+    with pytest.raises(AgreementError) as err:
+        local_duality_equiv(r3_system, r3_dual, local, r3_k)
+    assert str(err.value) == "subspace duality True and discrete duality False disagree"
 
 
 def _scaled_canonical_locals(r3_system, r3_k):
