@@ -15,7 +15,6 @@ import sys
 import warnings
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 import click
 import numpy as np
@@ -31,12 +30,12 @@ from .frames import (
     verify_k_fusion,
 )
 from .instances import (
-    canonical_text,
     document_digest,
     instance_from_document,
     parse_number,
     random_instance,
     read_document,
+    save_document,
     save_instance,
 )
 from .numerics import AgreementError, ToleranceProfile, spectral_norm
@@ -115,13 +114,8 @@ def _run(build, out_path=None) -> None:
                 for message in dict.fromkeys(str(w.message) for w in caught):
                     click.echo(f"warning: {message}", err=True)
         if out_path:
-            document = {
-                "command": report.command,
-                "inputs": report.inputs,
-                "results": report.results,
-                "pass": report.passed,
-            }
-            Path(out_path).write_text(canonical_text(document))
+            head = {"command": report.command, "inputs": report.inputs}
+            save_document({**head, "results": report.results, "pass": report.passed}, out_path)
     except (ValueError, OSError) as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(2)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -50,12 +50,15 @@ def parse_int(value, where: str) -> int:
     return int(number)
 
 
+def _finite_floats(entries) -> bool:
+    """Every entry a finite float of exact type ``float``? A sum that overflows errs to False."""
+    return set(map(type, entries)) <= {float} and math.isfinite(sum(entries))
+
+
 def _parse_vector(entries, length: int, where: str) -> np.ndarray:
     if not isinstance(entries, list) or len(entries) != length:
         raise ValueError(f"{where}: expected {length} entries")
-    # finite JSON floats need no scalar parsing; a finite sum has finite terms, and a sum
-    # that overflows only sends finite entries down the per-entry path
-    if set(map(type, entries)) <= {float} and math.isfinite(sum(entries)):
+    if _finite_floats(entries):
         return np.array(entries)
     return np.array([parse_number(v, f"{where}[{i}]") for i, v in enumerate(entries)])
 
@@ -171,7 +174,8 @@ def instance_from_document(doc, tol: ToleranceProfile | None = None) -> ProblemI
     """Validate a parsed document and build the instance under ``tol``, else its own profile."""
     if not isinstance(doc, dict):
         raise ValueError("instance document must be an object")
-    tol = document_tolerance(doc) if tol is None else tol
+    own = document_tolerance(doc)  # validated even when ``tol`` replaces it
+    tol = own if tol is None else tol
     ambient_dim = _parse_fields(doc, "", {"ambient_dim": parse_int})["ambient_dim"]
     if ambient_dim <= 0:
         raise ValueError("ambient_dim must be positive")
@@ -203,18 +207,53 @@ def load_instance(path, tol: ToleranceProfile | None = None) -> ProblemInstance:
     return instance_from_document(read_document(path), tol)
 
 
+def _pieces(o, depth: int = 0):
+    """``json.dumps(o, indent=2, sort_keys=True)`` in pieces; a row of finite floats is one."""
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    if not (isinstance(o, (list, tuple, dict)) and o):
+        yield json.dumps(o)
+    elif isinstance(o, dict):
+        for i, (key, value) in enumerate(sorted(o.items())):
+            # the key as the encoder converts and quotes it: '{"<key>": null}' less its ends
+            yield ("," if i else "{") + inner + json.dumps({key: None})[1:-7] + ": "
+            yield from _pieces(value, depth + 1)
+        yield outer + "}"
+    elif _finite_floats(o):
+        yield "[" + inner + ("," + inner).join(map(float.__repr__, o)) + outer + "]"
+    else:
+        for i, value in enumerate(o):
+            yield ("," if i else "[") + inner
+            yield from _pieces(value, depth + 1)
+        yield outer + "]"
+
+
 def canonical_text(doc) -> str:
-    """Canonical serialization: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Canonical serialization: ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline."""
+    return "".join(_pieces(doc)) + "\n"
+
+
+def save_document(doc, path) -> None:
+    """Write the canonical text of ``doc`` to ``path`` piece by piece."""
+    with Path(path).open("w") as fh:
+        fh.writelines(_pieces(doc))
+        fh.write("\n")
 
 
 def save_instance(instance: ProblemInstance, path) -> None:
-    Path(path).write_text(canonical_text(instance.document))
+    """Save the document, with ``options.tolerance`` set to ``instance.tol`` where that differs."""
+    doc = instance.document
+    if instance.tol != document_tolerance(doc):
+        doc = {**doc, "options": {**instance.options, "tolerance": asdict(instance.tol)}}
+    save_document(doc, path)
 
 
 def document_digest(doc) -> str:
-    """Content hash of a document in canonical form."""
-    return hashlib.sha256(canonical_text(doc).encode("utf-8")).hexdigest()
+    """SHA-256 of the document's canonical text, hashed piece by piece."""
+    digest = hashlib.sha256()
+    for piece in _pieces(doc):
+        digest.update(piece.encode())
+    digest.update(b"\n")
+    return digest.hexdigest()
 
 
 def instance_digest(instance: ProblemInstance) -> str:

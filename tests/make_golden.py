@@ -37,6 +37,11 @@ CASES = {
     },
     "examples": ["examples"],
     "random-seed-3": ["random", "--seed", "3"],
+    # --tol enters the digest's flags, and random's --out file carries the profile
+    "verify-example_r3-tol-1e-4": [
+        "verify", "--in", str(_DATA / "example_r3.json"), "--tol", "1e-4"
+    ],
+    "random-seed-3-tol-1e-4": ["random", "--seed", "3", "--tol", "1e-4"],
 }
 
 

@@ -13,7 +13,7 @@ from conftest import bisected_synthesis_instance
 from kfusion import cli
 from kfusion.factorization import x_w
 from kfusion.frames import verify_k_fusion
-from kfusion.instances import canonical_text, load_instance
+from kfusion.instances import canonical_text, instance_from_document, load_instance, read_document
 from kfusion.numerics import DEFAULT_TOL, AgreementError, spectral_norm
 
 ABS_TOLERANCE = 1e-9
@@ -165,6 +165,8 @@ MALFORMED = {
     "entry-string-overflow": ("verify", ("k_matrix", "entries", 0, 0), "1e400"),
     "entry-integer-overflow": ("verify", ("k_matrix", "entries", 0, 0), 10**400),
     "tolerance-unknown-field": ("verify", ("options", "tolerance"), {"rank_rell": 1e-5}),
+    "tolerance-entry-string": ("verify", ("options", "tolerance"), {"eq_abs": "x"}),
+    "tolerance-list": ("verify", ("options", "tolerance"), [1]),
 }
 
 
@@ -181,12 +183,22 @@ def _edited_r3(tmp_path, keys, value) -> str:
     return str(path)
 
 
+@pytest.mark.parametrize("tol_args", [(), ("--tol", "1e-4")], ids=["own-tol", "tol-flag"])
 @pytest.mark.parametrize("case", MALFORMED)
-def test_a_malformed_field_is_an_input_error(runner, tmp_path, case):
+def test_a_malformed_field_is_an_input_error(runner, tmp_path, case, tol_args):
     command, keys, value = MALFORMED[case]
-    result = invoke(runner, command, "--in", _edited_r3(tmp_path, keys, value))
+    result = invoke(runner, command, "--in", _edited_r3(tmp_path, keys, value), *tol_args)
     assert result.exit_code == 2, result.output
     assert "input error" in result.output
+
+
+@pytest.mark.parametrize("case", [case for case, row in MALFORMED.items() if row[0] == "verify"])
+def test_a_malformed_field_fails_the_build_under_an_override(tmp_path, case):
+    # verify reads no option, so each of these faults is found while the instance is built
+    _, keys, value = MALFORMED[case]
+    doc = read_document(_edited_r3(tmp_path, keys, value))
+    with pytest.raises(ValueError):
+        instance_from_document(doc, tol=DEFAULT_TOL)
 
 
 # (command, path to the field in example_r3.json, a value with a JSON NaN or Infinity, its label)

@@ -1,12 +1,20 @@
+import hashlib
 import json
+import math
+import tracemalloc
 from fractions import Fraction
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from kfusion.frames import verify_k_fusion
 from kfusion.instances import (
+    canonical_text,
+    document_digest,
+    document_tolerance,
     instance_digest,
     instance_from_document,
     load_instance,
@@ -14,7 +22,7 @@ from kfusion.instances import (
     random_instance,
     save_instance,
 )
-from kfusion.numerics import numerical_rank
+from kfusion.numerics import ToleranceProfile, numerical_rank
 
 DATA = resources.files("kfusion") / "data"
 
@@ -158,6 +166,102 @@ def test_digest_tracks_content():
     doc["comment"] = "edited"
     assert instance_digest(instance_from_document(doc)) != base
     assert len(base) == 64
+
+
+def test_an_override_profile_is_saved_and_read_back(tmp_path):
+    document = random_instance(3, 5, 4, 3).document
+    tol = ToleranceProfile(rank_rel=1e-6, eq_abs=1e-4, eq_rel=1e-3)
+    inst = instance_from_document(document, tol)
+    path = tmp_path / "random.json"
+    save_instance(inst, path)
+    assert "options" not in inst.document  # the copy is written, the document kept
+    again = load_instance(path)
+    assert again.tol == inst.tol
+    cert, again_cert = (verify_k_fusion(i.system("W"), i.k_matrix, i.tol) for i in (inst, again))
+    assert again_cert.passed == cert.passed
+    assert again_cert.bounds == cert.bounds
+    # under the document's own profile the written bytes are the canonical text
+    save_instance(again, path)
+    assert path.read_text() == canonical_text(again.document)
+    assert document_tolerance(again.document) == tol
+
+
+# ------------------------------------------------------------- canonical text
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+_FLOATS = st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), _FLOATS, _FLOATS.map(np.float64), st.text()
+)
+# rows take the one-piece path when every entry is a finite float and their sum is finite
+_ROWS = st.one_of(
+    st.lists(_FLOATS, min_size=1),
+    st.lists(st.floats(1e308, 1.7e308), min_size=2),  # finite entries, overflowing sum
+    st.lists(_FLOATS | st.integers() | st.booleans(), min_size=1),
+)
+# keys of one type per dict, so that they sort; json converts the non-string ones
+_KEYS = (st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+
+
+def _containers(children):
+    lists = st.lists(children, max_size=4)
+    dicts = st.one_of(*(st.dictionaries(keys, children, max_size=4) for keys in _KEYS))
+    return st.one_of(lists, lists.map(tuple), lists.map(_List), dicts, dicts.map(_Dict))
+
+
+_DOCUMENTS = st.recursive(
+    _LEAVES | _ROWS | _ROWS.map(tuple) | _ROWS.map(_List), _containers, max_leaves=30
+)
+
+
+def _assert_stdlib_text(doc):
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert canonical_text(doc) == text
+    assert document_digest(doc) == hashlib.sha256(text.encode()).hexdigest()
+
+
+@seed(32)
+@settings(deadline=None, max_examples=400)
+@given(_DOCUMENTS)
+def test_canonical_text_is_the_stdlib_encoding_byte_for_byte(doc):
+    _assert_stdlib_text(doc)
+
+
+@pytest.fixture(scope="module")
+def large_instance():
+    """The n = 64, m = 32, rank-64 instance, about 2 MB of canonical text."""
+    return random_instance(5, 64, 32, 64)
+
+
+@pytest.mark.parametrize("name", ["example_r3.json", "example_r4.json", None])
+def test_canonical_text_of_an_instance_is_the_stdlib_encoding(large_instance, name):
+    _assert_stdlib_text(large_instance.document if name is None else bundled_document(name))
+
+
+def _traced_peak(run) -> int:
+    """The peak of the memory Python allocates while ``run()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_digest_and_save_hold_no_copy_of_the_text(large_instance, tmp_path):
+    # the stdlib encoder's chunk list for this document peaks near 7.5 MB
+    path = tmp_path / "large.json"
+    assert _traced_peak(lambda: document_digest(large_instance.document)) < 0.5e6
+    assert _traced_peak(lambda: save_instance(large_instance, path)) < 0.5e6
+    assert path.read_text() == canonical_text(large_instance.document)
 
 
 # ------------------------------------------------------------------ generator
