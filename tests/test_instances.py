@@ -14,7 +14,6 @@ from kfusion.frames import verify_k_fusion
 from kfusion.instances import (
     canonical_text,
     document_digest,
-    document_tolerance,
     instance_digest,
     instance_from_document,
     load_instance,
@@ -183,7 +182,6 @@ def test_an_override_profile_is_saved_and_read_back(tmp_path):
     # under the document's own profile the written bytes are the canonical text
     save_instance(again, path)
     assert path.read_text() == canonical_text(again.document)
-    assert document_tolerance(again.document) == tol
 
 
 # ------------------------------------------------------------- canonical text
@@ -241,7 +239,9 @@ def large_instance():
     return random_instance(5, 64, 32, 64)
 
 
-@pytest.mark.parametrize("name", ["example_r3.json", "example_r4.json", None])
+@pytest.mark.parametrize(
+    "name", ["example_r3.json", "example_r4.json", None], ids=["r3", "r4", "random-5-64-32-64"]
+)
 def test_canonical_text_of_an_instance_is_the_stdlib_encoding(large_instance, name):
     _assert_stdlib_text(large_instance.document if name is None else bundled_document(name))
 
