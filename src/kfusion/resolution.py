@@ -10,6 +10,7 @@ pseudo-inverse route are certified against independent computations.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,9 @@ class Resolution:
     with theta_i = left_i @ right_i: left_i is n x d_i and right_i is
     d_i x cols. The library's constructions pass pairs with d_i the member
     dimension, so nothing per member is n x n; ``Resolution(thetas, weights)``
-    keeps each dense theta as the pair (theta, I).
+    keeps each dense theta as the pair (theta, I). ``thetas`` yields each
+    theta_i as it is read, a new iterator per read, so at most one dense
+    operator is held at a time.
     """
 
     factors: tuple
@@ -55,8 +58,8 @@ class Resolution:
 
     def __init__(self, thetas, weights):
         mats = tuple(as_matrix(t) for t in thetas)
-        eye = np.eye(mats[0].shape[1]) if mats else None
-        self._set(tuple((t, eye) for t in mats), weights)
+        eyes = {cols: np.eye(cols) for cols in {t.shape[1] for t in mats}}
+        self._set(tuple((t, eyes[t.shape[1]]) for t in mats), weights)
 
     @classmethod
     def from_factors(cls, factors, weights) -> "Resolution":
@@ -90,9 +93,9 @@ class Resolution:
         return left.shape[0], right.shape[1]
 
     @property
-    def thetas(self) -> tuple:
-        """The operators as dense matrices, multiplied out on every read."""
-        return tuple(left @ right for left, right in self.factors)
+    def thetas(self) -> Iterator[np.ndarray]:
+        """The operators as dense matrices, each multiplied out as the iterator reaches it."""
+        return (left @ right for left, right in self.factors)
 
     def stacked(self) -> tuple:
         """(lefts, rights): the left factors side by side, the right ones times w_i**2 stacked."""
@@ -165,9 +168,9 @@ def resolution_from_x(
     """
     k = as_matrix(k)
     x_mat = solution_matrix(w, k, x, tol)
-    factors = tuple(
-        (sub.basis, x_mat[sl, :].copy()) for (sub, _), sl in zip(w.members, w.block_slices())
-    )
+    # the blocks are views: x_w's matrix is read-only, a caller's may still change
+    x_mat = x_mat.copy() if x_mat.flags.writeable else x_mat
+    factors = tuple((sub.basis, x_mat[sl, :]) for (sub, _), sl in zip(w.members, w.block_slices()))
     return Resolution.from_factors(factors, tuple(np.sqrt(w_) for w_ in w.weights))
 
 
@@ -250,11 +253,11 @@ def minimal_norm_check(
     k = as_matrix(k)
     if len(r) != len(w):
         raise ValueError("one operator per member is required")
-    thetas = r.thetas
-    for idx, (theta, (sub, _)) in enumerate(zip(thetas, w.members)):
+    for idx, (theta, (sub, _)) in enumerate(zip(r.thetas, w.members)):
         if outside_column(theta, sub.basis, tol) is not None:
             raise ValueError(f"operator {idx} does not map into member {idx}")
-    lifted = sum(weight * theta for theta, weight in zip(thetas, w.weights))
+    lefts = np.hstack([left for left, _ in r.factors])
+    lifted = lefts @ np.vstack([wt * right for (_, right), wt in zip(r.factors, w.weights)])
     # ||K|| from the analysis x_w reads below
     if not negligible(spectral_norm(lifted - k), frame_analysis(w, k, tol).k_norm, tol):
         raise ValueError("resolution must reproduce K with one factor of the system weights")

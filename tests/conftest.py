@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +23,16 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def traced_peak(run) -> int:
+    """The peak of the memory Python allocates while ``run()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_system(ambient_dim, spans, weights=None):

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import tracemalloc
 from fractions import Fraction
 from importlib import resources
 
@@ -22,6 +21,8 @@ from kfusion.instances import (
     save_instance,
 )
 from kfusion.numerics import ToleranceProfile, numerical_rank
+
+from conftest import traced_peak
 
 DATA = resources.files("kfusion") / "data"
 
@@ -246,21 +247,11 @@ def test_canonical_text_of_an_instance_is_the_stdlib_encoding(large_instance, na
     _assert_stdlib_text(large_instance.document if name is None else bundled_document(name))
 
 
-def _traced_peak(run) -> int:
-    """The peak of the memory Python allocates while ``run()`` runs, in bytes."""
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_digest_and_save_hold_no_copy_of_the_text(large_instance, tmp_path):
     # the stdlib encoder's chunk list for this document peaks near 7.5 MB
     path = tmp_path / "large.json"
-    assert _traced_peak(lambda: document_digest(large_instance.document)) < 0.5e6
-    assert _traced_peak(lambda: save_instance(large_instance, path)) < 0.5e6
+    assert traced_peak(lambda: document_digest(large_instance.document)) < 0.5e6
+    assert traced_peak(lambda: save_instance(large_instance, path)) < 0.5e6
     assert path.read_text() == canonical_text(large_instance.document)
 
 

@@ -26,7 +26,7 @@ from kfusion.resolution import (
     verify_resolution,
 )
 
-from conftest import make_system, random_fusion_system
+from conftest import make_system, random_fusion_system, traced_peak
 
 E1, E2, E3 = np.eye(3)
 
@@ -277,6 +277,37 @@ def test_factor_pairs_must_chain_and_share_one_shape():
         )
     with pytest.raises(ValueError):
         Resolution((), ())
+    with pytest.raises(ValueError, match="all operators must share one shape"):
+        Resolution([np.eye(3), np.ones((3, 2))], [1.0, 1.0])
+
+
+def test_each_read_of_thetas_is_a_fresh_stream_of_the_factor_products(r3_system, r3_k):
+    r = resolution_b(r3_system, r3_k)
+    first, second = r.thetas, r.thetas
+    assert iter(first) is first and first is not second
+    head = next(first)
+    # reading one stream to its end leaves the other where it was
+    assert len(list(second)) == len(r)
+    for theta, (left, right) in zip([head, *first], r.factors, strict=True):
+        assert np.array_equal(theta, left @ right)
+
+
+def _thin_system():
+    """Seeded n = 256 system of 16 members of dims in 1..16, and a K of rank 32 inside its span."""
+    rng = np.random.default_rng(256)
+    n = 256
+    dims = [int(d) for d in rng.integers(1, 17, 16)]
+    w = random_fusion_system(rng, n, dims, list(rng.uniform(0.5, 2.0, 16)))
+    k = synthesis(w) @ rng.standard_normal((sum(dims), 32)) @ rng.standard_normal((32, n))
+    return w, k
+
+
+def test_rebuilding_k_from_thetas_holds_one_dense_operator_at_a_time():
+    w, k = _thin_system()
+    r = resolution_b(w, k)
+    # one 256 x 256 operator is 0.5 MB; all 16 held at once are 8.4 MB
+    peak = traced_peak(lambda: sum(wt**2 * theta for theta, wt in zip(r.thetas, r.weights)))
+    assert peak < 2e6
 
 
 # ------------------------------------------------------------ induced systems
@@ -394,10 +425,23 @@ def test_minimal_norm_rejects_range_violation(r3_system, r3_k):
         minimal_norm_check(r3_system, r3_k, r)
 
 
-def test_minimal_norm_rejects_wrong_normalization():
+def test_minimal_norm_rejects_wrong_normalization(r3_system, r3_k):
     w = make_system(3, [[list(E1), list(E2), list(E3)]], weights=[2.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must reproduce K"):
         minimal_norm_check(w, np.eye(3), Resolution((np.eye(3),), (1.0,)))
+    # every operator maps into its member, so the membership pass reads the whole stream first
+    r = resolution_from_x(r3_system, r3_k, x_w(r3_system, r3_k))
+    doubled = Resolution([2.0 * theta for theta in r.thetas], r.weights)
+    with pytest.raises(ValueError, match="must reproduce K"):
+        minimal_norm_check(r3_system, r3_k, doubled)
+
+
+def test_minimal_norm_check_holds_one_dense_operator_at_a_time():
+    w, k = _thin_system()
+    r = resolution_from_x(w, k, x_w(w, k))
+    assert minimal_norm_check(w, k, r).passed
+    # 16 dense 256 x 256 operators held at once would be 8.4 MB
+    assert traced_peak(lambda: minimal_norm_check(w, k, r)) < 5e6
 
 
 # ------------------------------------------------------- pseudo-inverse route
